@@ -5,9 +5,8 @@ from .config import Budgets, DEFAULT_BUDGETS
 from .errors import (BudgetExceeded, DegreeMismatch, FixtureGap, GroupError,
                      ParseError)
 from .perm import (Permutation, PermutationGroup, StabilizerChain,
-                   alternating_group, cyclic_group, dihedral_group, mulclose,
-                   named_group, parse_permutation, symmetric_group,
-                   trivial_group)
+                   alternating_group, cyclic_group, dihedral_group, named_group,
+                   parse_permutation, symmetric_group, trivial_group)
 from .structure import (conjugacy_classes, derived_series, derived_subgroup,
                         is_normal, is_solvable, lower_central_series,
                         normal_closure, normal_subgroups, normalizer,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 import re
 
-from .config import DEFAULT_BUDGETS
 from .errors import GroupError, ParseError
 from .perm import (Permutation, PermutationGroup, alternating_group,
                    cyclic_group, dihedral_group, named_group, parse_permutation,

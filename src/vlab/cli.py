@@ -11,10 +11,10 @@ import argparse
 import json
 import sys
 
-from .catalog import (bundled_catalog, bundled_fixtures, default_catalog,
-                      load_catalog, load_fixtures, resolve_group_name)
+from .catalog import (bundled_fixtures, default_catalog, load_catalog,
+                      load_fixtures, resolve_group_name)
 from .config import Budgets
-from .engine import (EngineContext, EPI, NOT_EPI, UNKNOWN, EscapeExhausted,
+from .engine import (EngineContext, UNKNOWN, EscapeExhausted,
                      dominion_bounds, epi_decide, find_wreath_escape,
                      simpletimes_pipeline, verify_certificate)
 from .errors import GroupError, ParseError

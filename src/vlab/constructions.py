@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceeded, DegreeMismatch, GroupError
 from .perm import Permutation, PermutationGroup, pad_permutation
-from .structure import QuotientResult, is_normal, quotient
+from .structure import is_normal, quotient
 from .homs import GroupHomomorphism
 
 

@@ -3,23 +3,29 @@
 Outcomes are three-valued; ``unknown`` is a first-class answer that absorbs
 budget exhaustion and fixture gaps.  Every decided verdict carries a
 machine-checkable certificate that ``verify_certificate`` re-runs from
-scratch:
+scratch.  For ``prod(N, Q)`` the product step takes the Q-verbal subgroup
+V = Q(G), the cover test HV = G and the trace H intersect V; one function
+computes it for bounds, decisions, verification and the pipeline.  Each
+rule, with its hypotheses:
 
 * ``neumann-solvable-complement`` - a solvable normal N with NH = G and H
   proper: no proper such subgroup can be epimorphically embedded in any
   quotient/subgroup-closed class containing G.
-* ``solvable-class-rule`` - in a class of solvable groups, epimorphisms are
-  onto, so a proper subgroup is never epimorphically embedded.
+* ``solvable-class-rule`` - needs a class of solvable groups that contains
+  G; epimorphisms there are onto, so a proper H is not epimorphically
+  embedded.
 * ``separating-pair`` - two homomorphisms into a catalog member agreeing on
   the subgroup but not on the group.
 * ``verbal-cover-failure`` - the product bound: the dominion lies inside
-  Q(G)H, which is proper.
-* ``inner-dominion-failure`` - the product characterization in reverse: the
-  trace of the subgroup inside the verbal subgroup is not epimorphically
-  embedded there.
+  Q(G)H, of order |H||V|/|H intersect V|, which is proper.
+* ``inner-dominion-failure`` - needs G in prod(N, Q): the trace
+  H intersect V is not epimorphically embedded in V within N.
 * ``epi-derivation`` - a tree whose internal nodes are product-splitting
   condition checks and whose leaves are fixtures (or the whole-group rule,
   or a componentwise direct-power reduction to a fixture).
+
+``verify_certificate`` is total: on malformed or tampered JSON it returns
+False and never raises.
 """
 
 from __future__ import annotations
@@ -28,14 +34,14 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceeded, FixtureGap, GroupError
-from .perm import Permutation, PermutationGroup, parse_permutation, cyclic_group, trivial_group
-from .structure import (derived_series, is_normal, is_solvable,
-                        normal_subgroups, product_covers, product_subgroup,
-                        quotient, solvable_radical, subgroup_intersection)
+from .perm import (Permutation, PermutationGroup, parse_permutation,
+                   trivial_group)
+from .structure import (is_normal, is_solvable, product_covers,
+                        product_subgroup, solvable_radical,
+                        subgroup_intersection)
 from .homs import GroupHomomorphism, all_homomorphisms
-from .varieties import (Descriptor, ProductVariety, VarOfGroup, YES,
-                        find_epi_fixture, is_solvable_variety,
-                        member_of_variety, q_verbal)
+from .varieties import (Descriptor, ProductVariety, YES, find_epi_fixture,
+                        is_solvable_variety, member_of_variety, q_verbal)
 from .constructions import WreathContext, regular_wreath
 
 EPI = "epi"
@@ -76,10 +82,63 @@ def _group_json(G: PermutationGroup) -> dict:
             "generators": [str(g) for g in G.generators]}
 
 
-def _group_from_json(data: dict) -> PermutationGroup:
-    gens = [parse_permutation(text, data["degree"])
-            for text in data["generators"]]
-    return PermutationGroup(data["degree"], gens, name=data.get("name"))
+def _verdict(ctx: EngineContext, outcome: str, derivation: list[str],
+             notes: list[str], certificate: dict | None = None) -> EpiVerdict:
+    return EpiVerdict(outcome=outcome, certificate=certificate,
+                      derivation=derivation, budgets=ctx.budgets.as_dict(),
+                      notes=notes)
+
+
+def _perms_from_json(texts, degree: int) -> tuple[Permutation, ...]:
+    if not (isinstance(texts, list)
+            and all(isinstance(text, str) for text in texts)):
+        raise GroupError("certificate permutations must be a list of strings")
+    return tuple(parse_permutation(text, degree) for text in texts)
+
+
+def _group_from_json(data) -> PermutationGroup:
+    degree = data.get("degree") if isinstance(data, dict) else None
+    if not isinstance(degree, int):
+        raise GroupError("certificate group needs an int degree")
+    gens = _perms_from_json(data["generators"], degree)
+    return PermutationGroup(degree, gens, name=data.get("name"))
+
+
+# -- the rules' shared tests ----------------------------------------------------
+
+
+def _product_step(G: PermutationGroup, H: PermutationGroup,
+                  desc: ProductVariety, ctx: EngineContext):
+    """(V, H intersect V, HV = G) for V the desc.right-verbal subgroup of G.
+
+    V is normal, so HV = G exactly when |H||V| = |G||H intersect V|.
+    """
+    verbal = q_verbal(G, desc.right, ctx.budgets, ctx.fixtures)
+    trace = subgroup_intersection(G, H, verbal, ctx.budgets)
+    covers = H.order() * verbal.order() == G.order() * trace.order()
+    return verbal, trace, covers
+
+
+def _in_solvable_class(G: PermutationGroup, desc: Descriptor,
+                       ctx: EngineContext, notes: list[str]) -> bool:
+    """Whether desc is a class of solvable groups that contains G.
+
+    A solvable class whose membership of G is not confirmed gets a note.
+    """
+    if is_solvable_variety(desc, ctx.fixtures) != YES:
+        return False
+    membership = member_of_variety(G, desc, ctx.budgets, ctx.fixtures)
+    if membership is not True:
+        notes.append(f"group membership in solvable class {desc}: "
+                     f"{membership}; rule not applicable")
+    return membership is True
+
+
+def _splitting_node(desc: ProductVariety, verbal: PermutationGroup,
+                    inner: dict) -> dict:
+    return {"rule": "product-splitting",
+            "quotient_descriptor": str(desc.right),
+            "verbal_order": verbal.order(), "cover_ok": True, "inner": inner}
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -126,8 +185,7 @@ def dominion_bounds(G: PermutationGroup, H: PermutationGroup,
         return DominionBounds(lower=H, upper=H, exact=True,
                               derivation=["subgroup equals group"])
     if isinstance(desc, ProductVariety):
-        verbal = q_verbal(G, desc.right, ctx.budgets, ctx.fixtures)
-        trace = subgroup_intersection(G, H, verbal, ctx.budgets)
+        verbal, trace, _ = _product_step(G, H, desc, ctx)
         inner = dominion_bounds(verbal, trace, desc.left, ctx)
         lower = product_subgroup(G, H, inner.lower)
         upper = product_subgroup(G, verbal, H)
@@ -145,13 +203,11 @@ def dominion_bounds(G: PermutationGroup, H: PermutationGroup,
                      else "bounds do not pinch")
         return DominionBounds(lower=lower, upper=upper, exact=exact,
                               derivation=steps)
-    if is_solvable_variety(desc, ctx.fixtures) == YES:
-        membership = member_of_variety(G, desc, ctx.budgets, ctx.fixtures)
-        if membership is True:
-            return DominionBounds(
-                lower=H, upper=H, exact=True,
-                derivation=[f"solvable class {desc}: dominion pinches to "
-                            f"the subgroup"])
+    if _in_solvable_class(G, desc, ctx, []):
+        return DominionBounds(
+            lower=H, upper=H, exact=True,
+            derivation=[f"solvable class {desc}: dominion pinches to "
+                        f"the subgroup"])
     fx = find_epi_fixture(ctx.fixtures, G, H, desc)
     if fx is not None:
         return DominionBounds(lower=G, upper=G, exact=True,
@@ -180,15 +236,12 @@ def neumann_not_epi_test(G: PermutationGroup, H: PermutationGroup,
         "subgroup_order": H.order(),
         "group_order": G.order(),
     }
-    return EpiVerdict(
-        outcome=NOT_EPI, certificate=certificate,
-        derivation=[
-            f"solvable radical has order {radical.order()}",
-            "radical times subgroup covers the group; subgroup is proper",
-            "solvable-complement rule: the embedding is not epi in any "
-            "quotient/subgroup-closed class containing the group",
-        ],
-        budgets=ctx.budgets.as_dict())
+    return _verdict(ctx, NOT_EPI, [
+        f"solvable radical has order {radical.order()}",
+        "radical times subgroup covers the group; subgroup is proper",
+        "solvable-complement rule: the embedding is not epi in any "
+        "quotient/subgroup-closed class containing the group",
+    ], [], certificate)
 
 
 def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
@@ -196,10 +249,10 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
                            notes: list[str] | None = None):
     """Look for two maps into a catalog member agreeing on H, differing on G.
 
-    Pairs anchored at the inclusion map (when the catalog member contains G)
-    are examined first; everything else follows the canonical hom order.
-    Exhaustion returns None: it proves nothing positive.  Skipped catalog
-    entries are reported through the notes sink.
+    Pairs (i, j), i < j, are examined in lexicographic order of the
+    canonical hom order, so pairs with the inclusion map come first when it
+    is hom 0.  Exhaustion returns None: it proves nothing positive.  Skipped
+    catalog entries are reported through the notes sink.
     """
     if notes is None:
         notes = []
@@ -217,50 +270,30 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
             continue
         homs = all_homomorphisms(G, C, ctx.budgets)
         keys = [tuple(f.apply(h).images for h in H.generators) for f in homs]
-
-        def emit(i: int, j: int):
-            f, g = homs[i], homs[j]
-            witness = f.first_difference(g, ctx.budgets)
-            if witness is None:
-                return None
-            certificate = {
-                "kind": "separating-pair",
-                "codomain": _group_json(C),
-                "f_images": [str(p) for p in f.generator_images],
-                "g_images": [str(p) for p in g.generator_images],
-                "subgroup_generators": [str(h) for h in H.generators],
-                "witness": str(witness),
-                "f_witness": str(f.apply(witness)),
-                "g_witness": str(g.apply(witness)),
-            }
-            return EpiVerdict(
-                outcome=NOT_EPI, certificate=certificate,
-                derivation=[
+        for i, f in enumerate(homs):
+            for j in range(i + 1, len(homs)):
+                if keys[i] != keys[j]:
+                    continue
+                g = homs[j]
+                witness = f.first_difference(g, ctx.budgets)
+                if witness is None:
+                    continue
+                certificate = {
+                    "kind": "separating-pair",
+                    "codomain": _group_json(C),
+                    "f_images": [str(p) for p in f.generator_images],
+                    "g_images": [str(p) for p in g.generator_images],
+                    "subgroup_generators": [str(h) for h in H.generators],
+                    "witness": str(witness),
+                    "f_witness": str(f.apply(witness)),
+                    "g_witness": str(g.apply(witness)),
+                }
+                return _verdict(ctx, NOT_EPI, [
                     f"maps into {C.name or 'catalog group'} agree on the "
                     f"subgroup generators",
                     f"they differ at {witness}: the subgroup is not "
                     f"epimorphically embedded",
-                ],
-                budgets=ctx.budgets.as_dict(), notes=notes)
-
-        anchor = None
-        if (G.degree == C.degree
-                and homs and homs[0].generator_images == G.generators):
-            anchor = 0
-        if anchor is not None:
-            for j in range(len(homs)):
-                if j != anchor and keys[j] == keys[anchor]:
-                    verdict = emit(anchor, j)
-                    if verdict is not None:
-                        return verdict
-        for i in range(len(homs)):
-            for j in range(i + 1, len(homs)):
-                if anchor in (i, j):
-                    continue
-                if keys[i] == keys[j]:
-                    verdict = emit(i, j)
-                    if verdict is not None:
-                        return verdict
+                ], notes, certificate)
     return None
 
 
@@ -277,135 +310,95 @@ def epi_decide(G: PermutationGroup, H: PermutationGroup, desc: Descriptor,
         return _decide(G, H, desc, ctx, notes)
     except (BudgetExceeded, FixtureGap) as exc:
         notes.append(f"stopped: {exc}")
-        return EpiVerdict(outcome=UNKNOWN, certificate=None,
-                          derivation=["budget or fixture gap"],
-                          budgets=ctx.budgets.as_dict(), notes=notes)
+        return _verdict(ctx, UNKNOWN, ["budget or fixture gap"], notes)
 
 
 def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
     if H.order() == G.order():
-        return EpiVerdict(
-            outcome=EPI,
-            certificate={"kind": "epi-derivation",
-                         "node": {"rule": "whole-group"}},
-            derivation=["subgroup equals group: trivially epimorphic"],
-            budgets=ctx.budgets.as_dict(), notes=notes)
+        return _verdict(ctx, EPI, ["subgroup equals group: trivially "
+                                   "epimorphic"], notes,
+                        {"kind": "epi-derivation",
+                         "node": {"rule": "whole-group"}})
 
-    if is_solvable_variety(desc, ctx.fixtures) == YES:
-        membership = member_of_variety(G, desc, ctx.budgets, ctx.fixtures)
-        if membership is True:
-            verdict = neumann_not_epi_test(G, H, ctx)
-            derivation = [
-                f"{desc} is a class of solvable groups and the group "
-                f"belongs to it",
-                "epimorphisms in solvable classes are onto; the subgroup "
-                "is proper",
-            ]
-            if verdict is not None:
-                verdict.derivation = derivation + verdict.derivation
-                verdict.notes.extend(notes)
-                return verdict
-            certificate = {"kind": "solvable-class-rule",
-                           "descriptor": str(desc),
-                           "group_order": G.order(),
-                           "subgroup_order": H.order()}
-            return EpiVerdict(outcome=NOT_EPI, certificate=certificate,
-                              derivation=derivation,
-                              budgets=ctx.budgets.as_dict(), notes=notes)
-        notes.append(f"group membership in solvable class {desc}: "
-                     f"{membership}; rule not applicable")
+    if _in_solvable_class(G, desc, ctx, notes):
+        verdict = neumann_not_epi_test(G, H, ctx)
+        derivation = [
+            f"{desc} is a class of solvable groups and the group "
+            f"belongs to it",
+            "epimorphisms in solvable classes are onto; the subgroup "
+            "is proper",
+        ]
+        if verdict is not None:
+            verdict.derivation = derivation + verdict.derivation
+            verdict.notes.extend(notes)
+            return verdict
+        certificate = {"kind": "solvable-class-rule",
+                       "descriptor": str(desc),
+                       "group_order": G.order(),
+                       "subgroup_order": H.order()}
+        return _verdict(ctx, NOT_EPI, derivation, notes, certificate)
 
     if isinstance(desc, ProductVariety):
-        verbal = q_verbal(G, desc.right, ctx.budgets, ctx.fixtures)
-        covers = product_covers(G, H, verbal, ctx.budgets)
+        verbal, trace, covers = _product_step(G, H, desc, ctx)
         if not covers:
-            bound = product_subgroup(G, verbal, H)
+            bound_order = H.order() * verbal.order() // trace.order()
             certificate = {
                 "kind": "verbal-cover-failure",
                 "quotient_descriptor": str(desc.right),
                 "verbal_order": verbal.order(),
-                "bound_order": bound.order(),
+                "bound_order": bound_order,
                 "group_order": G.order(),
             }
-            return EpiVerdict(
-                outcome=NOT_EPI, certificate=certificate,
-                derivation=[
-                    f"verbal subgroup for {desc.right} has order "
-                    f"{verbal.order()}",
-                    f"the dominion lies inside verbal*subgroup, of order "
-                    f"{bound.order()} < {G.order()}",
-                ],
-                budgets=ctx.budgets.as_dict(), notes=notes)
-        trace = subgroup_intersection(G, H, verbal, ctx.budgets)
+            return _verdict(ctx, NOT_EPI, [
+                f"verbal subgroup for {desc.right} has order "
+                f"{verbal.order()}",
+                f"the dominion lies inside verbal*subgroup, of order "
+                f"{bound_order} < {G.order()}",
+            ], notes, certificate)
         inner = epi_decide(verbal, trace, desc.left, ctx)
         if inner.outcome == EPI:
-            certificate = {
-                "kind": "epi-derivation",
-                "node": {
-                    "rule": "product-splitting",
-                    "quotient_descriptor": str(desc.right),
-                    "verbal_order": verbal.order(),
-                    "cover_ok": True,
-                    "inner": inner.certificate["node"],
-                },
-            }
-            return EpiVerdict(
-                outcome=EPI, certificate=certificate,
-                derivation=[
-                    f"subgroup times the {desc.right}-verbal subgroup "
-                    f"covers the group",
-                    f"the trace of the subgroup is epimorphically embedded "
-                    f"in the verbal subgroup within {desc.left}:",
-                ] + ["  " + line for line in inner.derivation],
-                budgets=ctx.budgets.as_dict(),
-                notes=notes + inner.notes)
+            node = _splitting_node(desc, verbal, inner.certificate["node"])
+            return _verdict(ctx, EPI, [
+                f"subgroup times the {desc.right}-verbal subgroup "
+                f"covers the group",
+                f"the trace of the subgroup is epimorphically embedded "
+                f"in the verbal subgroup within {desc.left}:",
+            ] + ["  " + line for line in inner.derivation],
+                notes + inner.notes,
+                {"kind": "epi-derivation", "node": node})
         if inner.outcome == NOT_EPI:
             # the necessity direction of the product characterization
             # assumes the ambient group lies in the product variety
             membership = member_of_variety(G, desc, ctx.budgets,
                                            ctx.fixtures)
-            if membership is not True:
-                notes.append(
-                    f"inner embedding fails, but membership of the group "
-                    f"in {desc} is {membership}: the failure does not "
-                    f"transfer")
-                return EpiVerdict(outcome=UNKNOWN, certificate=None,
-                                  derivation=["product recursion is "
-                                              "undecided"],
-                                  budgets=ctx.budgets.as_dict(),
-                                  notes=notes + inner.notes)
-            certificate = {
-                "kind": "inner-dominion-failure",
-                "quotient_descriptor": str(desc.right),
-                "verbal_order": verbal.order(),
-                "trace_order": trace.order(),
-                "inner": inner.certificate,
-            }
-            return EpiVerdict(
-                outcome=NOT_EPI, certificate=certificate,
-                derivation=[
+            if membership is True:
+                certificate = {
+                    "kind": "inner-dominion-failure",
+                    "quotient_descriptor": str(desc.right),
+                    "verbal_order": verbal.order(),
+                    "trace_order": trace.order(),
+                    "inner": inner.certificate,
+                }
+                return _verdict(ctx, NOT_EPI, [
                     f"subgroup times verbal subgroup covers the group, but",
                     f"the trace is not epimorphically embedded in the "
                     f"verbal subgroup within {desc.left}:",
                 ] + ["  " + line for line in inner.derivation],
-                budgets=ctx.budgets.as_dict(),
-                notes=notes + inner.notes)
-        return EpiVerdict(outcome=UNKNOWN, certificate=None,
-                          derivation=["product recursion is undecided"],
-                          budgets=ctx.budgets.as_dict(),
-                          notes=notes + inner.notes)
+                    notes + inner.notes, certificate)
+            notes.append(
+                f"inner embedding fails, but membership of the group "
+                f"in {desc} is {membership}: the failure does not "
+                f"transfer")
+        return _verdict(ctx, UNKNOWN, ["product recursion is undecided"],
+                        notes + inner.notes)
 
     # base descriptor
     fx = find_epi_fixture(ctx.fixtures, G, H, desc)
     if fx is not None:
-        certificate = {
-            "kind": "epi-derivation",
-            "node": {"rule": "fixture", "fixture": _fixture_json(fx)},
-        }
-        return EpiVerdict(
-            outcome=EPI, certificate=certificate,
-            derivation=[f"fixture: {fx.provenance}"],
-            budgets=ctx.budgets.as_dict(), notes=notes)
+        return _verdict(ctx, EPI, [f"fixture: {fx.provenance}"], notes,
+                        {"kind": "epi-derivation",
+                         "node": {"rule": "fixture",
+                                  "fixture": _fixture_json(fx)}})
     membership = member_of_variety(G, desc, ctx.budgets, ctx.fixtures)
     if membership is True:
         verdict = neumann_not_epi_test(G, H, ctx)
@@ -421,9 +414,7 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
         return verdict
     notes.append("fixtures, solvable-complement test and separating-pair "
                  "search were all inconclusive")
-    return EpiVerdict(outcome=UNKNOWN, certificate=None,
-                      derivation=["no decision path concluded"],
-                      budgets=ctx.budgets.as_dict(), notes=notes)
+    return _verdict(ctx, UNKNOWN, ["no decision path concluded"], notes)
 
 
 def _fixture_json(fx) -> dict:
@@ -442,12 +433,13 @@ def _fixture_json(fx) -> dict:
 def verify_certificate(G: PermutationGroup, H: PermutationGroup,
                        desc: Descriptor, verdict: EpiVerdict,
                        ctx: EngineContext) -> bool:
-    """Re-run a verdict's certificate from scratch; True iff it checks out."""
+    """Re-run a verdict's certificate from scratch; True iff it checks out.
+
+    Total: a malformed or tampered certificate gives False, never an error.
+    """
     cert = verdict.certificate
     if verdict.outcome == UNKNOWN:
         return cert is None
-    if cert is None:
-        return False
     try:
         return _verify_cert(G, H, desc, cert, ctx)
     except (GroupError, KeyError, BudgetExceeded):
@@ -455,6 +447,8 @@ def verify_certificate(G: PermutationGroup, H: PermutationGroup,
 
 
 def _verify_cert(G, H, desc, cert, ctx) -> bool:
+    if not isinstance(cert, dict):
+        return False
     kind = cert.get("kind")
     if kind == "neumann-solvable-complement":
         N = _group_from_json(cert["normal"])
@@ -464,66 +458,53 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
                 and product_covers(G, H, N, ctx.budgets)
                 and H.order() < G.order())
     if kind == "solvable-class-rule":
-        return (is_solvable_variety(desc, ctx.fixtures) == YES
-                and member_of_variety(G, desc, ctx.budgets,
-                                      ctx.fixtures) is True
-                and H.order() < G.order())
+        return _in_solvable_class(G, desc, ctx, []) and H.order() < G.order()
     if kind == "separating-pair":
         C = _group_from_json(cert["codomain"])
-        f_images = tuple(parse_permutation(t, C.degree)
-                         for t in cert["f_images"])
-        g_images = tuple(parse_permutation(t, C.degree)
-                         for t in cert["g_images"])
-        f = GroupHomomorphism(G, C, f_images)   # validates well-definedness
-        g = GroupHomomorphism(G, C, g_images)
+        # GroupHomomorphism validates well-definedness
+        f = GroupHomomorphism(G, C, _perms_from_json(cert["f_images"],
+                                                     C.degree))
+        g = GroupHomomorphism(G, C, _perms_from_json(cert["g_images"],
+                                                     C.degree))
         if not f.agrees_on(g, H):
             return False
-        witness = parse_permutation(cert["witness"], G.degree)
+        witness, = _perms_from_json([cert["witness"]], G.degree)
         if not G.contains(witness):
             return False
         return f.apply(witness) != g.apply(witness)
-    if kind == "verbal-cover-failure":
-        if not isinstance(desc, ProductVariety):
-            return False
-        verbal = q_verbal(G, desc.right, ctx.budgets, ctx.fixtures)
-        bound = product_subgroup(G, verbal, H)
+    if kind == "verbal-cover-failure" and isinstance(desc, ProductVariety):
+        verbal, trace, covers = _product_step(G, H, desc, ctx)
         return (verbal.order() == cert["verbal_order"]
-                and bound.order() == cert["bound_order"]
-                and bound.order() < G.order())
-    if kind == "inner-dominion-failure":
-        if not isinstance(desc, ProductVariety):
-            return False
+                and (H.order() * verbal.order() // trace.order()
+                     == cert["bound_order"])
+                and not covers)
+    if kind == "inner-dominion-failure" and isinstance(desc, ProductVariety):
         if member_of_variety(G, desc, ctx.budgets, ctx.fixtures) is not True:
             return False
-        verbal = q_verbal(G, desc.right, ctx.budgets, ctx.fixtures)
-        if verbal.order() != cert["verbal_order"]:
-            return False
-        trace = subgroup_intersection(G, H, verbal, ctx.budgets)
-        if trace.order() != cert["trace_order"]:
-            return False
-        return _verify_cert(verbal, trace, desc.left, cert["inner"], ctx)
+        verbal, trace, _ = _product_step(G, H, desc, ctx)
+        return (verbal.order() == cert["verbal_order"]
+                and trace.order() == cert["trace_order"]
+                and _verify_cert(verbal, trace, desc.left, cert["inner"],
+                                 ctx))
     if kind == "epi-derivation":
         return _verify_epi_node(G, H, desc, cert["node"], ctx)
     return False
 
 
 def _verify_epi_node(G, H, desc, node, ctx) -> bool:
+    if not isinstance(node, dict):
+        return False
     rule = node.get("rule")
     if rule == "whole-group":
         return H.order() == G.order()
     if rule == "fixture":
         fx = find_epi_fixture(ctx.fixtures, G, H, desc)
         return fx is not None
-    if rule == "product-splitting":
-        if not isinstance(desc, ProductVariety):
-            return False
-        verbal = q_verbal(G, desc.right, ctx.budgets, ctx.fixtures)
-        if verbal.order() != node["verbal_order"]:
-            return False
-        if not product_covers(G, H, verbal, ctx.budgets):
-            return False
-        trace = subgroup_intersection(G, H, verbal, ctx.budgets)
-        return _verify_epi_node(verbal, trace, desc.left, node["inner"], ctx)
+    if rule == "product-splitting" and isinstance(desc, ProductVariety):
+        verbal, trace, covers = _product_step(G, H, desc, ctx)
+        return (verbal.order() == node["verbal_order"] and covers
+                and _verify_epi_node(verbal, trace, desc.left, node["inner"],
+                                     ctx))
     if rule == "direct-power-fixture":
         return _verify_power_node(G, H, desc, node, ctx)
     return False
@@ -534,6 +515,8 @@ def _verify_power_node(G, H, desc, node, ctx) -> bool:
     matching power of the fixture subgroup; the dominion identity for finite
     direct powers then lifts the fixture to the whole power."""
     fx_data = node["fixture"]
+    if not isinstance(fx_data, dict):
+        return False
     fixture_group = _group_from_json(fx_data["group"])
     fixture_sub = _group_from_json(fx_data["subgroup"])
     fx = find_epi_fixture(ctx.fixtures, fixture_group, fixture_sub, desc)
@@ -541,10 +524,13 @@ def _verify_power_node(G, H, desc, node, ctx) -> bool:
         return False
     blocks = node["blocks"]
     m = fixture_group.degree
+    if not (isinstance(blocks, list) and all(
+            isinstance(block, list) and len(block) == m
+            and all(isinstance(p, int) and 0 <= p < G.degree for p in block)
+            for block in blocks)):
+        return False
     expected_order = 1
     for block in blocks:
-        if len(block) != m:
-            return False
         for g in fixture_group.generators:
             embedded = _embed_on_points(g, block, G.degree)
             if not G.contains(embedded):
@@ -731,11 +717,9 @@ def simpletimes_pipeline(S: PermutationGroup, H: PermutationGroup,
     notes: list[str] = []
     if fx is None:
         return PipelineReport(
-            verdict=EpiVerdict(
-                outcome=UNKNOWN, certificate=None,
-                derivation=["no fixture asserts the base epimorphic "
-                            "embedding; the pipeline has nothing to lift"],
-                budgets=ctx.budgets.as_dict(), notes=notes),
+            verdict=_verdict(ctx, UNKNOWN, [
+                "no fixture asserts the base epimorphic embedding; the "
+                "pipeline has nothing to lift"], notes),
             escape=None, details={"missing_fixture": True})
     if not is_simple_nonabelian(S, ctx):
         raise GroupError("the pipeline needs a simple nonabelian base group")
@@ -744,61 +728,46 @@ def simpletimes_pipeline(S: PermutationGroup, H: PermutationGroup,
     except EscapeExhausted as exc:
         notes.append(str(exc))
         return PipelineReport(
-            verdict=EpiVerdict(outcome=UNKNOWN, certificate=None,
-                               derivation=["escape search exhausted its "
-                                           "ladder within budget"],
-                               budgets=ctx.budgets.as_dict(), notes=notes),
+            verdict=_verdict(ctx, UNKNOWN, ["escape search exhausted its "
+                                            "ladder within budget"], notes),
             escape=None, details={"escape_exhausted": True})
 
     wreath = escape.wreath
     W = wreath.product
-    verbal = q_verbal(W, qdesc, ctx.budgets, ctx.fixtures)
-    base = wreath.base_subgroup()
+    desc = ProductVariety(ndesc, qdesc)
+    embedded_sub = wreath.wreath_subgroup(H)
+    verbal, trace, covers = _product_step(W, embedded_sub, desc, ctx)
     if verbal.order() == 1:
         raise GroupError("escape witness is inside the variety after all "
                          "(internal error)")
-    if not verbal.same_group_as(base):
+    if not verbal.same_group_as(wreath.base_subgroup()):
         raise GroupError("dichotomy violated for the escape witness "
                          "(internal error)")
-    embedded_sub = wreath.wreath_subgroup(H)
-    if not product_covers(W, embedded_sub, verbal, ctx.budgets):
+    if not covers:
         raise GroupError("wreath subgroup fails to cover (internal error)")
-    trace = subgroup_intersection(W, embedded_sub, verbal, ctx.budgets)
-    power = wreath.base_power_subgroup(H)
-    if not trace.same_group_as(power):
+    if not trace.same_group_as(wreath.base_power_subgroup(H)):
         raise GroupError("trace is not the expected base power "
                          "(internal error)")
     blocks = [list(wreath.block_range(c)) for c in range(wreath.block_count)]
-    certificate = {
-        "kind": "epi-derivation",
-        "node": {
-            "rule": "product-splitting",
-            "quotient_descriptor": str(qdesc),
-            "verbal_order": verbal.order(),
-            "cover_ok": True,
-            "inner": {
-                "rule": "direct-power-fixture",
-                "fixture": _fixture_json(fx),
-                "copies": wreath.block_count,
-                "blocks": blocks,
-            },
-        },
+    power_node = {
+        "rule": "direct-power-fixture",
+        "fixture": _fixture_json(fx),
+        "copies": wreath.block_count,
+        "blocks": blocks,
     }
     top_name = escape.top.name or f"order-{escape.top.order()}"
-    verdict = EpiVerdict(
-        outcome=EPI, certificate=certificate,
-        derivation=[
-            f"escape: {top_name} lies in {qdesc} but the wreath product "
-            f"does not",
-            f"verbal subgroup of the wreath is the full base power "
-            f"(order {verbal.order()})",
-            "the embedded wreath subgroup covers it",
-            "its trace is the base power of the fixture subgroup; the "
-            "componentwise direct-power identity reduces its dominion to "
-            "the fixture",
-            f"fixture: {fx.provenance}",
-        ],
-        budgets=ctx.budgets.as_dict(), notes=notes)
+    verdict = _verdict(ctx, EPI, [
+        f"escape: {top_name} lies in {qdesc} but the wreath product "
+        f"does not",
+        f"verbal subgroup of the wreath is the full base power "
+        f"(order {verbal.order()})",
+        "the embedded wreath subgroup covers it",
+        "its trace is the base power of the fixture subgroup; the "
+        "componentwise direct-power identity reduces its dominion to "
+        "the fixture",
+        f"fixture: {fx.provenance}",
+    ], notes, {"kind": "epi-derivation",
+               "node": _splitting_node(desc, verbal, power_node)})
     details = {
         "wreath_order": W.order(),
         "wreath_degree": W.degree,
@@ -807,37 +776,3 @@ def simpletimes_pipeline(S: PermutationGroup, H: PermutationGroup,
         "trace_order": trace.order(),
     }
     return PipelineReport(verdict=verdict, escape=escape, details=details)
-
-
-# -- cross-checks used by the test suite -------------------------------------------------
-
-
-def product_condition_on_normals(G: PermutationGroup, H: PermutationGroup,
-                                 desc: ProductVariety, ctx: EngineContext):
-    """For each normal N0 with N0 in the left factor and G/N0 in the right,
-    check the covering condition (and the inner embedding when decidable).
-
-    Checking a single normal subgroup is not enough, so this enumerates all
-    of them; it is a consistency check, not the decision path.
-    """
-    if not isinstance(desc, ProductVariety):
-        raise GroupError("needs a product descriptor")
-    results = []
-    for N0 in normal_subgroups(G, ctx.budgets):
-        left_member = member_of_variety(N0, desc.left, ctx.budgets,
-                                        ctx.fixtures)
-        if left_member is not True:
-            continue
-        quotient_group = quotient(G, N0, ctx.budgets).group
-        right_member = member_of_variety(quotient_group, desc.right,
-                                         ctx.budgets, ctx.fixtures)
-        if right_member is not True:
-            continue
-        covers = product_covers(G, H, N0, ctx.budgets)
-        inner_outcome = None
-        if N0.order() > 1:
-            trace = subgroup_intersection(G, H, N0, ctx.budgets)
-            inner_outcome = epi_decide(N0, trace, desc.left, ctx).outcome
-        results.append({"normal_order": N0.order(), "covers": covers,
-                        "inner_outcome": inner_outcome})
-    return results

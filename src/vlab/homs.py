@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceeded, DegreeMismatch, GroupError
-from .perm import Permutation, PermutationGroup, pad_permutation
+from .perm import Permutation, PermutationGroup
 
 
 def _paired(source_gen: Permutation, image: Permutation,

@@ -382,30 +382,6 @@ class PermutationGroup:
                 f"{len(self.generators)} generators>")
 
 
-def mulclose(generators, max_size: int = 2_000_000):
-    """Exhaustive closure of a generator list; the order oracle for tests."""
-    if not generators:
-        raise GroupError("mulclose needs at least one permutation")
-    elements = {g.images: g for g in generators}
-    identity = Permutation.identity(generators[0].degree)
-    elements[identity.images] = identity
-    frontier = list(elements.values())
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in generators:
-                c = a * g
-                if c.images not in elements:
-                    elements[c.images] = c
-                    new.append(c)
-                    if len(elements) > max_size:
-                        raise BudgetExceeded(
-                            f"closure exceeded {max_size} elements",
-                            budget_name="mulclose", limit=max_size)
-        frontier = new
-    return sorted(elements.values())
-
-
 # -- named constructors ------------------------------------------------------
 
 
@@ -514,13 +490,6 @@ def element_order_profile(group: PermutationGroup,
         o = g.order()
         counts[o] = counts.get(o, 0) + 1
     return tuple(sorted(counts.items()))
-
-
-def group_fingerprint(group: PermutationGroup,
-                      max_enumerate: int = 100_000):
-    """(order, abelian?, element-order profile) - used in reports only."""
-    return (group.order(), group.is_abelian(),
-            element_order_profile(group, max_enumerate))
 
 
 def all_tuples(elements, arity: int, max_tuples: int):

@@ -13,8 +13,8 @@ from typing import Callable
 
 from .catalog import resolve_group_name
 from .engine import (EngineContext, EPI, NOT_EPI, UNKNOWN, epi_decide,
-                     find_wreath_escape, mckay_bound, simpletimes_pipeline,
-                     verify_certificate, verify_qofsimple)
+                     find_wreath_escape, mckay_bound, verify_certificate,
+                     verify_qofsimple)
 from .errors import GroupError
 from .perm import alternating_group, pad_permutation, symmetric_group
 from .structure import all_subgroups, nilpotency_class

@@ -84,15 +84,16 @@ def derived_length(G: PermutationGroup) -> int | None:
 
 
 def lower_central_series(G: PermutationGroup, c: int) -> list[PermutationGroup]:
-    """gamma_1 .. gamma_{c+1}, where gamma_{k+1} = [gamma_k, G]."""
+    """gamma_1 .. gamma_{c+1}, where gamma_{k+1} = [gamma_k, G].
+
+    Once gamma_{k+1} = gamma_k the series is stationary, so the remaining
+    terms are that subgroup.
+    """
     if c < 1:
         raise GroupError("lower_central_series needs c >= 1")
     series = [G]
-    for _ in range(c):
+    while len(series) <= c and series[-1].order() > 1:
         current = series[-1]
-        if current.order() == 1:
-            series.append(current)
-            continue
         seed = []
         for a in current.generators:
             for b in G.generators:
@@ -101,30 +102,16 @@ def lower_central_series(G: PermutationGroup, c: int) -> list[PermutationGroup]:
                     seed.append(cm)
         nxt = normal_closure(G, seed)
         if nxt.order() == current.order():
-            series.append(current)
-        else:
-            series.append(nxt)
-    return series
+            break
+        series.append(nxt)
+    return series + [series[-1]] * (c + 1 - len(series))
 
 
 def nilpotency_class(G: PermutationGroup, max_c: int = 20) -> int | None:
     """Least c with gamma_{c+1} = 1, or None if the series stalls above 1."""
-    series = [G]
-    for c in range(max_c):
-        current = series[-1]
-        if current.order() == 1:
-            return c
-        seed = []
-        for a in current.generators:
-            for b in G.generators:
-                cm = commutator(a, b)
-                if not cm.is_identity():
-                    seed.append(cm)
-        nxt = normal_closure(G, seed)
-        if nxt.order() == current.order():
-            return None
-        series.append(nxt)
-    return None if series[-1].order() > 1 else max_c
+    series = lower_central_series(G, max_c)
+    return next((c for c, term in enumerate(series) if term.order() == 1),
+                None)
 
 
 def is_normal(G: PermutationGroup, N: PermutationGroup) -> bool:

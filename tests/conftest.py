@@ -1,7 +1,33 @@
 import pytest
 
 from vlab.engine import EngineContext
-from vlab.perm import alternating_group, cyclic_group, pad_permutation
+from vlab.errors import BudgetExceeded, GroupError
+from vlab.perm import (Permutation, alternating_group, cyclic_group,
+                       pad_permutation)
+
+
+def mulclose(generators, max_size: int = 2_000_000):
+    """Exhaustive closure of a generator list; the order oracle for tests."""
+    if not generators:
+        raise GroupError("mulclose needs at least one permutation")
+    elements = {g.images: g for g in generators}
+    identity = Permutation.identity(generators[0].degree)
+    elements[identity.images] = identity
+    frontier = list(elements.values())
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in generators:
+                c = a * g
+                if c.images not in elements:
+                    elements[c.images] = c
+                    new.append(c)
+                    if len(elements) > max_size:
+                        raise BudgetExceeded(
+                            f"closure exceeded {max_size} elements",
+                            budget_name="mulclose", limit=max_size)
+        frontier = new
+    return sorted(elements.values())
 
 
 @pytest.fixture(scope="session")

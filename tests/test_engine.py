@@ -2,21 +2,24 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vlab.catalog import resolve_group_name
 from vlab.config import Budgets
-from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext, EscapeExhausted,
-                         dominion_bounds, epi_decide, find_wreath_escape,
-                         is_simple_nonabelian, mckay_bound,
-                         neumann_not_epi_test, product_condition_on_normals,
-                         separating_pair_search, simpletimes_pipeline,
-                         verify_certificate, verify_qofsimple)
+from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext, EpiVerdict,
+                         EscapeExhausted, dominion_bounds, epi_decide,
+                         find_wreath_escape, is_simple_nonabelian, mckay_bound,
+                         neumann_not_epi_test, separating_pair_search,
+                         simpletimes_pipeline, verify_certificate,
+                         verify_qofsimple)
 from vlab.errors import GroupError
-from vlab.perm import (alternating_group, cyclic_group, pad_permutation,
-                       parse_permutation, symmetric_group)
-from vlab.structure import derived_subgroup, nilpotency_class, product_covers
+from vlab.perm import (PermutationGroup, alternating_group, cyclic_group,
+                       pad_permutation, parse_permutation, symmetric_group)
+from vlab.structure import (derived_subgroup, nilpotency_class,
+                            normal_subgroups, product_covers, quotient,
+                            subgroup_intersection)
 from vlab.varieties import (Abelian, ProductVariety, SolvableLength,
-                            VarOfGroup, parse_descriptor)
+                            VarOfGroup, member_of_variety, parse_descriptor)
 
 
 @pytest.fixture(scope="module")
@@ -231,30 +234,33 @@ class TestEpiDecide:
             epi_decide(a5, symmetric_group(5), Abelian(), ctx)
 
 
+def _decided_corpus():
+    s4 = symmetric_group(4)
+    a5 = alternating_group(5)
+    a4_in_a5 = a5.subgroup([parse_permutation("(0 1 2)", 5),
+                            parse_permutation("(0 1)(2 3)", 5)])
+    return [
+        (s4, s4.subgroup([parse_permutation("(0 1)", 4)]),
+         parse_descriptor("Sl:3")),
+        (s4, s4.subgroup([parse_permutation("(0 1 2)", 4)]),
+         parse_descriptor("prod(A,A)")),
+        (cyclic_group(4),
+         cyclic_group(4).subgroup(
+             [cyclic_group(4).generators[0] ** 2]),
+         parse_descriptor("A")),
+        (a5, a4_in_a5, parse_descriptor("var:A5")),
+        (a5, a4_in_a5, parse_descriptor("prod(var:A5,A)")),
+        (a5, a4_in_a5, parse_descriptor("prod(var:A5,Nc:2)")),
+        (resolve_group_name("D6"),
+         resolve_group_name("D6").subgroup(
+             [parse_permutation("(0 1 2 3 4 5)", 6)]),
+         parse_descriptor("Sl:2")),
+    ]
+
+
 class TestCertificateSoundness:
     def test_decided_corpus_reverifies(self, ctx):
-        s4 = symmetric_group(4)
-        a5 = alternating_group(5)
-        a4_in_a5 = a5.subgroup([parse_permutation("(0 1 2)", 5),
-                                parse_permutation("(0 1)(2 3)", 5)])
-        instances = [
-            (s4, s4.subgroup([parse_permutation("(0 1)", 4)]),
-             parse_descriptor("Sl:3")),
-            (s4, s4.subgroup([parse_permutation("(0 1 2)", 4)]),
-             parse_descriptor("prod(A,A)")),
-            (cyclic_group(4),
-             cyclic_group(4).subgroup(
-                 [cyclic_group(4).generators[0] ** 2]),
-             parse_descriptor("A")),
-            (a5, a4_in_a5, parse_descriptor("var:A5")),
-            (a5, a4_in_a5, parse_descriptor("prod(var:A5,A)")),
-            (a5, a4_in_a5, parse_descriptor("prod(var:A5,Nc:2)")),
-            (resolve_group_name("D6"),
-             resolve_group_name("D6").subgroup(
-                 [parse_permutation("(0 1 2 3 4 5)", 6)]),
-             parse_descriptor("Sl:2")),
-        ]
-        for G, H, desc in instances:
+        for G, H, desc in _decided_corpus():
             verdict = epi_decide(G, H, desc, ctx)
             assert verdict.outcome in (EPI, NOT_EPI), (G.name, str(desc))
             assert verify_certificate(G, H, desc, verdict, ctx), \
@@ -281,6 +287,127 @@ class TestCertificateSoundness:
         verdict = epi_decide(a5, a4_in_a5, VarOfGroup("A5"), bare)
         assert verify_certificate(a5, a4_in_a5, VarOfGroup("A5"), verdict,
                                   bare)
+
+
+_FOUR_CYCLE = {"degree": 4, "generators": ["(0 1 2 3)"]}
+
+
+class TestVerifierTotality:
+    @pytest.mark.parametrize("outcome,certificate", [
+        (NOT_EPI, {"kind": "separating-pair", "codomain": 5}),
+        (EPI, {"kind": "epi-derivation", "node": None}),
+        (NOT_EPI, {"kind": "neumann-solvable-complement",
+                   "normal": {"degree": "x", "generators": ["(0 1)"]}}),
+        (EPI, {"kind": "epi-derivation",
+               "node": {"rule": "direct-power-fixture",
+                        "fixture": {"group": _FOUR_CYCLE, "subgroup": None},
+                        "blocks": [[0, 1, 2, 3]]}}),
+        (NOT_EPI, ["separating-pair"]),
+    ], ids=["codomain-int", "node-null", "degree-str", "subgroup-null",
+            "cert-list"])
+    def test_malformed_certificate_is_false(self, ctx, s4, s3_in_s4,
+                                            outcome, certificate):
+        verdict = EpiVerdict(outcome, certificate, [], {})
+        assert verify_certificate(s4, s3_in_s4, Abelian(), verdict,
+                                  ctx) is False
+
+
+@pytest.fixture(scope="module")
+def certified_verdicts(ctx, a5, a4_in_a5):
+    c5 = a5.subgroup([parse_permutation("(0 1 2 3 4)", 5)])
+    instances = _decided_corpus() + [
+        (a5, c5, parse_descriptor("prod(var:A5,A)"))]
+    rows = [(G, H, desc, epi_decide(G, H, desc, ctx))
+            for G, H, desc in instances]
+    report = simpletimes_pipeline(a5, a4_in_a5, VarOfGroup("A5"), Abelian(),
+                                  ctx)
+    W = report.escape.wreath
+    rows.append((W.product, W.wreath_subgroup(a4_in_a5),
+                 ProductVariety(VarOfGroup("A5"), Abelian()), report.verdict))
+    return rows
+
+
+def _json_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _json_paths(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _json_paths(child, path + (i,))
+
+
+_RULE_NAMES = ["neumann-solvable-complement", "solvable-class-rule",
+               "separating-pair", "verbal-cover-failure",
+               "inner-dominion-failure", "epi-derivation", "whole-group",
+               "fixture", "product-splitting", "direct-power-fixture"]
+_CERT_KEYS = ["kind", "rule", "node", "inner", "normal", "codomain",
+              "degree", "generators", "f_images", "g_images", "witness",
+              "verbal_order", "trace_order", "bound_order", "fixture",
+              "group", "subgroup", "blocks"]
+# small degrees and short cycles keep every mutated group tiny
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12)
+    | st.sampled_from(["", "x", "()", "(0 1)", "(0 1 2)", "(0 1 2 3 4)",
+                       "(0 5)"] + _RULE_NAMES),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.sampled_from(_CERT_KEYS),
+                                        children, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verifier_never_raises_on_one_mutated_field(ctx, certified_verdicts,
+                                                     data):
+    G, H, desc, verdict = data.draw(st.sampled_from(certified_verdicts))
+    paths = list(_json_paths(verdict.certificate))
+    path = data.draw(st.sampled_from(paths))
+    certificate = copy.deepcopy(verdict.certificate)
+    if not path:
+        certificate = data.draw(_JSON_VALUES)
+    else:
+        parent = certificate
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON_VALUES)
+    mutated = copy.deepcopy(verdict)
+    mutated.certificate = certificate
+    assert verify_certificate(G, H, desc, mutated, ctx) in (True, False)
+
+
+def product_condition_on_normals(G: PermutationGroup, H: PermutationGroup,
+                                 desc: ProductVariety, ctx: EngineContext):
+    """For each normal N0 with N0 in the left factor and G/N0 in the right,
+    check the covering condition (and the inner embedding when decidable).
+
+    Checking a single normal subgroup is not enough, so this enumerates all
+    of them; it is a consistency check, not the decision path.
+    """
+    if not isinstance(desc, ProductVariety):
+        raise GroupError("needs a product descriptor")
+    results = []
+    for N0 in normal_subgroups(G, ctx.budgets):
+        left_member = member_of_variety(N0, desc.left, ctx.budgets,
+                                        ctx.fixtures)
+        if left_member is not True:
+            continue
+        quotient_group = quotient(G, N0, ctx.budgets).group
+        right_member = member_of_variety(quotient_group, desc.right,
+                                         ctx.budgets, ctx.fixtures)
+        if right_member is not True:
+            continue
+        covers = product_covers(G, H, N0, ctx.budgets)
+        inner_outcome = None
+        if N0.order() > 1:
+            trace = subgroup_intersection(G, H, N0, ctx.budgets)
+            inner_outcome = epi_decide(N0, trace, desc.left, ctx).outcome
+        results.append({"normal_order": N0.order(), "covers": covers,
+                        "inner_outcome": inner_outcome})
+    return results
 
 
 class TestAllNormalsConsistency:

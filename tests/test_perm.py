@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests.conftest import mulclose
 from vlab.errors import DegreeMismatch, GroupError, ParseError
 from vlab.perm import (Permutation, PermutationGroup, alternating_group,
-                       cyclic_group, dihedral_group, mulclose, named_group,
+                       cyclic_group, dihedral_group, named_group,
                        parse_permutation, symmetric_group, trivial_group)
 
 

@@ -1,9 +1,10 @@
 import pytest
 
+from tests.conftest import mulclose
+from vlab.constructions import direct_product
 from vlab.errors import BudgetExceeded, GroupError
 from vlab.perm import (alternating_group, cyclic_group, dihedral_group,
-                       mulclose, parse_permutation, pad_permutation,
-                       symmetric_group)
+                       parse_permutation, pad_permutation, symmetric_group)
 from vlab.structure import (all_subgroups, conjugacy_classes, derived_series,
                             derived_subgroup, is_normal, is_solvable,
                             lower_central_series, nilpotency_class,
@@ -85,6 +86,13 @@ class TestDerivedAndCentralSeries:
         assert nilpotency_class(dihedral_group(4)) == 2
         assert nilpotency_class(cyclic_group(6)) == 1
         assert nilpotency_class(symmetric_group(3)) is None
+
+    def test_lower_central_series_stalls_above_trivial(self):
+        # D4 x S3: gamma_2 = C2 x C3, then gamma_3 = C3 = gamma_4 = ...
+        G = direct_product(dihedral_group(4), symmetric_group(3))
+        series = lower_central_series(G, 4)
+        assert [g.order() for g in series] == [48, 6, 3, 3, 3]
+        assert nilpotency_class(G) is None
 
     def test_solvability(self):
         assert is_solvable(symmetric_group(4))

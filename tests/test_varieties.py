@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
+from tests.conftest import mulclose
 from vlab.catalog import bundled_fixtures, resolve_group_name
 from vlab.config import Budgets
 from vlab.errors import FixtureGap, ParseError
 from vlab.perm import (alternating_group, cyclic_group, dihedral_group,
-                       mulclose, parse_permutation, symmetric_group)
+                       parse_permutation, symmetric_group)
 from vlab.structure import normal_subgroups, quotient
 from vlab.varieties import (Abelian, Fixture, Laws, NilpotentClass,
                             ProductVariety, SolvableLength, VarOfGroup,
