@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import re
 
+from .config import Budgets
 from .errors import GroupError, ParseError
 from .perm import (Permutation, PermutationGroup, alternating_group,
                    cyclic_group, dihedral_group, named_group, parse_permutation,
@@ -168,11 +169,10 @@ def _product(name: str, A: PermutationGroup, B: PermutationGroup):
     return direct_product(A, B, name=name)
 
 
-def _wreath(name: str, A: PermutationGroup, B: PermutationGroup,
-            top_budget: int = 130) -> PermutationGroup:
-    from .config import Budgets
-    budgets = Budgets(max_wreath_top=top_budget)
-    G = regular_wreath(A, B, budgets).product
+def _wreath(name: str, A: PermutationGroup,
+            B: PermutationGroup) -> PermutationGroup:
+    """A wr B by name; named wreaths may have tops of up to 130 elements."""
+    G = regular_wreath(A, B, Budgets(max_wreath_top=130)).product
     G.name = name
     return G
 
@@ -254,13 +254,6 @@ def build_catalog() -> list[PermutationGroup]:
     return fixed
 
 
-EXPECTED_CLASS_COUNTS = {
-    1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2, 11: 1,
-    12: 5, 13: 1, 14: 2, 15: 1, 16: 14, 17: 1, 18: 5, 19: 1, 20: 5,
-    21: 2, 22: 2, 23: 1, 24: 15,
-}
-
-
 _CATALOG_CACHE: list[PermutationGroup] | None = None
 
 
@@ -282,12 +275,8 @@ def resolve_group_name(name: str) -> PermutationGroup:
             return g
     match = _WREATH_NAME.match(name)
     if match:
-        bottom = resolve_group_name(match.group(1))
-        top = resolve_group_name(match.group(2))
-        from .config import Budgets
-        G = regular_wreath(bottom, top, Budgets(max_wreath_top=130)).product
-        G.name = name
-        return G
+        return _wreath(name, resolve_group_name(match.group(1)),
+                       resolve_group_name(match.group(2)))
     return named_group(name)
 
 

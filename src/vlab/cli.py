@@ -1,8 +1,9 @@
 """vlab: decide and certify epimorphic embeddings in product varieties.
 
 Subcommands: order, verbal, wreath, kk-embed, epi, bounds, magnus, escape,
-scenario.  Reports go to stdout as JSON (default) or aligned text; exit code
-0 on success, 2 when the outcome is unknown, 1 on error.
+pipeline, scenario.  Reports go to stdout as JSON (default) or aligned text;
+exit code 0 on success, 2 when the outcome is unknown, 1 on error.  Each
+--max-* option overrides the resource budget of the same name (vlab.config).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .catalog import (bundled_fixtures, default_catalog, load_catalog,
                       load_fixtures, resolve_group_name)
@@ -40,16 +42,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--catalog", help="catalog file (default: bundled, "
                         "or $VLAB_CATALOG)")
     parser.add_argument("--fixtures", help="fixture file (default: bundled)")
-    parser.add_argument("--max-enumerate", type=int, default=None,
-                        help="element enumeration cap")
-    parser.add_argument("--max-hom-product", type=int, default=None,
-                        help="|G|*|C| cap for homomorphism search")
-    parser.add_argument("--max-wreath-top", type=int, default=None,
-                        help="|B| cap for wreath tops")
-    parser.add_argument("--max-tuples", type=int, default=None,
-                        help="tuple enumeration cap for word values")
-    parser.add_argument("--max-normalizer", type=int, default=None)
-    parser.add_argument("--max-normal-enumeration", type=int, default=None)
+    for budget in fields(Budgets):
+        parser.add_argument("--" + budget.name.replace("_", "-"), type=int,
+                            default=budget.default,
+                            help="default %(default)s")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -113,13 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_context(args) -> EngineContext:
-    overrides = {}
-    for attr in ("max_enumerate", "max_hom_product", "max_wreath_top",
-                 "max_tuples", "max_normalizer", "max_normal_enumeration"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[attr] = value
-    budgets = Budgets(**overrides) if overrides else Budgets()
+    budgets = Budgets(**{budget.name: getattr(args, budget.name)
+                         for budget in fields(Budgets)})
     catalog = (load_catalog(args.catalog) if args.catalog
                else default_catalog())
     fixtures = (load_fixtures(args.fixtures) if args.fixtures

@@ -1,8 +1,12 @@
 """Resource budgets for the combinatorial kernels.
 
 Every potentially expensive operation takes an explicit budget; exceeding a
-bound raises BudgetExceeded rather than silently degrading.  Verdict reports
-echo the budgets they ran under so that "unknown" outcomes are attributable.
+bound raises BudgetExceeded (through errors.check_budget, with budget_name,
+limit and requested set) rather than silently degrading.  Each field below is
+also a `vlab` option: max_enumerate is --max-enumerate, and so on for
+--max-normal-enumeration (which also caps all_subgroups), --max-normalizer,
+--max-hom-product, --max-wreath-top and --max-tuples.  Verdict reports echo
+the budgets they ran under so that "unknown" outcomes are attributable.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ class Budgets:
     # Cap on explicit element enumeration (elements(), conjugacy classes,
     # intersection filtering, quotient coset keys).
     max_enumerate: int = 100_000
-    # Cap on |G| for normal-subgroup enumeration (solvable radical).
+    # Cap on |G| for normal-subgroup enumeration (solvable radical) and for
+    # the full subgroup lattice.
     max_normal_enumeration: int = 10_000
     # Cap on |G| for brute-force normalizers.
     max_normalizer: int = 100_000

@@ -18,10 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import BudgetExceeded, DegreeMismatch, GroupError
+from .errors import DegreeMismatch, GroupError, check_budget
 from .perm import Permutation, PermutationGroup, pad_permutation
 from .structure import is_normal, quotient
 from .homs import GroupHomomorphism
+
+# Fixed cap on the degree of a constructed power or wreath product.  It is
+# not a Budgets field: reports echo every field, and this cap never varies.
+MAX_DEGREE = 10_000
 
 
 # -- direct products and powers -------------------------------------------------
@@ -67,9 +71,7 @@ def direct_power(G: PermutationGroup, k: int,
     if k < 1:
         raise GroupError("direct_power needs k >= 1")
     degree = G.degree * k
-    if degree > 10_000:
-        raise BudgetExceeded(f"direct power degree {degree} is unreasonable",
-                             budget_name="degree", requested=degree)
+    check_budget("max_degree", MAX_DEGREE, degree)
     gens = []
     for i in range(k):
         for g in G.generators:
@@ -203,11 +205,7 @@ def regular_wreath(A: PermutationGroup, B: PermutationGroup,
                    name: str | None = None) -> WreathContext:
     """The regular wreath product A wr B as an imprimitive permutation group."""
     order_b = B.order()
-    if order_b > budgets.max_wreath_top:
-        raise BudgetExceeded(
-            f"wreath top of order {order_b} exceeds budget "
-            f"{budgets.max_wreath_top}", budget_name="max_wreath_top",
-            limit=budgets.max_wreath_top, requested=order_b)
+    check_budget("max_wreath_top", budgets.max_wreath_top, order_b)
     top_elements = list(B.elements(budgets.max_enumerate))
     index_of = {b.images: i for i, b in enumerate(top_elements)}
     regular_of = {}
@@ -221,9 +219,7 @@ def regular_wreath(A: PermutationGroup, B: PermutationGroup,
 
     m = A.degree
     degree = m * order_b
-    if degree > 10_000:
-        raise BudgetExceeded(f"wreath degree {degree} is unreasonable",
-                             budget_name="degree", requested=degree)
+    check_budget("max_degree", MAX_DEGREE, degree)
     gens = []
     for a in A.generators:
         gens.append(pad_permutation(a, degree, offset=0))  # block of identity

@@ -436,14 +436,23 @@ def verify_certificate(G: PermutationGroup, H: PermutationGroup,
     """Re-run a verdict's certificate from scratch; True iff it checks out.
 
     Total: a malformed or tampered certificate gives False, never an error.
+    An epi verdict needs an epi-derivation, a not_epi verdict any other kind.
     """
     cert = verdict.certificate
     if verdict.outcome == UNKNOWN:
         return cert is None
+    if verdict.outcome != _certified_outcome(cert):
+        return False
     try:
         return _verify_cert(G, H, desc, cert, ctx)
     except (GroupError, KeyError, BudgetExceeded):
         return False
+
+
+def _certified_outcome(cert) -> str:
+    """The only outcome a certificate of this kind can support."""
+    epi = isinstance(cert, dict) and cert.get("kind") == "epi-derivation"
+    return EPI if epi else NOT_EPI
 
 
 def _verify_cert(G, H, desc, cert, ctx) -> bool:
@@ -484,6 +493,7 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
         verbal, trace, _ = _product_step(G, H, desc, ctx)
         return (verbal.order() == cert["verbal_order"]
                 and trace.order() == cert["trace_order"]
+                and _certified_outcome(cert["inner"]) == NOT_EPI
                 and _verify_cert(verbal, trace, desc.left, cert["inner"],
                                  ctx))
     if kind == "epi-derivation":

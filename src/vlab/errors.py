@@ -29,5 +29,13 @@ class BudgetExceeded(GroupError):
         self.requested = requested
 
 
+def check_budget(name: str, limit: int, requested: int) -> None:
+    """Raise BudgetExceeded when requested exceeds limit."""
+    if requested > limit:
+        raise BudgetExceeded(f"{name}: {requested} exceeds the limit {limit}",
+                             budget_name=name, limit=limit,
+                             requested=requested)
+
+
 class FixtureGap(GroupError):
     """A question is undecidable with the currently loaded fixtures."""

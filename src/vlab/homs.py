@@ -9,14 +9,8 @@ table, so no presentation of the source is ever needed.
 from __future__ import annotations
 
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import BudgetExceeded, DegreeMismatch, GroupError
-from .perm import Permutation, PermutationGroup
-
-
-def _paired(source_gen: Permutation, image: Permutation,
-            ds: int, dt: int) -> Permutation:
-    images = list(source_gen.images) + [ds + i for i in image.images]
-    return Permutation(tuple(images))
+from .errors import DegreeMismatch, GroupError, check_budget
+from .perm import Permutation, PermutationGroup, direct_sum_permutation
 
 
 class GroupHomomorphism:
@@ -41,24 +35,18 @@ class GroupHomomorphism:
                     "(graph-of-map criterion failed)")
 
     def graph_group(self) -> PermutationGroup:
-        ds, dt = self.source.degree, self.target.degree
-        gens = [_paired(g, img, ds, dt)
+        gens = [direct_sum_permutation([g, img])
                 for g, img in zip(self.source.generators,
                                   self.generator_images)]
-        return PermutationGroup(ds + dt, gens)
+        return PermutationGroup(self.source.degree + self.target.degree, gens)
 
     def graph_group_is_valid(self) -> bool:
         return self.graph_group().order() == self.source.order()
 
     def _factorization_table(self, budgets: Budgets = DEFAULT_BUDGETS):
+        check_budget("max_enumerate", budgets.max_enumerate,
+                     self.source.order())
         if self._table is None:
-            n = self.source.order()
-            if n > budgets.max_enumerate:
-                raise BudgetExceeded(
-                    f"homomorphism application table needs |source| <= "
-                    f"{budgets.max_enumerate}, got {n}",
-                    budget_name="max_enumerate",
-                    limit=budgets.max_enumerate, requested=n)
             identity = self.source.identity()
             table = {identity.images: self.target.identity()}
             frontier = [identity]
@@ -146,12 +134,8 @@ def all_homomorphisms(G: PermutationGroup, C: PermutationGroup,
     canonical element order, except that when C contains G the inclusion map
     is listed first: it is the natural reference morphism for certificates.
     """
-    product = G.order() * C.order()
-    if product > budgets.max_hom_product:
-        raise BudgetExceeded(
-            f"homomorphism search needs |G|*|C| <= {budgets.max_hom_product}, "
-            f"got {product}", budget_name="max_hom_product",
-            limit=budgets.max_hom_product, requested=product)
+    check_budget("max_hom_product", budgets.max_hom_product,
+                 G.order() * C.order())
     gens = G.generators
     gen_orders = [g.order() for g in gens]
     targets = C.elements(budgets.max_enumerate)

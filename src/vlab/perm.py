@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BudgetExceeded, DegreeMismatch, GroupError, ParseError
+from .errors import DegreeMismatch, GroupError, ParseError, check_budget
 
 
 @dataclass(frozen=True, order=True)
@@ -329,24 +329,15 @@ class PermutationGroup:
     def __len__(self) -> int:
         return self.order()
 
-    def is_trivial(self) -> bool:
-        return self.order() == 1
-
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(a * b == b * a
                    for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def elements(self, max_enumerate: int = 100_000):
-        """All elements, sorted by image tuple (the canonical ordering)."""
+        """All elements in canonical (image tuple) order; budgeted per call."""
+        check_budget("max_enumerate", max_enumerate, self.order())
         if self._elements is None:
-            n = self.order()
-            if n > max_enumerate:
-                raise BudgetExceeded(
-                    f"group of order {n} exceeds enumeration budget "
-                    f"{max_enumerate}",
-                    budget_name="max_enumerate",
-                    limit=max_enumerate, requested=n)
             self._elements = tuple(sorted(self.chain().iter_elements()))
         return self._elements
 
@@ -482,21 +473,7 @@ def pad_permutation(p: Permutation, degree: int, offset: int = 0) -> Permutation
     return Permutation(tuple(images))
 
 
-def element_order_profile(group: PermutationGroup,
-                          max_enumerate: int = 100_000):
-    """Multiset of element orders: a cheap isomorphism fingerprint."""
-    counts: dict[int, int] = {}
-    for g in group.elements(max_enumerate):
-        o = g.order()
-        counts[o] = counts.get(o, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def all_tuples(elements, arity: int, max_tuples: int):
     """Deterministic tuple stream with an explicit budget."""
-    total = len(elements) ** arity
-    if total > max_tuples:
-        raise BudgetExceeded(
-            f"{total} tuples exceed budget {max_tuples}",
-            budget_name="max_tuples", limit=max_tuples, requested=total)
+    check_budget("max_tuples", max_tuples, len(elements) ** arity)
     return itertools.product(elements, repeat=arity)

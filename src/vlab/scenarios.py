@@ -151,7 +151,7 @@ def scenario_solvable_exhaustive(ctx: EngineContext) -> dict:
     for G in ctx.catalog:
         if G.order() > 24:
             continue
-        for H in all_subgroups(G):
+        for H in all_subgroups(G, ctx.budgets):
             if H.order() == G.order():
                 continue
             total += 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import BudgetExceeded, GroupError
+from .errors import GroupError, check_budget
 from .perm import Permutation, PermutationGroup
 
 
@@ -197,11 +197,7 @@ def normalizer(G: PermutationGroup, D: PermutationGroup,
     the documented budget.
     """
     n = G.order()
-    if n > budgets.max_normalizer:
-        raise BudgetExceeded(
-            f"normalizer brute force needs |G| <= {budgets.max_normalizer}, "
-            f"got {n}", budget_name="max_normalizer",
-            limit=budgets.max_normalizer, requested=n)
+    check_budget("max_normalizer", budgets.max_normalizer, n)
     if D.order() == 1 or D.order() == n:
         return G
     d_elements = frozenset(g.images for g in D.elements(budgets.max_enumerate))
@@ -305,13 +301,8 @@ def normal_subgroups(G: PermutationGroup,
     the lattice is the join-closure of the class-representative closures.
     Budgeted by max_normal_enumeration on |G|.
     """
-    n = G.order()
-    if n > budgets.max_normal_enumeration:
-        raise BudgetExceeded(
-            f"normal-subgroup enumeration needs |G| <= "
-            f"{budgets.max_normal_enumeration}, got {n}",
-            budget_name="max_normal_enumeration",
-            limit=budgets.max_normal_enumeration, requested=n)
+    check_budget("max_normal_enumeration", budgets.max_normal_enumeration,
+                 G.order())
     atoms = element_normal_closures(G, budgets)
     found: dict[frozenset, PermutationGroup] = {}
     trivial = G.subgroup([G.identity()])
@@ -344,12 +335,8 @@ def solvable_radical(G: PermutationGroup,
     its elements, and a join of solvable normals is solvable normal, so
     joining every solvable class-representative closure reaches the radical.
     """
-    n = G.order()
-    if n > budgets.max_normal_enumeration:
-        raise BudgetExceeded(
-            f"solvable radical needs |G| <= {budgets.max_normal_enumeration}, "
-            f"got {n}", budget_name="max_normal_enumeration",
-            limit=budgets.max_normal_enumeration, requested=n)
+    check_budget("max_normal_enumeration", budgets.max_normal_enumeration,
+                 G.order())
     radical = G.subgroup([G.identity()])
     for closure in element_normal_closures(G, budgets):
         if closure.order() == 1 or closure.is_subgroup_of(radical):
@@ -361,18 +348,15 @@ def solvable_radical(G: PermutationGroup,
     return radical
 
 
-def all_subgroups(G: PermutationGroup, max_order: int = 10_000,
-                  budgets: Budgets = DEFAULT_BUDGETS):
+def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
     """Every subgroup of G, for desk-scale groups.
 
     Layered closure: cyclic subgroups first, then repeatedly extend each
     known subgroup by one outside element until no new subgroup appears.
+    Budgeted by max_normal_enumeration on |G|.
     """
-    n = G.order()
-    if n > max_order:
-        raise BudgetExceeded(
-            f"subgroup enumeration needs |G| <= {max_order}, got {n}",
-            budget_name="all_subgroups", limit=max_order, requested=n)
+    check_budget("max_normal_enumeration", budgets.max_normal_enumeration,
+                 G.order())
     elements = G.elements(budgets.max_enumerate)
     found: dict[frozenset, PermutationGroup] = {}
 

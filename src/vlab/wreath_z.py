@@ -79,9 +79,6 @@ class TailConstantFn:
             return self.right_tail
         return Permutation(self.window[n - self.lo])
 
-    def support_window(self):
-        return (self.lo, self.hi)
-
     def is_identity(self) -> bool:
         identity = self.group.identity()
         return (self.left_tail == identity and self.right_tail == identity

@@ -30,6 +30,15 @@ def mulclose(generators, max_size: int = 2_000_000):
     return sorted(elements.values())
 
 
+def element_order_profile(group, max_enumerate: int = 100_000):
+    """Multiset of element orders: a cheap isomorphism fingerprint."""
+    counts: dict[int, int] = {}
+    for g in group.elements(max_enumerate):
+        o = g.order()
+        counts[o] = counts.get(o, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 @pytest.fixture(scope="session")
 def ctx():
     return EngineContext.bundled()

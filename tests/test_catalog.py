@@ -2,16 +2,22 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from vlab.catalog import (EXPECTED_CLASS_COUNTS, bundled_catalog,
-                          bundled_fixtures, dicyclic, parse_catalog,
-                          parse_fixtures, regular_semidirect,
+from vlab.catalog import (bundled_catalog, bundled_fixtures, dicyclic,
+                          parse_catalog, parse_fixtures, regular_semidirect,
                           resolve_group_name, serialize_catalog,
                           serialize_fixtures)
 from vlab.errors import GroupError, ParseError
-from vlab.perm import element_order_profile
 from vlab.structure import derived_subgroup, quotient
 
+from tests.conftest import element_order_profile
+
 WREATH_DUPES = {"C2wrC2", "C2wrC3", "C3wrC2"}  # isomorphic to small entries
+# number of groups of each order up to isomorphism
+EXPECTED_CLASS_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2, 11: 1,
+    12: 5, 13: 1, 14: 2, 15: 1, 16: 14, 17: 1, 18: 5, 19: 1, 20: 5,
+    21: 2, 22: 2, 23: 1, 24: 15,
+}
 
 
 def small_entries():

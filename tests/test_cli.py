@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vlab.cli import main
+from vlab.cli import build_parser, main
 from vlab.catalog import bundled_catalog, serialize_catalog
 
 
@@ -120,6 +120,23 @@ class TestEpiCommand:
                                  "--group", "A5", "--sub", "(0 1)")
         assert code == 1
         assert "outside" in err
+
+    def test_budget_flag_stops_with_named_budget(self, capsys):
+        code, report = run_json(capsys, "--max-enumerate", "10", "epi",
+                                "--variety", "A", "--group", "S4",
+                                "--sub", "(0 1 2)")
+        assert code == 2
+        assert report["outcome"] == "unknown"
+        assert report["budgets"]["max_enumerate"] == 10
+        stops = [n for n in report["notes"] if n.startswith("stopped:")]
+        assert stops == ["stopped: max_enumerate: 24 exceeds the limit 10"]
+
+    def test_budget_flags_are_the_budgets_fields(self):
+        flags = {opt for action in build_parser()._actions
+                 for opt in action.option_strings if opt.startswith("--max")}
+        assert flags == {"--max-enumerate", "--max-normal-enumeration",
+                         "--max-normalizer", "--max-hom-product",
+                         "--max-wreath-top", "--max-tuples"}
 
 
 class TestScenarios:

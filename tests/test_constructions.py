@@ -3,12 +3,13 @@ import pytest
 from vlab.config import Budgets
 from vlab.errors import BudgetExceeded, GroupError
 from vlab.perm import (alternating_group, cyclic_group, dihedral_group,
-                       element_order_profile, parse_permutation,
-                       symmetric_group, trivial_group)
+                       parse_permutation, symmetric_group, trivial_group)
 from vlab.constructions import (direct_power, direct_product,
                                 kaloujnine_krasner, regular_wreath)
 from vlab.structure import is_normal, subgroup_intersection
 from vlab.catalog import resolve_group_name
+
+from tests.conftest import element_order_profile
 
 
 class TestDirectPower:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -265,6 +266,27 @@ class TestCertificateSoundness:
             assert verdict.outcome in (EPI, NOT_EPI), (G.name, str(desc))
             assert verify_certificate(G, H, desc, verdict, ctx), \
                 (G.name, str(desc), verdict.certificate)
+            flipped = NOT_EPI if verdict.outcome == EPI else EPI
+            for outcome in (flipped, UNKNOWN, "maybe", None):
+                relabelled = dataclasses.replace(verdict, outcome=outcome)
+                assert verify_certificate(G, H, desc, relabelled,
+                                          ctx) is False, (G.name, outcome)
+
+    def test_inner_failure_needs_a_not_epi_inner_certificate(self, ctx, a5,
+                                                             a4_in_a5):
+        # A4 < A5 is epi under prod(var:A5, A); wrapping the inner epi
+        # derivation as an inner-dominion-failure must not verify not_epi
+        desc = parse_descriptor("prod(var:A5,A)")
+        epi = epi_decide(a5, a4_in_a5, desc, ctx)
+        node = epi.certificate["node"]
+        forged = EpiVerdict(NOT_EPI, {
+            "kind": "inner-dominion-failure",
+            "quotient_descriptor": "A",
+            "verbal_order": node["verbal_order"],
+            "trace_order": a4_in_a5.order(),
+            "inner": {"kind": "epi-derivation", "node": node["inner"]}},
+            [], {})
+        assert verify_certificate(a5, a4_in_a5, desc, forged, ctx) is False
 
     def test_tampered_certificates_fail(self, ctx, c4, c2_in_c4, a5,
                                         a4_in_a5):
