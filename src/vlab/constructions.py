@@ -265,7 +265,7 @@ def kaloujnine_krasner(E: PermutationGroup, A: PermutationGroup,
     block_to_coset = [qelt.images[0] for qelt in ctx.top_elements]
 
     def embed(e: Permutation) -> Permutation:
-        pe = proj.apply(e)
+        pe = proj.apply(e, budgets)
 
         def base_fn(block: int) -> Permutation:
             c = block_to_coset[block]

@@ -269,7 +269,8 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
                          f"hom budget")
             continue
         homs = all_homomorphisms(G, C, ctx.budgets)
-        keys = [tuple(f.apply(h).images for h in H.generators) for f in homs]
+        keys = [tuple(f.apply(h, ctx.budgets).images for h in H.generators)
+                for f in homs]
         for i, f in enumerate(homs):
             for j in range(i + 1, len(homs)):
                 if keys[i] != keys[j]:
@@ -285,8 +286,8 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
                     "g_images": [str(p) for p in g.generator_images],
                     "subgroup_generators": [str(h) for h in H.generators],
                     "witness": str(witness),
-                    "f_witness": str(f.apply(witness)),
-                    "g_witness": str(g.apply(witness)),
+                    "f_witness": str(f.apply(witness, ctx.budgets)),
+                    "g_witness": str(g.apply(witness, ctx.budgets)),
                 }
                 return _verdict(ctx, NOT_EPI, [
                     f"maps into {C.name or 'catalog group'} agree on the "
@@ -475,12 +476,13 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
                                                      C.degree))
         g = GroupHomomorphism(G, C, _perms_from_json(cert["g_images"],
                                                      C.degree))
-        if not f.agrees_on(g, H):
+        if not f.agrees_on(g, H, ctx.budgets):
             return False
         witness, = _perms_from_json([cert["witness"]], G.degree)
         if not G.contains(witness):
             return False
-        return f.apply(witness) != g.apply(witness)
+        return (f.apply(witness, ctx.budgets)
+                != g.apply(witness, ctx.budgets))
     if kind == "verbal-cover-failure" and isinstance(desc, ProductVariety):
         verbal, trace, covers = _product_step(G, H, desc, ctx)
         return (verbal.order() == cert["verbal_order"]

@@ -64,8 +64,9 @@ class GroupHomomorphism:
             self._table = table
         return self._table
 
-    def apply(self, p: Permutation) -> Permutation:
-        table = self._factorization_table()
+    def apply(self, p: Permutation,
+              budgets: Budgets = DEFAULT_BUDGETS) -> Permutation:
+        table = self._factorization_table(budgets)
         try:
             return table[p.images]
         except KeyError:
@@ -83,16 +84,16 @@ class GroupHomomorphism:
                    if img.is_identity()]
         return self.source.subgroup(members)
 
-    def agrees_on(self, other: GroupHomomorphism,
-                  subgroup: PermutationGroup) -> bool:
-        return all(self.apply(h) == other.apply(h)
+    def agrees_on(self, other: GroupHomomorphism, subgroup: PermutationGroup,
+                  budgets: Budgets = DEFAULT_BUDGETS) -> bool:
+        return all(self.apply(h, budgets) == other.apply(h, budgets)
                    for h in subgroup.generators)
 
     def first_difference(self, other: GroupHomomorphism,
                          budgets: Budgets = DEFAULT_BUDGETS):
         """Least element where the maps differ, or None if they agree."""
         for x in self.source.elements(budgets.max_enumerate):
-            if self.apply(x) != other.apply(x):
+            if self.apply(x, budgets) != other.apply(x, budgets):
                 return x
         return None
 

@@ -13,12 +13,20 @@ points are the smallest moved points, orbits are explored breadth-first with
 generators in list order.  Two runs over the same generator list produce the
 same chain, the same transversals and the same element enumeration, which is
 what makes certificates reproducible.
+
+Validation happens only at the boundaries: ``Permutation(...)``,
+``from_cycles``, ``parse_permutation`` and everything built on them (the
+catalog, certificate JSON) check that the images form a permutation.
+Products, inverses and identities are permutations by construction, so
+they go through the unchecked ``Permutation._trusted``, which no other
+module may call.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
@@ -37,8 +45,15 @@ class Permutation:
             raise GroupError(f"not a permutation of 0..{n - 1}: {self.images}")
 
     @staticmethod
+    def _trusted(images: tuple[int, ...]) -> Permutation:
+        """Wrap images already known to be a permutation, unchecked."""
+        p = object.__new__(Permutation)
+        object.__setattr__(p, "images", images)
+        return p
+
+    @staticmethod
     def identity(degree: int) -> Permutation:
-        return Permutation(tuple(range(degree)))
+        return Permutation._trusted(tuple(range(degree)))
 
     @staticmethod
     def from_cycles(degree: int, cycles) -> Permutation:
@@ -63,14 +78,14 @@ class Permutation:
         if len(self.images) != len(other.images):
             raise DegreeMismatch(
                 f"degree {len(self.images)} vs {len(other.images)}")
-        q = other.images
-        return Permutation(tuple(q[i] for i in self.images))
+        return Permutation._trusted(
+            tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> Permutation:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(inv))
 
     def __pow__(self, g):
         # integer power; for a Permutation exponent this is conjugation g^-1*self*g
@@ -229,9 +244,9 @@ class StabilizerChain:
         lvl.gens.append(g)
         # deterministic breadth-first orbit of the base point
         transversal = {lvl.point: Permutation.identity(self.degree)}
-        queue = [lvl.point]
+        queue = deque([lvl.point])
         while queue:
-            p = queue.pop(0)
+            p = queue.popleft()
             u = transversal[p]
             for s in lvl.gens:
                 q = s.images[p]

@@ -7,6 +7,7 @@ where it is cheap to do so.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .config import DEFAULT_BUDGETS, Budgets
@@ -37,9 +38,9 @@ def normal_closure(G: PermutationGroup, seed) -> PermutationGroup:
             raise GroupError("normal_closure seed element lies outside G")
     gens: list[Permutation] = []
     closure = G.subgroup([G.identity()])
-    queue = [s for s in seed]
+    queue = deque(seed)
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         if s.is_identity() or closure.contains(s):
             continue
         gens.append(s)
@@ -168,9 +169,9 @@ def conjugacy_classes(G: PermutationGroup,
         if e.images in seen:
             continue
         orbit = {e.images: e}
-        queue = [e]
+        queue = deque([e])
         while queue:
-            x = queue.pop(0)
+            x = queue.popleft()
             for g in G.generators:
                 y = x ** g
                 if y.images not in orbit:
@@ -247,9 +248,9 @@ def quotient(G: PermutationGroup, N: PermutationGroup,
 
     identity = G.identity()
     keys = {coset_key(identity): identity}
-    frontier = [identity]
+    frontier = deque([identity])
     while frontier:
-        rep = frontier.pop(0)
+        rep = frontier.popleft()
         for g in G.generators:
             cand = rep * g
             key = coset_key(cand)
@@ -352,7 +353,11 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
     """Every subgroup of G, for desk-scale groups.
 
     Layered closure: cyclic subgroups first, then repeatedly extend each
-    known subgroup by one outside element until no new subgroup appears.
+    known subgroup H by one outside element e until no new subgroup appears.
+    Since <H, e> = <H, h1 e h2> for all h1, h2 in H, one e per double coset
+    HeH is tried: the first in canonical order, i.e. the least element of
+    its double coset.  The first e giving each subgroup is such a least
+    element, so the result is the same as extending by every e outside H.
     Budgeted by max_normal_enumeration on |G|.
     """
     check_budget("max_normal_enumeration", budgets.max_normal_enumeration,
@@ -374,13 +379,27 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
     while frontier:
         new = []
         for H in frontier:
-            h_key = frozenset(g.images
-                              for g in H.elements(budgets.max_enumerate))
+            h_elements = H.elements(budgets.max_enumerate)
+            marked = {h.images for h in h_elements}
             for e in elements:
-                if e.images in h_key:
+                if e.images in marked:
                     continue
+                _mark_double_coset(marked, h_elements, H.generators, e)
                 extended = G.subgroup(list(H.generators) + [e])
                 if add(extended):
                     new.append(extended)
         frontier = new
     return sorted(found.values(), key=lambda H: (H.order(), _min_key(H)))
+
+
+def _mark_double_coset(marked: set, h_elements, h_generators, e: Permutation):
+    """Add HeH to marked: the right coset He, closed under H's generators."""
+    stack = [h * e for h in h_elements]
+    marked.update(x.images for x in stack)
+    while stack:
+        x = stack.pop()
+        for s in h_generators:
+            y = x * s
+            if y.images not in marked:
+                marked.add(y.images)
+                stack.append(y)

@@ -100,3 +100,18 @@ def test_budgets_hold_after_caching():
     assert hom.kernel().order() == 1
     with pytest.raises(BudgetExceeded):
         hom.kernel(Budgets(max_enumerate=10))
+
+
+def test_hom_apply_takes_the_callers_budget():
+    S5 = symmetric_group(5)
+    hom = identity_endomorphism(S5)
+    g = S5.generators[0]
+    tight = Budgets(max_enumerate=100)
+    with pytest.raises(BudgetExceeded) as info:
+        hom.apply(g, tight)
+    assert (info.value.budget_name, info.value.limit,
+            info.value.requested) == ("max_enumerate", 100, 120)
+    with pytest.raises(BudgetExceeded):
+        hom.agrees_on(hom, S5, tight)
+    assert hom.apply(g) == g
+    assert hom.agrees_on(hom, S5)

@@ -147,3 +147,37 @@ class TestNamedConstructors:
     def test_group_generator_degree_checked(self):
         with pytest.raises(DegreeMismatch):
             PermutationGroup(3, [parse_permutation("(0 1)", 2)])
+
+
+class TestValidationAtTheBoundary:
+    @pytest.mark.parametrize("images", [(0, 0, 1), (1, 2), (0, 1, 3)])
+    def test_constructor_rejects_non_permutations(self, images):
+        with pytest.raises(GroupError):
+            Permutation(images)
+
+    @pytest.mark.parametrize("cycles", [[[0, 1, 0]], [[2, 2]],
+                                        [[0, 1], [1, 2]]])
+    def test_from_cycles_rejects_a_repeated_point(self, cycles):
+        with pytest.raises(GroupError):
+            Permutation.from_cycles(4, cycles)
+
+    @pytest.mark.parametrize("text", [
+        "(0 1", "0 1)", "((0 1))", "(0 1)(2 3", "(0 1.5)", "[0 1]", "(0 -1)",
+    ])
+    def test_parse_rejects_malformed_text(self, text):
+        with pytest.raises(ParseError):
+            parse_permutation(text, 4)
+
+    @given(perm_strategy(7), perm_strategy(7))
+    @settings(max_examples=200)
+    def test_products_and_inverses_match_validated_values(self, p, q):
+        results = [p * q, q * p, p.inverse(), (p * q).inverse(),
+                   Permutation.identity(7)]
+        rebuilt = [Permutation(r.images) for r in results]
+        for r, v in zip(results, rebuilt):
+            assert type(r) is Permutation
+            assert sorted(r.images) == list(range(7))
+            assert r == v and hash(r) == hash(v)
+        assert sorted(results) == sorted(rebuilt)
+        assert sorted(results, reverse=True) == sorted(rebuilt, reverse=True)
+        assert (p * q).images == tuple(q.images[i] for i in p.images)
