@@ -264,11 +264,14 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
             notes.append(f"catalog group {C.name or C.degree} skipped: "
                          f"membership in {desc} unknown")
             continue
-        if G.order() * C.order() > ctx.budgets.max_hom_product:
+        try:
+            homs = all_homomorphisms(G, C, ctx.budgets)
+        except BudgetExceeded as exc:
+            if exc.budget_name != "max_hom_product":
+                raise
             notes.append(f"catalog group {C.name or C.degree} skipped: "
                          f"hom budget")
             continue
-        homs = all_homomorphisms(G, C, ctx.budgets)
         keys = [tuple(f.apply(h, ctx.budgets).images for h in H.generators)
                 for f in homs]
         for i, f in enumerate(homs):

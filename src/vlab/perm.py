@@ -61,6 +61,9 @@ class Permutation:
         for cycle in cycles:
             if len(set(cycle)) != len(cycle):
                 raise GroupError(f"repeated point in cycle {cycle}")
+            if any(not 0 <= x < degree for x in cycle):
+                raise GroupError(f"cycle {cycle} has a point outside "
+                                 f"0..{degree - 1}")
             for a, b in zip(cycle, cycle[1:]):
                 images[a] = b
             if cycle:
@@ -298,9 +301,16 @@ class StabilizerChain:
 class PermutationGroup:
     """A finite permutation group given by generators.
 
-    Values are immutable once constructed; the stabilizer chain and element
-    list are transparent caches (results are identical with or without them),
-    so instances are safe to share across threads.
+    Values are immutable once constructed; the stabilizer chain, the element
+    list and the per-group memo are transparent caches (results are
+    identical with or without them), so instances are safe to share across
+    threads: two threads that fill the same entry store equal values.
+
+    ``memo(key, compute)`` is the cache for queries that depend on the group
+    alone.  ``structure`` routes three through it: ``solvable_radical``,
+    ``derived_series`` and ``class_representatives``.  Each checks its
+    budgets before the lookup, so a tighter budget still raises after an
+    earlier looser call, as ``elements`` does.
     """
 
     def __init__(self, degree: int, generators, name: str | None = None):
@@ -322,6 +332,7 @@ class PermutationGroup:
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._order: int | None = None
+        self._memo: dict = {}
 
     # -- chain-backed queries ------------------------------------------------
 
@@ -355,6 +366,12 @@ class PermutationGroup:
         if self._elements is None:
             self._elements = tuple(sorted(self.chain().iter_elements()))
         return self._elements
+
+    def memo(self, key, compute):
+        """The cached value for key, computed by compute() on a miss."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)

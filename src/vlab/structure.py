@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import GroupError, check_budget
@@ -62,14 +63,21 @@ def derived_subgroup(G: PermutationGroup) -> PermutationGroup:
 
 
 def derived_series(G: PermutationGroup) -> list[PermutationGroup]:
-    """[G, G', G'', ...] until the series stabilizes (no duplicated tail)."""
-    series = [G]
-    while True:
-        nxt = derived_subgroup(series[-1])
-        if nxt.order() == series[-1].order():
-            break
-        series.append(nxt)
-    return series
+    """[G, G', G'', ...] until the series stabilizes (no duplicated tail).
+
+    Memoised on G; the memo holds only the terms below G, and every call
+    returns a fresh list.
+    """
+
+    def below():
+        series = [G]
+        while True:
+            nxt = derived_subgroup(series[-1])
+            if nxt.order() == series[-1].order():
+                return tuple(series[1:])
+            series.append(nxt)
+
+    return [G, *G.memo("derived_series", below)]
 
 
 def is_solvable(G: PermutationGroup) -> bool:
@@ -184,7 +192,10 @@ def conjugacy_classes(G: PermutationGroup,
 
 def class_representatives(G: PermutationGroup,
                           budgets: Budgets = DEFAULT_BUDGETS):
-    return [cls[0] for cls in conjugacy_classes(G, budgets)]
+    """The class minima in canonical order; memoised on G, budget first."""
+    check_budget("max_enumerate", budgets.max_enumerate, G.order())
+    return list(G.memo("class_representatives", lambda: tuple(
+        cls[0] for cls in conjugacy_classes(G, budgets))))
 
 
 def normalizer(G: PermutationGroup, D: PermutationGroup,
@@ -335,18 +346,25 @@ def solvable_radical(G: PermutationGroup,
     Any solvable normal N is the join of the (solvable) normal closures of
     its elements, and a join of solvable normals is solvable normal, so
     joining every solvable class-representative closure reaches the radical.
+    Memoised on G.  The two budget checks come first and cover the whole
+    computation, since every group it enumerates is G or a subgroup of G.
     """
     check_budget("max_normal_enumeration", budgets.max_normal_enumeration,
                  G.order())
-    radical = G.subgroup([G.identity()])
-    for closure in element_normal_closures(G, budgets):
-        if closure.order() == 1 or closure.is_subgroup_of(radical):
-            continue
-        if is_solvable(closure):
-            radical = product_subgroup(G, radical, closure)
-    if not is_solvable(radical):
-        raise GroupError("radical join is not solvable (internal error)")
-    return radical
+    check_budget("max_enumerate", budgets.max_enumerate, G.order())
+
+    def compute():
+        radical = G.subgroup([G.identity()])
+        for closure in element_normal_closures(G, budgets):
+            if closure.order() == 1 or closure.is_subgroup_of(radical):
+                continue
+            if is_solvable(closure):
+                radical = product_subgroup(G, radical, closure)
+        if not is_solvable(radical):
+            raise GroupError("radical join is not solvable (internal error)")
+        return radical
+
+    return G.memo("solvable_radical", compute)
 
 
 def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
@@ -354,6 +372,8 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
 
     Layered closure: cyclic subgroups first, then repeatedly extend each
     known subgroup H by one outside element e until no new subgroup appears.
+    Once <e> is added, every e^k with k prime to ord(e) is skipped, since
+    it generates the same subgroup.
     Since <H, e> = <H, h1 e h2> for all h1, h2 in H, one e per double coset
     HeH is tried: the first in canonical order, i.e. the least element of
     its double coset.  The first e giving each subgroup is such a least
@@ -373,8 +393,16 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
         return True
 
     add(G.subgroup([G.identity()]))
+    cyclic_generators = {G.identity().images}
     for e in elements:
+        if e.images in cyclic_generators:
+            continue
         add(G.subgroup([e]))
+        n, power = e.order(), e
+        for k in range(1, n):
+            if gcd(k, n) == 1:
+                cyclic_generators.add(power.images)
+            power = power * e
     frontier = list(found.values())
     while frontier:
         new = []

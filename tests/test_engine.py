@@ -13,7 +13,7 @@ from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext, EpiVerdict,
                          neumann_not_epi_test, separating_pair_search,
                          simpletimes_pipeline, verify_certificate,
                          verify_qofsimple)
-from vlab.errors import GroupError
+from vlab.errors import BudgetExceeded, GroupError
 from vlab.perm import (PermutationGroup, alternating_group, cyclic_group,
                        pad_permutation, parse_permutation, symmetric_group)
 from vlab.structure import (derived_subgroup, nilpotency_class,
@@ -89,6 +89,44 @@ class TestSeparatingPairSearch:
 
     def test_whole_group_inconclusive(self, ctx, c4):
         assert separating_pair_search(c4, c4, [c4], Abelian(), ctx) is None
+
+    def test_hom_budget_skips_a_member_with_a_note(self, c4, c2_in_c4):
+        ctx = EngineContext(budgets=Budgets(max_hom_product=20))
+        notes = []
+        verdict = separating_pair_search(c4, c2_in_c4, [cyclic_group(12), c4],
+                                         Abelian(), ctx, notes=notes)
+        assert notes == ["catalog group C12 skipped: hom budget"]
+        assert verdict.outcome == NOT_EPI
+        cert = verdict.certificate
+        assert cert["codomain"]["name"] == "C4"
+        assert (cert["f_images"], cert["g_images"]) == (
+            ["(0 1 2 3)"], ["(0 3 2 1)"])
+
+    def test_other_budgets_still_stop_the_search(self, c4, c2_in_c4):
+        ctx = EngineContext(budgets=Budgets(max_enumerate=10))
+        with pytest.raises(BudgetExceeded) as info:
+            separating_pair_search(c4, c2_in_c4, [cyclic_group(12)],
+                                   Abelian(), ctx)
+        exc = info.value
+        assert (exc.budget_name, exc.limit, exc.requested) == (
+            "max_enumerate", 10, 12)
+
+    def test_hom_budget_verdict_and_notes_through_the_engine(self, a5,
+                                                             a4_in_a5):
+        ctx = EngineContext.bundled(Budgets(max_hom_product=100))
+        verdict = epi_decide(a5, a4_in_a5, parse_descriptor("laws:{x1^6}"),
+                             ctx)
+        skipped = ["C2", "C3", "C2^2", "C6", "S3", "C2^3", "C3^2", "C6xC2",
+                   "D6", "A4", "C2^4", "C3xC6", "C3xS3", "C3^2:C2",
+                   "C6xC2^2", "A4xC2", "S3xC2^2", "C3wrC2", "C2wrC3"]
+        assert verdict.outcome == UNKNOWN
+        assert verdict.certificate is None
+        assert verdict.notes == [
+            "solvable-complement test skipped: membership of the group in "
+            "laws:{x1^6} is False",
+            *(f"catalog group {name} skipped: hom budget" for name in skipped),
+            "fixtures, solvable-complement test and separating-pair search "
+            "were all inconclusive"]
 
 
 class TestMcKayBound:

@@ -161,6 +161,11 @@ class TestValidationAtTheBoundary:
         with pytest.raises(GroupError):
             Permutation.from_cycles(4, cycles)
 
+    @pytest.mark.parametrize("cycles", [[[0, 3]], [[2, -1]], [[4]]])
+    def test_from_cycles_rejects_a_point_outside_the_degree(self, cycles):
+        with pytest.raises(GroupError):
+            Permutation.from_cycles(3, cycles)
+
     @pytest.mark.parametrize("text", [
         "(0 1", "0 1)", "((0 1))", "(0 1)(2 3", "(0 1.5)", "[0 1]", "(0 -1)",
     ])
