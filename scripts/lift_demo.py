@@ -8,13 +8,12 @@ quotient varieties Q, printing the escape rung, the verbal dichotomy, the
 covering check, and the final certified verdict.
 """
 
-import json
 import sys
 
 from vlab.catalog import resolve_group_name
 from vlab.engine import EngineContext, simpletimes_pipeline, verify_certificate
 from vlab.perm import alternating_group, pad_permutation
-from vlab.varieties import ProductVariety, VarOfGroup, parse_descriptor
+from vlab.varieties import ProductVariety, parse_descriptor
 
 
 def main() -> int:

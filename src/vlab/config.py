@@ -17,7 +17,8 @@ from dataclasses import dataclass, asdict
 @dataclass(frozen=True)
 class Budgets:
     # Cap on explicit element enumeration (elements(), conjugacy classes,
-    # intersection filtering, quotient coset keys).
+    # intersection filtering, quotient coset keys, homomorphism tables and
+    # checks).
     max_enumerate: int = 100_000
     # Cap on |G| for normal-subgroup enumeration (solvable radical) and for
     # the full subgroup lattice.
@@ -28,7 +29,8 @@ class Budgets:
     max_hom_product: int = 10_000_000
     # Cap on |B| when forming a regular wreath product A wr B.
     max_wreath_top: int = 12
-    # Cap on |G| ** arity tuple enumeration for word values.
+    # Cap on |G| ** arity tuple enumeration for word values; the search for
+    # a law witness stops after this many tuples.
     max_tuples: int = 3_000_000
 
     def as_dict(self) -> dict:

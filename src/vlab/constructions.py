@@ -113,11 +113,6 @@ class WreathContext:
         m = self.bottom.degree
         return range(block * m, (block + 1) * m)
 
-    def base_block_map(self):
-        """Element of B (canonical order) -> its block's point range."""
-        return {b.images: self.block_range(i)
-                for i, b in enumerate(self.top_elements)}
-
     def element(self, top_part: Permutation, base_fn) -> Permutation:
         """The wreath element (b, f); base_fn maps block index -> bottom elt.
 
@@ -277,7 +272,7 @@ def kaloujnine_krasner(E: PermutationGroup, A: PermutationGroup,
         return ctx.element(pe, base_fn)
 
     images = tuple(embed(g) for g in E.generators)
-    hom = GroupHomomorphism(E, ctx.product, images)
+    hom = GroupHomomorphism(E, ctx.product, images, budgets=budgets)
     if not hom.is_injective():
         raise GroupError("embedding is not injective (internal error)")
     return hom, ctx, q

@@ -475,10 +475,12 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
     if kind == "separating-pair":
         C = _group_from_json(cert["codomain"])
         # GroupHomomorphism validates well-definedness
-        f = GroupHomomorphism(G, C, _perms_from_json(cert["f_images"],
-                                                     C.degree))
-        g = GroupHomomorphism(G, C, _perms_from_json(cert["g_images"],
-                                                     C.degree))
+        f = GroupHomomorphism(
+            G, C, _perms_from_json(cert["f_images"], C.degree),
+            budgets=ctx.budgets)
+        g = GroupHomomorphism(
+            G, C, _perms_from_json(cert["g_images"], C.degree),
+            budgets=ctx.budgets)
         if not f.agrees_on(g, H, ctx.budgets):
             return False
         witness, = _perms_from_json([cert["witness"]], G.degree)

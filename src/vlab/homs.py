@@ -1,23 +1,27 @@
 """Group homomorphisms between permutation groups.
 
-Well-definedness is checked by the graph-of-map criterion: the subgroup of
-source x target generated by the paired generators must have the order of the
-source.  Arbitrary elements are mapped through a breadth-first factorization
-table, so no presentation of the source is ever needed.
+Arbitrary elements are mapped through a factorization table, built by a
+breadth-first walk of the source's Cayley graph.  The same walk checks
+well-definedness by a relator (edge) check along the Cayley BFS tree: by von
+Dyck's theorem the images define a homomorphism exactly when every edge
+x -> x*g gives table[x] * image(g) == table[x*g].  So no presentation of the
+source is ever needed.
 """
 
 from __future__ import annotations
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import DegreeMismatch, GroupError, check_budget
-from .perm import Permutation, PermutationGroup, direct_sum_permutation
+from .perm import Permutation, PermutationGroup
 
 
 class GroupHomomorphism:
     """A map source -> target determined by images of the source generators."""
 
     def __init__(self, source: PermutationGroup, target: PermutationGroup,
-                 generator_images, check: bool = True):
+                 generator_images, check: bool = True,
+                 budgets: Budgets = DEFAULT_BUDGETS):
+        """check=True builds the factorization table now, under budgets."""
         generator_images = tuple(generator_images)
         if len(generator_images) != len(source.generators):
             raise GroupError("need one image per source generator")
@@ -29,21 +33,13 @@ class GroupHomomorphism:
         self.generator_images = generator_images
         self._table: dict[tuple[int, ...], Permutation] | None = None
         if check:
-            if not self.graph_group_is_valid():
-                raise GroupError(
-                    "generator images do not define a homomorphism "
-                    "(graph-of-map criterion failed)")
+            self._factorization_table(budgets)
 
-    def graph_group(self) -> PermutationGroup:
-        gens = [direct_sum_permutation([g, img])
-                for g, img in zip(self.source.generators,
-                                  self.generator_images)]
-        return PermutationGroup(self.source.degree + self.target.degree, gens)
+    def is_well_defined(self, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
+        """Whether the images define a homomorphism, by the edge check.
 
-    def graph_group_is_valid(self) -> bool:
-        return self.graph_group().order() == self.source.order()
-
-    def _factorization_table(self, budgets: Budgets = DEFAULT_BUDGETS):
+        A walk that passes leaves the factorization table in place.
+        """
         check_budget("max_enumerate", budgets.max_enumerate,
                      self.source.order())
         if self._table is None:
@@ -57,11 +53,21 @@ class GroupHomomorphism:
                     for g, img in zip(self.source.generators,
                                       self.generator_images):
                         y = x * g
-                        if y.images not in table:
-                            table[y.images] = fx * img
+                        fy = fx * img
+                        known = table.get(y.images)
+                        if known is None:
+                            table[y.images] = fy
                             new.append(y)
+                        elif known != fy:
+                            return False
                 frontier = new
             self._table = table
+        return True
+
+    def _factorization_table(self, budgets: Budgets = DEFAULT_BUDGETS):
+        if not self.is_well_defined(budgets):
+            raise GroupError("generator images do not define a homomorphism "
+                             "(Cayley-graph edge check failed)")
         return self._table
 
     def apply(self, p: Permutation,
@@ -131,9 +137,11 @@ def all_homomorphisms(G: PermutationGroup, C: PermutationGroup,
 
     Candidate images are pruned by order divisibility (the image order must
     divide the generator order, and likewise for pairwise products), then
-    validated with the graph-of-map criterion.  Enumeration order is the
-    canonical element order, except that when C contains G the inclusion map
-    is listed first: it is the natural reference morphism for certificates.
+    validated by the relator (edge) check along the Cayley BFS tree, which
+    leaves each accepted hom with its factorization table.  Enumeration order
+    is the canonical element order, except that when C contains G the
+    inclusion map is listed first: it is the natural reference morphism for
+    certificates.
     """
     check_budget("max_hom_product", budgets.max_hom_product,
                  G.order() * C.order())
@@ -148,7 +156,7 @@ def all_homomorphisms(G: PermutationGroup, C: PermutationGroup,
     def backtrack(i: int, chosen: list[Permutation]):
         if i == len(gens):
             hom = GroupHomomorphism(G, C, tuple(chosen), check=False)
-            if hom.graph_group_is_valid():
+            if hom.is_well_defined(budgets):
                 found.append(hom)
             return
         for c in candidates[i]:

@@ -485,16 +485,6 @@ def named_group(name: str) -> PermutationGroup:
     return trivial_group(max(n, 1))
 
 
-def direct_sum_permutation(parts: list[Permutation]) -> Permutation:
-    """The block-diagonal permutation acting as each part on its own points."""
-    images = []
-    offset = 0
-    for p in parts:
-        images.extend(offset + i for i in p.images)
-        offset += p.degree
-    return Permutation(tuple(images))
-
-
 def pad_permutation(p: Permutation, degree: int, offset: int = 0) -> Permutation:
     """Embed p into a larger point set, acting on [offset, offset+p.degree)."""
     if offset + p.degree > degree:

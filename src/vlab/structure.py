@@ -281,7 +281,7 @@ def quotient(G: PermutationGroup, N: PermutationGroup,
                          name=f"{G.name}/{N.name}" if G.name and N.name else None)
     if Q.order() * N.order() != G.order():
         raise GroupError("coset action has wrong order (internal error)")
-    proj = GroupHomomorphism(G, Q, tuple(gen_images))
+    proj = GroupHomomorphism(G, Q, tuple(gen_images), budgets=budgets)
     return QuotientResult(group=Q, projection=proj, coset_reps=reps)
 
 

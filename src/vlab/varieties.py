@@ -13,6 +13,7 @@ value collection on small groups via the universal property.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .config import DEFAULT_BUDGETS, Budgets
@@ -276,19 +277,14 @@ def _law_holds(G: PermutationGroup, word: Word, budgets: Budgets) -> bool:
     return True
 
 
-def _find_witness(G: PermutationGroup, word: Word, budgets: Budgets,
-                  cap: int = 500_000):
-    """A violating tuple, by bounded deterministic search (None if capped)."""
+def _find_witness(G: PermutationGroup, word: Word, budgets: Budgets):
+    """A violating tuple among the first max_tuples tuples, else None."""
     try:
         elements = G.elements(budgets.max_enumerate)
     except BudgetExceeded:
         return None
-    count = 0
-    import itertools
-    for tup in itertools.product(elements, repeat=word.arity):
-        count += 1
-        if count > cap:
-            return None
+    tuples = itertools.product(elements, repeat=word.arity)
+    for tup in itertools.islice(tuples, budgets.max_tuples):
         if not word.evaluate(list(tup)).is_identity():
             return tup
     return None

@@ -153,12 +153,6 @@ def derived_law(n: int) -> Word:
     return rec(n, 1)
 
 
-def power_law(e: int) -> Word:
-    if e == 0:
-        raise GroupError("x^0 is the trivial law")
-    return Word.variable(1, e)
-
-
 # -- parser -------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(x\d+|\[|\]|,|\(|\)|\^-?\d+)")

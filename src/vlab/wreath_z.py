@@ -261,59 +261,3 @@ def depth2_witness(phi: TailConstantFn,
     return Depth2Report(
         witness=psi, verified=ok,
         note="deeper nilpotent-verbal claims are checked on finite analogs")
-
-
-def parse_tail_constant(text: str, group: PermutationGroup) -> TailConstantFn:
-    """Parse ``{-2:(0 1), 0:(0 1 2) | L=(), R=()}``; values in cycle notation."""
-    from .perm import parse_permutation
-
-    s = text.strip()
-    if not (s.startswith("{") and s.endswith("}")):
-        raise GroupError(f"bad tail-constant literal {text!r}")
-    body = s[1:-1]
-    if "|" in body:
-        window_part, _, tail_part = body.partition("|")
-    else:
-        window_part, tail_part = body, ""
-    values = {}
-    for chunk in _split_top_level(window_part):
-        if not chunk.strip():
-            continue
-        pos_text, _, val_text = chunk.partition(":")
-        values[int(pos_text.strip())] = parse_permutation(
-            val_text.strip(), group.degree)
-    left = right = group.identity()
-    for chunk in _split_top_level(tail_part):
-        if not chunk.strip():
-            continue
-        key, _, val_text = chunk.partition("=")
-        value = parse_permutation(val_text.strip() or "()", group.degree)
-        if key.strip() == "L":
-            left = value
-        elif key.strip() == "R":
-            right = value
-        else:
-            raise GroupError(f"unknown tail {key.strip()!r}")
-    if not values:
-        if left != right:
-            raise GroupError("step literals need an explicit window value")
-        return TailConstantFn.constant(group, left)
-    return TailConstantFn.make(group, values, left, right)
-
-
-def _split_top_level(text: str):
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts

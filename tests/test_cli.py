@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from vlab.cli import build_parser, main
 from vlab.catalog import bundled_catalog, serialize_catalog
 

@@ -83,12 +83,6 @@ class TestRegularWreath:
                 list(base.generators) + list(top.generators))
             assert joint.order() == w.product.order()
 
-    def test_block_map(self):
-        w = regular_wreath(symmetric_group(3), cyclic_group(2))
-        ranges = list(w.base_block_map().values())
-        assert sorted(r.start for r in ranges) == [0, 3]
-        assert all(len(r) == 3 for r in ranges)
-
     def test_element_and_decompose_roundtrip(self):
         w = regular_wreath(symmetric_group(3), cyclic_group(3))
         b = cyclic_group(3).generators[0]

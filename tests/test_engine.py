@@ -16,9 +16,8 @@ from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext, EpiVerdict,
 from vlab.errors import BudgetExceeded, GroupError
 from vlab.perm import (PermutationGroup, alternating_group, cyclic_group,
                        pad_permutation, parse_permutation, symmetric_group)
-from vlab.structure import (derived_subgroup, nilpotency_class,
-                            normal_subgroups, product_covers, quotient,
-                            subgroup_intersection)
+from vlab.structure import (nilpotency_class, normal_subgroups,
+                            product_covers, quotient, subgroup_intersection)
 from vlab.varieties import (Abelian, ProductVariety, SolvableLength,
                             VarOfGroup, member_of_variety, parse_descriptor)
 

@@ -2,12 +2,18 @@ import itertools
 
 import pytest
 
+from vlab.catalog import bundled_catalog
 from vlab.config import Budgets
+from vlab.constructions import direct_product
 from vlab.errors import BudgetExceeded, GroupError
 from vlab.homs import (GroupHomomorphism, all_homomorphisms,
                        identity_endomorphism, inclusion_hom)
-from vlab.perm import (alternating_group, cyclic_group, parse_permutation,
+from vlab.perm import (Permutation, PermutationGroup, alternating_group,
+                       cyclic_group, dihedral_group, parse_permutation,
                        symmetric_group)
+
+# Keeps the oracle sweep over catalog pairs at a few seconds.
+ORACLE_MAX_PRODUCT = 48
 
 
 def brute_hom_count(G, C):
@@ -27,6 +33,44 @@ def brute_hom_count(G, C):
     return count
 
 
+def graph_of_map_homs(G, C):
+    """Oracle: every image tuple passing the graph-of-map criterion.
+
+    The images define a homomorphism exactly when the subgroup of G x C
+    generated by the pairs (g, image of g) has order |G|.  Tuples come in
+    canonical order, with the inclusion map (when C contains G) moved first.
+    """
+    n = G.degree
+
+    def paired(g, c):
+        return Permutation(g.images + tuple(n + i for i in c.images))
+
+    found = []
+    for images in itertools.product(C.elements(), repeat=len(G.generators)):
+        graph = PermutationGroup(n + C.degree, [
+            paired(g, c) for g, c in zip(G.generators, images)])
+        if graph.order() == G.order():
+            found.append(images)
+    inclusion = tuple(G.generators)
+    if inclusion in found:
+        found.remove(inclusion)
+        found.insert(0, inclusion)
+    return found
+
+
+def commuting_to_noncommuting():
+    """C4 x C2 -> D4 sending a to a rotation and b to a reflection.
+
+    Every image order divides its generator's order, and so does the order
+    of the product image, so both order prunes pass; but a and b commute
+    while their images do not.
+    """
+    G = direct_product(cyclic_group(4), cyclic_group(2))
+    D4 = dihedral_group(4)
+    images = (parse_permutation("(0 1 2 3)", 4), parse_permutation("(1 3)", 4))
+    return G, D4, images
+
+
 class TestGroupHomomorphism:
     def test_graph_criterion_rejects_bad_map(self):
         s3 = symmetric_group(3)
@@ -36,6 +80,29 @@ class TestGroupHomomorphism:
             # sending a 3-cycle to an involution is not a homomorphism
             GroupHomomorphism(s3.subgroup([parse_permutation("(0 1 2)", 3)]),
                               c2, (flip,))
+
+    def test_rejects_map_that_passes_the_order_prunes(self):
+        G, D4, images = commuting_to_noncommuting()
+        a, b = G.generators
+        for g, img in zip((a, b, a * b), (images[0], images[1],
+                                          images[0] * images[1])):
+            assert g.order() % img.order() == 0
+        with pytest.raises(GroupError):
+            GroupHomomorphism(G, D4, images)
+        unchecked = GroupHomomorphism(G, D4, images, check=False)
+        assert not unchecked.is_well_defined()
+        with pytest.raises(GroupError):
+            unchecked.apply(a)
+
+    def test_check_takes_the_callers_budget(self):
+        S4, C2 = symmetric_group(4), cyclic_group(2)
+        sign = (C2.generators[0], C2.generators[0])
+        with pytest.raises(BudgetExceeded) as info:
+            GroupHomomorphism(S4, C2, sign, budgets=Budgets(max_enumerate=10))
+        assert (info.value.budget_name, info.value.limit,
+                info.value.requested) == ("max_enumerate", 10, 24)
+        hom = GroupHomomorphism(S4, C2, sign)
+        assert hom.kernel().order() == 12
 
     def test_sign_map(self):
         s3 = symmetric_group(3)
@@ -102,6 +169,35 @@ class TestAllHomomorphisms:
         first = [h.generator_images for h in all_homomorphisms(c4, c4)]
         second = [h.generator_images for h in all_homomorphisms(c4, c4)]
         assert first == second
+
+    def test_matches_graph_of_map_oracle_on_catalog_pairs(self):
+        pairs = 0
+        for G in bundled_catalog():
+            for C in bundled_catalog():
+                if G.order() * C.order() > ORACLE_MAX_PRODUCT:
+                    continue
+                got = [h.generator_images for h in all_homomorphisms(G, C)]
+                assert got == graph_of_map_homs(G, C), (G.name, C.name)
+                pairs += 1
+        assert pairs > 500
+
+    def test_leaves_out_map_that_passes_the_order_prunes(self):
+        G, D4, images = commuting_to_noncommuting()
+        homs = [h.generator_images for h in all_homomorphisms(G, D4)]
+        assert images not in homs
+        assert homs == graph_of_map_homs(G, D4)
+
+    def test_accepted_homs_keep_their_table(self, c4):
+        for hom in all_homomorphisms(c4, c4):
+            assert hom._table is not None
+
+    def test_check_budget_stops_the_search(self):
+        # |C| = 2 fits the limit, so only the check can stop
+        with pytest.raises(BudgetExceeded) as info:
+            all_homomorphisms(symmetric_group(4), cyclic_group(2),
+                              Budgets(max_enumerate=10))
+        assert (info.value.budget_name, info.value.limit,
+                info.value.requested) == ("max_enumerate", 10, 24)
 
     def test_budget(self, a5):
         with pytest.raises(BudgetExceeded):

@@ -1,11 +1,15 @@
-"""Every import in the vlab modules is used; `__init__.py` re-exports."""
+"""Every import in src/vlab, tests/ and scripts/ is used.
+
+`__init__.py` files only re-export, so they are skipped.
+"""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "vlab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,8 +32,14 @@ def test_detector_flags_an_unused_import():
         "line 1: os"]
 
 
+LINTED = sorted(
+    p for p in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "scripts").glob("*.py")]
+    if p.name != "__init__.py")
+
+
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.name)
+    "path", LINTED,
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

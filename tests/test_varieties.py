@@ -3,18 +3,15 @@ import itertools
 import pytest
 
 from tests.conftest import mulclose
-from vlab.catalog import bundled_fixtures, resolve_group_name
-from vlab.config import Budgets
+from vlab.catalog import resolve_group_name
 from vlab.errors import FixtureGap, ParseError
-from vlab.perm import (alternating_group, cyclic_group, dihedral_group,
-                       parse_permutation, symmetric_group)
+from vlab.perm import cyclic_group, parse_permutation, symmetric_group
 from vlab.structure import normal_subgroups, quotient
 from vlab.varieties import (Abelian, Fixture, Laws, NilpotentClass,
                             ProductVariety, SolvableLength, VarOfGroup,
-                            YES, NO, UNKNOWN, descriptor_laws, eval_word,
-                            is_solvable_variety, member_of_variety,
-                            parse_descriptor, q_verbal, satisfies_laws,
-                            verbal_subgroup)
+                            YES, NO, UNKNOWN, eval_word, is_solvable_variety,
+                            member_of_variety, parse_descriptor, q_verbal,
+                            satisfies_laws, verbal_subgroup)
 from vlab.words import COMMUTATOR, Word, derived_law, nilpotency_law, parse_word
 
 

@@ -1,12 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from vlab.errors import GroupError, ParseError
 from vlab.perm import parse_permutation, symmetric_group
 from vlab.words import (COMMUTATOR, Word, as_derived_law, as_nilpotency_law,
                         as_power_law, commutator_word, derived_law,
-                        left_normed_commutator, nilpotency_law, parse_word,
-                        power_law)
+                        left_normed_commutator, nilpotency_law, parse_word)
 
 
 class TestWordAlgebra:
@@ -83,13 +81,6 @@ class TestEvaluation:
     def test_arity_mismatch(self):
         with pytest.raises(GroupError):
             parse_word("[x1,x2]").evaluate([parse_permutation("(0 1)", 2)])
-
-    @given(st.integers(-5, 5))
-    def test_power_evaluation(self, e):
-        g = parse_permutation("(0 1 2 3 4)", 5)
-        if e == 0:
-            return
-        assert power_law(e).evaluate([g]) == g ** e
 
 
 class TestClassification:

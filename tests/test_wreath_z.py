@@ -6,7 +6,7 @@ from vlab.errors import GroupError
 from vlab.perm import alternating_group, parse_permutation, symmetric_group
 from vlab.wreath_z import (TailConstantFn, WreathZElement,
                            componentwise_commutator, depth2_witness,
-                           parse_tail_constant, solve_commutator,
+                           solve_commutator,
                            verify_commutator_solution, wz_commutator,
                            wz_conjugate, wz_inverse, wz_multiply)
 
@@ -74,15 +74,6 @@ class TestTailConstantFn:
         shifted = fn.shift(3)  # n |-> value(n + 3)
         assert shifted.value(-2) == g
         assert shifted.value(1).is_identity()
-
-    def test_parse_roundtrip(self):
-        text = "{-2:(0 1), 0:(0 1 2) | L=(), R=()}"
-        fn = parse_tail_constant(text, S3)
-        assert fn.value(-2) == parse_permutation("(0 1)", 3)
-        assert fn.value(0) == parse_permutation("(0 1 2)", 3)
-        assert fn.value(-1).is_identity()
-        again = parse_tail_constant(str(fn), S3)
-        assert again == fn
 
 
 class TestGroupStructure:
