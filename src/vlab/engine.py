@@ -16,8 +16,10 @@ rule, with its hypotheses:
   embedded.
 * ``separating-pair`` - two homomorphisms into a catalog member agreeing on
   the subgroup but not on the group.
-* ``verbal-cover-failure`` - the product bound: the dominion lies inside
-  Q(G)H, of order |H||V|/|H intersect V|, which is proper.
+* ``verbal-cover-failure`` - needs a nontrivial left factor N, which then
+  contains some C_p, and C_p wr (G/V) separates the cosets of HV: so the
+  dominion lies inside Q(G)H, of order |H||V|/|H intersect V|, which is
+  proper.
 * ``inner-dominion-failure`` - needs G in prod(N, Q): the trace
   H intersect V is not epimorphically embedded in V within N.
 * ``epi-derivation`` - a tree whose internal nodes are product-splitting
@@ -40,8 +42,9 @@ from .structure import (is_normal, is_solvable, product_covers,
                         product_subgroup, solvable_radical,
                         subgroup_intersection)
 from .homs import GroupHomomorphism, all_homomorphisms
-from .varieties import (Descriptor, ProductVariety, YES, find_epi_fixture,
-                        is_solvable_variety, member_of_variety, q_verbal)
+from .varieties import (NO, YES, Descriptor, ProductVariety,
+                        find_epi_fixture, is_solvable_variety,
+                        is_trivial_variety, member_of_variety, q_verbal)
 from .constructions import WreathContext, regular_wreath
 
 EPI = "epi"
@@ -119,6 +122,11 @@ def _product_step(G: PermutationGroup, H: PermutationGroup,
     return verbal, trace, covers
 
 
+def _nontrivial_left(desc: ProductVariety, ctx: EngineContext) -> bool:
+    """The hypothesis of the product upper bound: the dominion lies in Q(G)H."""
+    return is_trivial_variety(desc.left, ctx.fixtures) == NO
+
+
 def _in_solvable_class(G: PermutationGroup, desc: Descriptor,
                        ctx: EngineContext, notes: list[str]) -> bool:
     """Whether desc is a class of solvable groups that contains G.
@@ -164,7 +172,7 @@ def mckay_bound(G: PermutationGroup, H: PermutationGroup,
                 ctx: EngineContext) -> PermutationGroup:
     """The product upper bound: the dominion lies inside q_verbal(G, Q) * H.
 
-    The containment is a theorem when G lies in the product variety; the
+    The containment is a theorem when ndesc is a nontrivial variety; the
     formula itself is computed unconditionally (callers own the hypothesis).
     """
     verbal = q_verbal(G, qdesc, ctx.budgets, ctx.fixtures)
@@ -188,14 +196,17 @@ def dominion_bounds(G: PermutationGroup, H: PermutationGroup,
         verbal, trace, _ = _product_step(G, H, desc, ctx)
         inner = dominion_bounds(verbal, trace, desc.left, ctx)
         lower = product_subgroup(G, H, inner.lower)
-        upper = product_subgroup(G, verbal, H)
+        if _nontrivial_left(desc, ctx):
+            upper, upper_is = (product_subgroup(G, verbal, H),
+                               "verbal subgroup times subgroup")
+        else:
+            upper, upper_is = G, f"the group ({desc.left} may be trivial)"
         exact = lower.order() == upper.order()
         steps = [
             f"verbal subgroup for {desc.right} has order {verbal.order()}",
             f"lower bound: subgroup times inner lower bound "
             f"(order {lower.order()})",
-            f"upper bound: verbal subgroup times subgroup "
-            f"(order {upper.order()})",
+            f"upper bound: {upper_is} (order {upper.order()})",
         ] + [f"  inner: {s}" for s in inner.derivation]
         if inner.exact:
             steps.append("inner bounds are exact")
@@ -344,7 +355,44 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
 
     if isinstance(desc, ProductVariety):
         verbal, trace, covers = _product_step(G, H, desc, ctx)
-        if not covers:
+        if covers:
+            inner = epi_decide(verbal, trace, desc.left, ctx)
+            if inner.outcome == EPI:
+                node = _splitting_node(desc, verbal, inner.certificate["node"])
+                return _verdict(ctx, EPI, [
+                    f"subgroup times the {desc.right}-verbal subgroup "
+                    f"covers the group",
+                    f"the trace of the subgroup is epimorphically embedded "
+                    f"in the verbal subgroup within {desc.left}:",
+                ] + ["  " + line for line in inner.derivation],
+                    notes + inner.notes,
+                    {"kind": "epi-derivation", "node": node})
+            if inner.outcome == NOT_EPI:
+                # the necessity direction of the product characterization
+                # assumes the ambient group lies in the product variety
+                membership = member_of_variety(G, desc, ctx.budgets,
+                                               ctx.fixtures)
+                if membership is True:
+                    certificate = {
+                        "kind": "inner-dominion-failure",
+                        "quotient_descriptor": str(desc.right),
+                        "verbal_order": verbal.order(),
+                        "trace_order": trace.order(),
+                        "inner": inner.certificate,
+                    }
+                    return _verdict(ctx, NOT_EPI, [
+                        "subgroup times verbal subgroup covers the group, but",
+                        f"the trace is not epimorphically embedded in the "
+                        f"verbal subgroup within {desc.left}:",
+                    ] + ["  " + line for line in inner.derivation],
+                        notes + inner.notes, certificate)
+                notes.append(
+                    f"inner embedding fails, but membership of the group "
+                    f"in {desc} is {membership}: the failure does not "
+                    f"transfer")
+            return _verdict(ctx, UNKNOWN, ["product recursion is undecided"],
+                            notes + inner.notes)
+        if _nontrivial_left(desc, ctx):
             bound_order = H.order() * verbal.order() // trace.order()
             certificate = {
                 "kind": "verbal-cover-failure",
@@ -359,42 +407,8 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
                 f"the dominion lies inside verbal*subgroup, of order "
                 f"{bound_order} < {G.order()}",
             ], notes, certificate)
-        inner = epi_decide(verbal, trace, desc.left, ctx)
-        if inner.outcome == EPI:
-            node = _splitting_node(desc, verbal, inner.certificate["node"])
-            return _verdict(ctx, EPI, [
-                f"subgroup times the {desc.right}-verbal subgroup "
-                f"covers the group",
-                f"the trace of the subgroup is epimorphically embedded "
-                f"in the verbal subgroup within {desc.left}:",
-            ] + ["  " + line for line in inner.derivation],
-                notes + inner.notes,
-                {"kind": "epi-derivation", "node": node})
-        if inner.outcome == NOT_EPI:
-            # the necessity direction of the product characterization
-            # assumes the ambient group lies in the product variety
-            membership = member_of_variety(G, desc, ctx.budgets,
-                                           ctx.fixtures)
-            if membership is True:
-                certificate = {
-                    "kind": "inner-dominion-failure",
-                    "quotient_descriptor": str(desc.right),
-                    "verbal_order": verbal.order(),
-                    "trace_order": trace.order(),
-                    "inner": inner.certificate,
-                }
-                return _verdict(ctx, NOT_EPI, [
-                    f"subgroup times verbal subgroup covers the group, but",
-                    f"the trace is not epimorphically embedded in the "
-                    f"verbal subgroup within {desc.left}:",
-                ] + ["  " + line for line in inner.derivation],
-                    notes + inner.notes, certificate)
-            notes.append(
-                f"inner embedding fails, but membership of the group "
-                f"in {desc} is {membership}: the failure does not "
-                f"transfer")
-        return _verdict(ctx, UNKNOWN, ["product recursion is undecided"],
-                        notes + inner.notes)
+        notes.append(f"verbal-cover-failure skipped: the left factor "
+                     f"{desc.left} is not known to be nontrivial")
 
     # base descriptor
     fx = find_epi_fixture(ctx.fixtures, G, H, desc)
@@ -489,6 +503,8 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
         return (f.apply(witness, ctx.budgets)
                 != g.apply(witness, ctx.budgets))
     if kind == "verbal-cover-failure" and isinstance(desc, ProductVariety):
+        if not _nontrivial_left(desc, ctx):
+            return False
         verbal, trace, covers = _product_step(G, H, desc, ctx)
         return (verbal.order() == cert["verbal_order"]
                 and (H.order() * verbal.order() // trace.order()

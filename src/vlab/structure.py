@@ -378,56 +378,64 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
     HeH is tried: the first in canonical order, i.e. the least element of
     its double coset.  The first e giving each subgroup is such a least
     element, so the result is the same as extending by every e outside H.
-    Budgeted by max_normal_enumeration on |G|.
+    The walks run on indices into G's element list: a subgroup is the set
+    of its members' indices, and col(j)[x] = index(x * e_j) is built on
+    first use.  Only G builds a stabilizer chain; each new subgroup becomes
+    one PermutationGroup, which builds its chain only when asked.
+    Budgeted by max_normal_enumeration and max_enumerate on |G|.
     """
     check_budget("max_normal_enumeration", budgets.max_normal_enumeration,
                  G.order())
     elements = G.elements(budgets.max_enumerate)
-    found: dict[frozenset, PermutationGroup] = {}
+    index = {g.images: i for i, g in enumerate(elements)}
+    columns: dict[int, list[int]] = {}
 
-    def add(H: PermutationGroup) -> bool:
-        key = frozenset(g.images for g in H.elements(budgets.max_enumerate))
-        if key in found:
-            return False
-        found[key] = H
-        return True
+    def col(j: int) -> list[int]:
+        if j not in columns:
+            e = elements[j].images
+            columns[j] = [index[tuple(map(e.__getitem__, x.images))]
+                          for x in elements]
+        return columns[j]
 
-    add(G.subgroup([G.identity()]))
-    cyclic_generators = {G.identity().images}
-    for e in elements:
-        if e.images in cyclic_generators:
+    def walk(seen: set, stack: list, cols) -> set:
+        """seen plus everything reached from stack by the columns."""
+        seen.update(stack)
+        while stack:
+            x = stack.pop()
+            for c in cols:
+                if c[x] not in seen:
+                    seen.add(c[x])
+                    stack.append(c[x])
+        return seen
+
+    found = {frozenset([0]): G.subgroup([G.identity()])}  # identity is 0
+    cyclic_generators = {0}
+    for i, e in enumerate(elements):
+        if i in cyclic_generators:
             continue
-        add(G.subgroup([e]))
-        n, power = e.order(), e
-        for k in range(1, n):
-            if gcd(k, n) == 1:
-                cyclic_generators.add(power.images)
-            power = power * e
-    frontier = list(found.values())
+        powers = [0, i]
+        while powers[-1]:
+            powers.append(col(i)[powers[-1]])
+        n = len(powers) - 1
+        cyclic_generators.update(powers[k] for k in range(n) if gcd(k, n) == 1)
+        found[frozenset(powers)] = G.subgroup([e])
+    frontier = list(found.items())
     while frontier:
         new = []
-        for H in frontier:
-            h_elements = H.elements(budgets.max_enumerate)
-            marked = {h.images for h in h_elements}
-            for e in elements:
-                if e.images in marked:
+        for members, H in frontier:
+            h_cols = [col(index[g.images]) for g in H.generators]
+            marked = set(members)
+            for i, e in enumerate(elements):
+                if i in marked:
                     continue
-                _mark_double_coset(marked, h_elements, H.generators, e)
-                extended = G.subgroup(list(H.generators) + [e])
-                if add(extended):
-                    new.append(extended)
+                coset = [col(i)[h] for h in members]
+                walk(marked, list(coset), h_cols)
+                # a walk from H's members leaves H only through He
+                key = frozenset(walk(set(members), coset, h_cols + [col(i)]))
+                if key not in found:
+                    found[key] = G.subgroup(list(H.generators) + [e])
+                    new.append((key, found[key]))
         frontier = new
-    return sorted(found.values(), key=lambda H: (H.order(), _min_key(H)))
-
-
-def _mark_double_coset(marked: set, h_elements, h_generators, e: Permutation):
-    """Add HeH to marked: the right coset He, closed under H's generators."""
-    stack = [h * e for h in h_elements]
-    marked.update(x.images for x in stack)
-    while stack:
-        x = stack.pop()
-        for s in h_generators:
-            y = x * s
-            if y.images not in marked:
-                marked.add(y.images)
-                stack.append(y)
+    ordered = sorted(found.items(),
+                     key=lambda kv: (len(kv[0]), _min_key(kv[1])))
+    return [H for _, H in ordered]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceeded, FixtureGap, GroupError, ParseError
@@ -384,7 +385,6 @@ def _screen_laws(S: PermutationGroup, budgets: Budgets):
     exponent = 1
     for rep in class_representatives(S, budgets):
         o = rep.order()
-        from math import gcd
         exponent = exponent * o // gcd(exponent, o)
     laws.append(Word.variable(1, exponent))
     for c in (1, 2):
@@ -394,6 +394,31 @@ def _screen_laws(S: PermutationGroup, budgets: Budgets):
     if series[-1].order() == 1:
         laws.append(derived_law(len(series) - 1))
     return laws
+
+
+def is_trivial_variety(desc: Descriptor, fixtures=()) -> str:
+    """Whether desc is the variety of trivial groups: yes/no/unknown.
+
+    A nontrivial variety contains some C_p, and C_p satisfies a word iff p
+    divides each of its per-variable exponent sums; so a law set is trivial
+    exactly when the gcd of all those sums is 1.
+    """
+    if isinstance(desc, Laws):
+        sums = [sum(e for v, e in w.letters if v == var)
+                for w in desc.words for var in range(1, w.arity + 1)]
+        return YES if gcd(*sums) == 1 else NO
+    if isinstance(desc, ProductVariety):
+        left = is_trivial_variety(desc.left, fixtures)
+        right = is_trivial_variety(desc.right, fixtures)
+        if left == YES and right == YES:
+            return YES
+        return NO if NO in (left, right) else UNKNOWN
+    if isinstance(desc, VarOfGroup):
+        generator = _resolve_variety_group(desc, fixtures)
+        if generator is None:
+            return UNKNOWN
+        return YES if generator.order() == 1 else NO
+    return NO
 
 
 def is_solvable_variety(desc: Descriptor, fixtures=()) -> str:

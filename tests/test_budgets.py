@@ -102,6 +102,17 @@ def test_budgets_hold_after_caching():
         hom.kernel(Budgets(max_enumerate=10))
 
 
+def test_all_subgroups_checks_max_enumerate_on_every_call():
+    G = symmetric_group(4)
+    tight = Budgets(max_enumerate=23)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded) as info:
+            all_subgroups(G, tight)
+        assert (info.value.budget_name, info.value.limit,
+                info.value.requested) == ("max_enumerate", 23, 24)
+        assert len(all_subgroups(G)) == 30
+
+
 def test_hom_apply_takes_the_callers_budget():
     S5 = symmetric_group(5)
     hom = identity_endomorphism(S5)

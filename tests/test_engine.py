@@ -235,6 +235,29 @@ class TestEpiDecide:
         assert verdict.certificate["kind"] == "verbal-cover-failure"
         assert verify_certificate(s4, h, desc, verdict, ctx)
 
+    @pytest.mark.parametrize("text", ["prod(laws:{x1},A)",
+                                      "prod(laws:{x1^2;x1^3},A)"])
+    def test_trivial_left_factor_has_no_cover_failure(self, ctx, c4,
+                                                      c2_in_c4, text):
+        # prod(1, A) = A: the product bound needs some C_p in the left
+        # factor, so neither the decider nor the verifier may use it
+        desc = parse_descriptor(text)
+        verdict = epi_decide(c4, c2_in_c4, desc, ctx)
+        assert "verbal-cover-failure" not in str(verdict.certificate)
+        assert any("not known to be nontrivial" in note
+                   for note in verdict.notes)
+        assert verify_certificate(c4, c2_in_c4, desc, verdict, ctx)
+        old = EpiVerdict(
+            outcome=NOT_EPI, derivation=[], budgets=ctx.budgets.as_dict(),
+            certificate={"kind": "verbal-cover-failure",
+                         "quotient_descriptor": "A", "verbal_order": 1,
+                         "bound_order": 2, "group_order": 4})
+        assert not verify_certificate(c4, c2_in_c4, desc, old, ctx)
+        nontrivial = parse_descriptor("prod(laws:{x1^2},A)")
+        assert verify_certificate(c4, c2_in_c4, nontrivial, old, ctx)
+        bounds = dominion_bounds(c4, c2_in_c4, desc, ctx)
+        assert bounds.upper.order() == 4 and not bounds.exact
+
     def test_inner_dominion_failure(self, ctx, a5):
         # C5 < A5 under prod(var:A5, A): the cover holds (the verbal
         # subgroup is all of A5) but the trace C5 is separated inside A5

@@ -8,6 +8,7 @@ same subgroups with the same generator tuples in the same order.
 import pytest
 
 from vlab.catalog import bundled_catalog, resolve_group_name
+from vlab import perm
 from vlab.perm import Permutation, PermutationGroup, alternating_group
 from vlab.structure import all_subgroups
 
@@ -83,3 +84,21 @@ def test_relabelling_moves_the_generators():
 ], ids=["S4", "A5", "C2^4"])
 def test_pinned_subgroup_counts(G, count):
     assert len(all_subgroups(G)) == count
+
+
+@pytest.mark.parametrize("G", SMALL + [alternating_group(5)],
+                         ids=lambda G: G.name)
+def test_builds_no_chain_but_the_groups(G, monkeypatch):
+    fresh = PermutationGroup(G.degree, G.generators)
+    builds = []
+    init = perm.StabilizerChain.__init__
+
+    def counting_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(perm.StabilizerChain, "__init__", counting_init)
+    subgroups = all_subgroups(fresh)
+    assert len(builds) == 1
+    monkeypatch.undo()
+    assert all(H.order() == len(H.elements()) for H in subgroups)

@@ -10,6 +10,7 @@ from vlab.structure import normal_subgroups, quotient
 from vlab.varieties import (Abelian, Fixture, Laws, NilpotentClass,
                             ProductVariety, SolvableLength, VarOfGroup,
                             YES, NO, UNKNOWN, eval_word, is_solvable_variety,
+                            is_trivial_variety,
                             member_of_variety, parse_descriptor, q_verbal,
                             satisfies_laws, verbal_subgroup)
 from vlab.words import COMMUTATOR, Word, derived_law, nilpotency_law, parse_word
@@ -240,6 +241,31 @@ class TestSolvableVarietyRule:
         assert is_solvable_variety(VarOfGroup("A5"), ctx.fixtures) == NO
         assert is_solvable_variety(
             ProductVariety(VarOfGroup("A5"), Abelian()), ctx.fixtures) == NO
+
+
+class TestTrivialVariety:
+    @pytest.mark.parametrize("text,expected", [
+        ("laws:{x1}", YES), ("laws:{x1^2;x1^3}", YES),
+        ("laws:{[x1,x2]}", NO), ("laws:{x1^6;x1^4}", NO),
+        ("laws:{x1^2x2^3}", YES), ("laws:{x1^2x2^4}", NO),
+        ("A", NO), ("Nc:2", NO), ("Sl:1", NO),
+        ("var:C1", YES), ("var:S3", NO), ("var:NoSuchGroup", UNKNOWN),
+        ("prod(laws:{x1},laws:{x1^2;x1^3})", YES),
+        ("prod(laws:{x1},A)", NO), ("prod(var:NoSuchGroup,laws:{x1})", UNKNOWN),
+    ])
+    def test_cases(self, text, expected):
+        assert is_trivial_variety(parse_descriptor(text)) == expected
+
+    @pytest.mark.parametrize("text", [
+        "laws:{x1}", "laws:{x1^2;x1^3}", "laws:{[x1,x2]}", "laws:{x1^6;x1^4}",
+        "laws:{x1^2x2^3}", "laws:{x1^2x2^4}", "laws:{x1^5x2^-5}"])
+    def test_law_sets_match_prime_cyclic_oracle(self, text):
+        # a variety is nontrivial iff it contains some C_p; every p dividing
+        # an exponent sum here is below 7
+        desc = parse_descriptor(text)
+        has_cp = any(satisfies_laws(cyclic_group(p), desc.words).holds
+                     for p in (2, 3, 5, 7))
+        assert is_trivial_variety(desc) == (NO if has_cp else YES)
 
 
 class TestFixtures:
