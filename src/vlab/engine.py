@@ -8,9 +8,9 @@ V = Q(G), the cover test HV = G and the trace H intersect V; one function
 computes it for bounds, decisions, verification and the pipeline.  Each
 rule, with its hypotheses:
 
-* ``neumann-solvable-complement`` - a solvable normal N with NH = G and H
-  proper: no proper such subgroup can be epimorphically embedded in any
-  quotient/subgroup-closed class containing G.
+* ``neumann-solvable-complement`` - needs G in the variety; a solvable
+  normal N with NH = G and H proper: no proper such subgroup can be
+  epimorphically embedded in any quotient/subgroup-closed class containing G.
 * ``solvable-class-rule`` - needs a class of solvable groups that contains
   G; epimorphisms there are onto, so a proper H is not epimorphically
   embedded.
@@ -481,7 +481,8 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
         N = _group_from_json(cert["normal"])
         if not N.is_subgroup_of(G):
             return False
-        return (is_normal(G, N) and is_solvable(N)
+        return (member_of_variety(G, desc, ctx.budgets, ctx.fixtures) is True
+                and is_normal(G, N) and is_solvable(N)
                 and product_covers(G, H, N, ctx.budgets)
                 and H.order() < G.order())
     if kind == "solvable-class-rule":

@@ -1,11 +1,11 @@
 """Group homomorphisms between permutation groups.
 
-Arbitrary elements are mapped through a factorization table, built by a
-breadth-first walk of the source's Cayley graph.  The same walk checks
-well-definedness by a relator (edge) check along the Cayley BFS tree: by von
-Dyck's theorem the images define a homomorphism exactly when every edge
-x -> x*g gives table[x] * image(g) == table[x*g].  So no presentation of the
-source is ever needed.
+Each source group G keeps one breadth-first walk of its Cayley graph in
+``G.memo``: its elements in walk order, their index and the edges
+(x, k, y) with y = x * generators[k].  A factorization table lists the
+image of each walk position.  By von Dyck's theorem the generator images
+define a homomorphism exactly when every edge gives table[x] * image(k) ==
+table[y], so no presentation of the source is ever needed.
 """
 
 from __future__ import annotations
@@ -13,6 +13,31 @@ from __future__ import annotations
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import DegreeMismatch, GroupError, check_budget
 from .perm import Permutation, PermutationGroup
+
+
+def _cayley_walk(G: PermutationGroup, budgets: Budgets):
+    """G's Cayley BFS walk (elements, index of image tuples, edges).
+
+    The identity is elements[0]; each edge (x, k, y) has elements[y] =
+    elements[x] * generators[k].  max_enumerate is checked on every call.
+    """
+    check_budget("max_enumerate", budgets.max_enumerate, G.order())
+
+    def compute():
+        identity = G.identity()
+        elements = [identity]
+        index = {identity.images: 0}
+        edges = []
+        for x, p in enumerate(elements):  # elements grows as the walk runs
+            for k, g in enumerate(G.generators):
+                q = p * g
+                y = index.setdefault(q.images, len(elements))
+                if y == len(elements):
+                    elements.append(q)
+                edges.append((x, k, y))
+        return elements, index, edges
+
+    return G.memo("cayley_walk", compute)
 
 
 class GroupHomomorphism:
@@ -31,7 +56,7 @@ class GroupHomomorphism:
         self.source = source
         self.target = target
         self.generator_images = generator_images
-        self._table: dict[tuple[int, ...], Permutation] | None = None
+        self._table: list[Permutation] | None = None
         if check:
             self._factorization_table(budgets)
 
@@ -40,43 +65,34 @@ class GroupHomomorphism:
 
         A walk that passes leaves the factorization table in place.
         """
-        check_budget("max_enumerate", budgets.max_enumerate,
-                     self.source.order())
+        elements, _, edges = _cayley_walk(self.source, budgets)
         if self._table is None:
-            identity = self.source.identity()
-            table = {identity.images: self.target.identity()}
-            frontier = [identity]
-            while frontier:
-                new = []
-                for x in frontier:
-                    fx = table[x.images]
-                    for g, img in zip(self.source.generators,
-                                      self.generator_images):
-                        y = x * g
-                        fy = fx * img
-                        known = table.get(y.images)
-                        if known is None:
-                            table[y.images] = fy
-                            new.append(y)
-                        elif known != fy:
-                            return False
-                frontier = new
+            images = self.generator_images
+            table: list = [None] * len(elements)
+            table[0] = self.target.identity()
+            for x, k, y in edges:
+                fy = table[x] * images[k]
+                if table[y] is None:
+                    table[y] = fy
+                elif table[y] != fy:
+                    return False
             self._table = table
         return True
 
     def _factorization_table(self, budgets: Budgets = DEFAULT_BUDGETS):
+        """The source walk and the table indexed by its positions."""
         if not self.is_well_defined(budgets):
             raise GroupError("generator images do not define a homomorphism "
                              "(Cayley-graph edge check failed)")
-        return self._table
+        return _cayley_walk(self.source, budgets), self._table
 
     def apply(self, p: Permutation,
               budgets: Budgets = DEFAULT_BUDGETS) -> Permutation:
-        table = self._factorization_table(budgets)
-        try:
-            return table[p.images]
-        except KeyError:
-            raise GroupError("element is not in the source group") from None
+        (_, index, _), table = self._factorization_table(budgets)
+        i = index.get(p.images)
+        if i is None:
+            raise GroupError("element is not in the source group")
+        return table[i]
 
     def image(self) -> PermutationGroup:
         return self.target.subgroup(self.generator_images)
@@ -85,10 +101,9 @@ class GroupHomomorphism:
         return self.image().order() == self.source.order()
 
     def kernel(self, budgets: Budgets = DEFAULT_BUDGETS) -> PermutationGroup:
-        table = self._factorization_table(budgets)
-        members = [Permutation(images) for images, img in table.items()
-                   if img.is_identity()]
-        return self.source.subgroup(members)
+        (elements, _, _), table = self._factorization_table(budgets)
+        return self.source.subgroup([x for x, img in zip(elements, table)
+                                     if img.is_identity()])
 
     def agrees_on(self, other: GroupHomomorphism, subgroup: PermutationGroup,
                   budgets: Budgets = DEFAULT_BUDGETS) -> bool:
@@ -98,8 +113,10 @@ class GroupHomomorphism:
     def first_difference(self, other: GroupHomomorphism,
                          budgets: Budgets = DEFAULT_BUDGETS):
         """Least element where the maps differ, or None if they agree."""
+        (_, index, _), mine = self._factorization_table(budgets)
+        (_, their_index, _), theirs = other._factorization_table(budgets)
         for x in self.source.elements(budgets.max_enumerate):
-            if self.apply(x, budgets) != other.apply(x, budgets):
+            if mine[index[x.images]] != theirs[their_index[x.images]]:
                 return x
         return None
 
@@ -135,49 +152,70 @@ def all_homomorphisms(G: PermutationGroup, C: PermutationGroup,
                       budgets: Budgets = DEFAULT_BUDGETS):
     """Every homomorphism G -> C, by backtracking over generator images.
 
-    Candidate images are pruned by order divisibility (the image order must
-    divide the generator order, and likewise for pairwise products), then
-    validated by the relator (edge) check along the Cayley BFS tree, which
-    leaves each accepted hom with its factorization table.  Enumeration order
-    is the canonical element order, except that when C contains G the
-    inclusion map is listed first: it is the natural reference morphism for
-    certificates.
+    Images are indices c into C's canonical element list, pruned by order
+    divisibility (the image order must divide the generator order, and
+    likewise for pairwise products), then validated by the edge check along
+    G's Cayley walk with int lookups only: C.memo keeps the element orders
+    and the columns col(c)[t] = index(targets[t] * targets[c]), each built
+    when c is first an image.  An accepted hom keeps its factorization
+    table.  Enumeration order is the canonical element order, except that
+    when C contains G the inclusion map is listed first: it is the natural
+    reference morphism for certificates.
     """
     check_budget("max_hom_product", budgets.max_hom_product,
                  G.order() * C.order())
     gens = G.generators
-    gen_orders = [g.order() for g in gens]
     targets = C.elements(budgets.max_enumerate)
-    candidates = [[c for c in targets if gen_orders[i] % c.order() == 0]
-                  for i in range(len(gens))]
+    index, orders, columns = C.memo("hom_codomain", lambda: (
+        {t.images: i for i, t in enumerate(targets)},
+        [t.order() for t in targets], {}))
+    elements, _, edges = _cayley_walk(G, budgets)
+
+    def col(c: int) -> list[int]:
+        if c not in columns:
+            columns[c] = [index[(t * targets[c]).images] for t in targets]
+        return columns[c]
+
+    candidates = [[c for c, m in enumerate(orders) if n % m == 0]
+                  for n in (g.order() for g in gens)]
+    pair_orders = [[(gens[j] * g).order() for j in range(i)]
+                   for i, g in enumerate(gens)]
+
+    def edge_table(chosen: list[int]):
+        """The table as indices into targets, or None if an edge fails."""
+        cols = [col(c) for c in chosen]
+        table = [-1] * len(elements)
+        table[0] = 0  # the identity comes first in both lists
+        for x, k, y in edges:
+            fy = cols[k][table[x]]
+            if table[y] < 0:
+                table[y] = fy
+            elif table[y] != fy:
+                return None
+        return table
 
     found: list[GroupHomomorphism] = []
 
-    def backtrack(i: int, chosen: list[Permutation]):
+    def backtrack(i: int, chosen: list[int]):
         if i == len(gens):
-            hom = GroupHomomorphism(G, C, tuple(chosen), check=False)
-            if hom.is_well_defined(budgets):
+            table = edge_table(chosen)
+            if table is not None:
+                hom = GroupHomomorphism(G, C, [targets[c] for c in chosen],
+                                        check=False)
+                hom._table = [targets[t] for t in table]
                 found.append(hom)
             return
         for c in candidates[i]:
-            ok = True
-            for j in range(i):
-                # image order of a product must divide the preimage order
-                if (gens[j] * gens[i]).order() % (chosen[j] * c).order() != 0:
-                    ok = False
-                    break
-            if ok:
+            # image order of a product must divide the preimage order
+            column = col(c)
+            if all(pair_orders[i][j] % orders[column[chosen[j]]] == 0
+                   for j in range(i)):
                 chosen.append(c)
                 backtrack(i + 1, chosen)
                 chosen.pop()
 
     backtrack(0, [])
 
-    inclusion_images = None
     if G.degree == C.degree and all(C.contains(g) for g in gens):
-        inclusion_images = gens
-    if inclusion_images is not None:
-        front = [h for h in found if h.generator_images == inclusion_images]
-        rest = [h for h in found if h.generator_images != inclusion_images]
-        found = front + rest
+        found.sort(key=lambda h: h.generator_images != gens)  # stable
     return found

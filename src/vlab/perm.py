@@ -308,9 +308,11 @@ class PermutationGroup:
 
     ``memo(key, compute)`` is the cache for queries that depend on the group
     alone.  ``structure`` routes three through it: ``solvable_radical``,
-    ``derived_series`` and ``class_representatives``.  Each checks its
-    budgets before the lookup, so a tighter budget still raises after an
-    earlier looser call, as ``elements`` does.
+    ``derived_series`` and ``class_representatives``; ``homs`` keeps the
+    Cayley walk of a source group and, for a codomain, its element orders
+    and multiplication columns.  Each checks its budgets before the lookup,
+    so a tighter budget still raises after an earlier looser call, as
+    ``elements`` does.
     """
 
     def __init__(self, degree: int, generators, name: str | None = None):

@@ -262,7 +262,7 @@ def verbal_subgroup(G: PermutationGroup, laws,
 def _law_holds(G: PermutationGroup, word: Word, budgets: Budgets) -> bool:
     e = as_power_law(word)
     if e is not None:
-        return all((r ** e).is_identity()
+        return all(e % r.order() == 0
                    for r in class_representatives(G, budgets))
     c = as_nilpotency_law(word)
     if c is not None:
@@ -347,7 +347,8 @@ def member_of_variety(G: PermutationGroup, desc: Descriptor,
         series = derived_series(G)
         return series[-1].order() == 1 and len(series) - 1 <= desc.n
     if isinstance(desc, Laws):
-        return satisfies_laws(G, desc.words, budgets).holds
+        return all(_law_holds(G, w, budgets) for w in desc.words
+                   if not w.is_identity())
     if isinstance(desc, ProductVariety):
         inner = q_verbal(G, desc.right, budgets, fixtures)
         return member_of_variety(inner, desc.left, budgets, fixtures)

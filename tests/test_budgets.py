@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from vlab.config import Budgets
+from vlab.config import DEFAULT_BUDGETS, Budgets
 from vlab.constructions import direct_power, regular_wreath
 from vlab.errors import BudgetExceeded, check_budget
 from vlab.homs import all_homomorphisms, identity_endomorphism
@@ -126,3 +126,17 @@ def test_hom_apply_takes_the_callers_budget():
         hom.agrees_on(hom, S5, tight)
     assert hom.apply(g) == g
     assert hom.agrees_on(hom, S5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda G, hom, budgets: all_homomorphisms(G, cyclic_group(2), budgets),
+    lambda G, hom, budgets: hom.apply(G.generators[0], budgets),
+], ids=["all_homomorphisms", "apply"])
+def test_hom_walk_checks_max_enumerate_after_caching(call):
+    G = symmetric_group(4)
+    hom = identity_endomorphism(G)
+    call(G, hom, DEFAULT_BUDGETS)
+    with pytest.raises(BudgetExceeded) as info:
+        call(G, hom, Budgets(max_enumerate=10))
+    assert (info.value.budget_name, info.value.limit,
+            info.value.requested) == ("max_enumerate", 10, 24)

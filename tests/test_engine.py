@@ -44,6 +44,18 @@ class TestNeumannTest:
         assert verify_certificate(s4, s3_in_s4, SolvableLength(3),
                                   verdict, ctx)
 
+    def test_verifier_checks_the_group_lies_in_the_variety(self, ctx, c4,
+                                                           c2_in_c4):
+        # the rule needs G in the variety: C4 lies in A, where C2 < C4 is
+        # separated, but not in laws:{x1}, the trivial variety, where the
+        # decider gives no such certificate
+        verdict = epi_decide(c4, c2_in_c4, Abelian(), ctx)
+        assert verdict.certificate["kind"] == "neumann-solvable-complement"
+        assert verify_certificate(c4, c2_in_c4, Abelian(), verdict, ctx)
+        trivial = parse_descriptor("laws:{x1}")
+        assert member_of_variety(c4, trivial) is False
+        assert not verify_certificate(c4, c2_in_c4, trivial, verdict, ctx)
+
     def test_a5_a4_inconclusive(self, ctx, a5, a4_in_a5):
         assert neumann_not_epi_test(a5, a4_in_a5, ctx) is None
 

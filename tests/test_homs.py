@@ -58,6 +58,25 @@ def graph_of_map_homs(G, C):
     return found
 
 
+def graph_of_map_values(hom):
+    """Oracle: hom as a dict from source image tuples to target elements.
+
+    Closes the pairs (g, image of g) in G x C under multiplication; each
+    element of that graph subgroup is a pair (x, hom(x)).  Shares no code
+    with the factorization table.
+    """
+    pairs = list(zip(hom.source.generators, hom.generator_images))
+    values = {hom.source.identity().images: hom.target.identity()}
+    frontier = [(hom.source.identity(), hom.target.identity())]
+    while frontier:
+        x, fx = frontier.pop()
+        for g, c in pairs:
+            if (x * g).images not in values:
+                values[(x * g).images] = fx * c
+                frontier.append((x * g, fx * c))
+    return values
+
+
 def commuting_to_noncommuting():
     """C4 x C2 -> D4 sending a to a rotation and b to a reflection.
 
@@ -202,3 +221,70 @@ class TestAllHomomorphisms:
     def test_budget(self, a5):
         with pytest.raises(BudgetExceeded):
             all_homomorphisms(a5, a5, Budgets(max_hom_product=100))
+
+
+class TestIndexedSearch:
+    def test_one_walk_per_source_across_codomains(self, monkeypatch):
+        G = symmetric_group(4)
+        walks = []
+        memo = G.memo
+
+        def counting_memo(key, compute):
+            def counted():
+                walks.append(key)
+                return compute()
+            return memo(key, counted)
+
+        monkeypatch.setattr(G, "memo", counting_memo)
+        counts = [len(all_homomorphisms(G, C)) for C in (
+            cyclic_group(2), cyclic_group(3), symmetric_group(3),
+            cyclic_group(2))]
+        assert counts == [2, 1, 10, 2]
+        identity_endomorphism(G).kernel()
+        assert walks.count("cayley_walk") == 1
+
+    def test_second_search_makes_no_source_product(self, monkeypatch):
+        # one generator, so the pair prune has no source products either
+        G = cyclic_group(6)
+        first = [h.generator_images
+                 for h in all_homomorphisms(G, cyclic_group(2))]
+        products = []
+        mul = Permutation.__mul__
+
+        def counting_mul(p, q):
+            if p.degree == G.degree:
+                products.append((p, q))
+            return mul(p, q)
+
+        monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+        again = all_homomorphisms(G, cyclic_group(2))
+        assert [h.generator_images for h in again] == first
+        all_homomorphisms(G, cyclic_group(3))
+        assert products == []
+
+    def test_kernel_and_first_difference_match_brute_force(self):
+        pairs = 0
+        # many homs share a kernel; list each kernel's elements once
+        kernel_elements = {}
+        for G in bundled_catalog():
+            for C in bundled_catalog():
+                if G.order() * C.order() > ORACLE_MAX_PRODUCT:
+                    continue
+                homs = all_homomorphisms(G, C)
+                values = [graph_of_map_values(f) for f in homs]
+                for f, fv in zip(homs, values):
+                    kernel = f.kernel()
+                    key = (id(G), kernel.generators)
+                    if key not in kernel_elements:
+                        kernel_elements[key] = {
+                            x.images for x in kernel.elements()}
+                    assert kernel_elements[key] == {
+                        x for x, y in fv.items() if y.is_identity()
+                    }, (G.name, C.name)
+                    for g, gv in zip(homs, values):
+                        expected = next((x for x in G.elements()
+                                         if fv[x.images] != gv[x.images]),
+                                        None)
+                        assert f.first_difference(g) == expected
+                pairs += 1
+        assert pairs > 500
