@@ -102,7 +102,7 @@ class WreathContext:
     top: PermutationGroup            # regular image of B on its |B| elements
     top_original: PermutationGroup   # B as given
     product: PermutationGroup
-    top_elements: list[Permutation]  # sorted elements of the original B
+    top_elements: tuple[Permutation, ...]  # sorted elements of original B
     regular_of: dict[tuple[int, ...], Permutation]  # original element -> regular
 
     @property
@@ -201,13 +201,10 @@ def regular_wreath(A: PermutationGroup, B: PermutationGroup,
     """The regular wreath product A wr B as an imprimitive permutation group."""
     order_b = B.order()
     check_budget("max_wreath_top", budgets.max_wreath_top, order_b)
-    top_elements = list(B.elements(budgets.max_enumerate))
-    index_of = {b.images: i for i, b in enumerate(top_elements)}
-    regular_of = {}
-    for b in top_elements:
-        # right translation x |-> x*b on the sorted element list
-        images = tuple(index_of[(x * b).images] for x in top_elements)
-        regular_of[b.images] = Permutation(images)
+    top_elements, _, col = B.indexed(budgets.max_enumerate)
+    # right translation x |-> x*b on the sorted element list is b's column
+    regular_of = {b.images: Permutation(tuple(col(j)))
+                  for j, b in enumerate(top_elements)}
     regular_gens = [regular_of[b.images] for b in B.generators]
     top_regular = PermutationGroup(order_b, regular_gens,
                                    name=f"{B.name}-regular" if B.name else None)

@@ -283,32 +283,29 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
             notes.append(f"catalog group {C.name or C.degree} skipped: "
                          f"hom budget")
             continue
-        keys = [tuple(f.apply(h, ctx.budgets).images for h in H.generators)
-                for f in homs]
-        for i, f in enumerate(homs):
-            for j in range(i + 1, len(homs)):
-                if keys[i] != keys[j]:
-                    continue
-                g = homs[j]
-                witness = f.first_difference(g, ctx.budgets)
-                if witness is None:
-                    continue
-                certificate = {
-                    "kind": "separating-pair",
-                    "codomain": _group_json(C),
-                    "f_images": [str(p) for p in f.generator_images],
-                    "g_images": [str(p) for p in g.generator_images],
-                    "subgroup_generators": [str(h) for h in H.generators],
-                    "witness": str(witness),
-                    "f_witness": str(f.apply(witness, ctx.budgets)),
-                    "g_witness": str(g.apply(witness, ctx.budgets)),
-                }
-                return _verdict(ctx, NOT_EPI, [
-                    f"maps into {C.name or 'catalog group'} agree on the "
-                    f"subgroup generators",
-                    f"they differ at {witness}: the subgroup is not "
-                    f"epimorphically embedded",
-                ], notes, certificate)
+        buckets: dict[tuple, list] = {}  # H-images -> homs, keyed in hom order
+        for f in homs:
+            key = tuple(f.apply(h, ctx.budgets).images for h in H.generators)
+            buckets.setdefault(key, []).append(f)
+        for f, g, *_ in (fs for fs in buckets.values() if len(fs) > 1):
+            # distinct generator images are distinct maps: a witness exists
+            witness = f.first_difference(g, ctx.budgets)
+            certificate = {
+                "kind": "separating-pair",
+                "codomain": _group_json(C),
+                "f_images": [str(p) for p in f.generator_images],
+                "g_images": [str(p) for p in g.generator_images],
+                "subgroup_generators": [str(h) for h in H.generators],
+                "witness": str(witness),
+                "f_witness": str(f.apply(witness, ctx.budgets)),
+                "g_witness": str(g.apply(witness, ctx.budgets)),
+            }
+            return _verdict(ctx, NOT_EPI, [
+                f"maps into {C.name or 'catalog group'} agree on the "
+                f"subgroup generators",
+                f"they differ at {witness}: the subgroup is not "
+                f"epimorphically embedded",
+            ], notes, certificate)
     return None
 
 

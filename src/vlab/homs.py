@@ -1,11 +1,11 @@
 """Group homomorphisms between permutation groups.
 
 Each source group G keeps one breadth-first walk of its Cayley graph in
-``G.memo``: its elements in walk order, their index and the edges
-(x, k, y) with y = x * generators[k].  A factorization table lists the
-image of each walk position.  By von Dyck's theorem the generator images
-define a homomorphism exactly when every edge gives table[x] * image(k) ==
-table[y], so no presentation of the source is ever needed.
+``G.memo``: the edges (x, k, y) with y = x * generators[k], as positions
+in G's canonical element list (``G.indexed()``).  A factorization table
+lists the image of each position.  By von Dyck's theorem the generator
+images define a homomorphism exactly when every edge gives table[x] *
+image(k) == table[y], so no presentation of the source is ever needed.
 """
 
 from __future__ import annotations
@@ -16,24 +16,24 @@ from .perm import Permutation, PermutationGroup
 
 
 def _cayley_walk(G: PermutationGroup, budgets: Budgets):
-    """G's Cayley BFS walk (elements, index of image tuples, edges).
+    """G's indexed elements and index, and its Cayley BFS walk's edges.
 
-    The identity is elements[0]; each edge (x, k, y) has elements[y] =
-    elements[x] * generators[k].  max_enumerate is checked on every call.
+    The walk starts at the identity, position 0; each edge (x, k, y) has
+    elements[y] = elements[x] * generators[k].  max_enumerate is checked
+    on every call.
     """
     check_budget("max_enumerate", budgets.max_enumerate, G.order())
 
     def compute():
-        identity = G.identity()
-        elements = [identity]
-        index = {identity.images: 0}
-        edges = []
-        for x, p in enumerate(elements):  # elements grows as the walk runs
-            for k, g in enumerate(G.generators):
-                q = p * g
-                y = index.setdefault(q.images, len(elements))
-                if y == len(elements):
-                    elements.append(q)
+        elements, index, col = G.indexed(budgets.max_enumerate)
+        cols = [col(index[g.images]) for g in G.generators]
+        queue, seen, edges = [0], {0}, []
+        for x in queue:  # queue grows as the walk runs
+            for k, c in enumerate(cols):
+                y = c[x]
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
                 edges.append((x, k, y))
         return elements, index, edges
 
@@ -101,9 +101,16 @@ class GroupHomomorphism:
         return self.image().order() == self.source.order()
 
     def kernel(self, budgets: Budgets = DEFAULT_BUDGETS) -> PermutationGroup:
+        """ker f on the members that enlarge it, in canonical order: each
+        at least doubles the order, so at most log2 |ker f| generators."""
         (elements, _, _), table = self._factorization_table(budgets)
-        return self.source.subgroup([x for x, img in zip(elements, table)
-                                     if img.is_identity()])
+        gens: list[Permutation] = []
+        kernel = self.source.subgroup([self.source.identity()])
+        for x, img in zip(elements, table):
+            if img.is_identity() and not kernel.contains(x):
+                gens.append(x)
+                kernel = self.source.subgroup(gens)
+        return kernel
 
     def agrees_on(self, other: GroupHomomorphism, subgroup: PermutationGroup,
                   budgets: Budgets = DEFAULT_BUDGETS) -> bool:
@@ -112,13 +119,12 @@ class GroupHomomorphism:
 
     def first_difference(self, other: GroupHomomorphism,
                          budgets: Budgets = DEFAULT_BUDGETS):
-        """Least element where the maps differ, or None if they agree."""
-        (_, index, _), mine = self._factorization_table(budgets)
-        (_, their_index, _), theirs = other._factorization_table(budgets)
-        for x in self.source.elements(budgets.max_enumerate):
-            if mine[index[x.images]] != theirs[their_index[x.images]]:
-                return x
-        return None
+        """Least element of the shared source where the maps differ, or None
+        if they agree."""
+        (elements, _, _), mine = self._factorization_table(budgets)
+        _, theirs = other._factorization_table(budgets)
+        return next((x for x, a, b in zip(elements, mine, theirs) if a != b),
+                    None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupHomomorphism):
@@ -155,26 +161,18 @@ def all_homomorphisms(G: PermutationGroup, C: PermutationGroup,
     Images are indices c into C's canonical element list, pruned by order
     divisibility (the image order must divide the generator order, and
     likewise for pairwise products), then validated by the edge check along
-    G's Cayley walk with int lookups only: C.memo keeps the element orders
-    and the columns col(c)[t] = index(targets[t] * targets[c]), each built
-    when c is first an image.  An accepted hom keeps its factorization
-    table.  Enumeration order is the canonical element order, except that
-    when C contains G the inclusion map is listed first: it is the natural
-    reference morphism for certificates.
+    G's Cayley walk with int lookups only, over the columns of C.indexed()
+    (C.memo also keeps the element orders).  An accepted hom keeps its
+    factorization table.  Enumeration order is the canonical element
+    order, except that when C contains G the inclusion map is listed
+    first: it is the natural reference morphism for certificates.
     """
     check_budget("max_hom_product", budgets.max_hom_product,
                  G.order() * C.order())
     gens = G.generators
-    targets = C.elements(budgets.max_enumerate)
-    index, orders, columns = C.memo("hom_codomain", lambda: (
-        {t.images: i for i, t in enumerate(targets)},
-        [t.order() for t in targets], {}))
+    targets, _, col = C.indexed(budgets.max_enumerate)
+    orders = C.memo("element_orders", lambda: [t.order() for t in targets])
     elements, _, edges = _cayley_walk(G, budgets)
-
-    def col(c: int) -> list[int]:
-        if c not in columns:
-            columns[c] = [index[(t * targets[c]).images] for t in targets]
-        return columns[c]
 
     candidates = [[c for c, m in enumerate(orders) if n % m == 0]
                   for n in (g.order() for g in gens)]

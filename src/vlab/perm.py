@@ -307,11 +307,11 @@ class PermutationGroup:
     threads: two threads that fill the same entry store equal values.
 
     ``memo(key, compute)`` is the cache for queries that depend on the group
-    alone.  ``structure`` routes three through it: ``solvable_radical``,
-    ``derived_series`` and ``class_representatives``; ``homs`` keeps the
-    Cayley walk of a source group and, for a codomain, its element orders
-    and multiplication columns.  Each checks its budgets before the lookup,
-    so a tighter budget still raises after an earlier looser call, as
+    alone: ``indexed`` (shared by the lattice, the hom search and the
+    regular wreath), ``solvable_radical``, ``derived_series`` and
+    ``class_representatives``, a source's Cayley walk and a codomain's
+    element orders.  Each checks its budgets before the lookup, so a
+    tighter budget still raises after an earlier looser call, as
     ``elements`` does.
     """
 
@@ -368,6 +368,26 @@ class PermutationGroup:
         if self._elements is None:
             self._elements = tuple(sorted(self.chain().iter_elements()))
         return self._elements
+
+    def indexed(self, max_enumerate: int = 100_000):
+        """(elements, index, col) on the canonical list, memoised: index maps
+        image tuples to positions, col(j)[x] is the position of elements[x] *
+        elements[j] and is built on first use."""
+        elements = self.elements(max_enumerate)
+
+        def compute():
+            index = {g.images: i for i, g in enumerate(elements)}
+            columns: dict[int, list[int]] = {}
+
+            def col(j: int) -> list[int]:
+                if j not in columns:
+                    e = elements[j].images
+                    columns[j] = [index[tuple(map(e.__getitem__, x.images))]
+                                  for x in elements]
+                return columns[j]
+            return elements, index, col
+
+        return self.memo("indexed", compute)
 
     def memo(self, key, compute):
         """The cached value for key, computed by compute() on a miss."""

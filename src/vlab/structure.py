@@ -378,24 +378,15 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
     HeH is tried: the first in canonical order, i.e. the least element of
     its double coset.  The first e giving each subgroup is such a least
     element, so the result is the same as extending by every e outside H.
-    The walks run on indices into G's element list: a subgroup is the set
-    of its members' indices, and col(j)[x] = index(x * e_j) is built on
-    first use.  Only G builds a stabilizer chain; each new subgroup becomes
-    one PermutationGroup, which builds its chain only when asked.
+    The walks run on G.indexed() positions: a subgroup is the set of its
+    members' positions, closed along the multiplication columns.  Only G
+    builds a stabilizer chain; each new subgroup becomes one
+    PermutationGroup, which builds its chain only when asked.
     Budgeted by max_normal_enumeration and max_enumerate on |G|.
     """
     check_budget("max_normal_enumeration", budgets.max_normal_enumeration,
                  G.order())
-    elements = G.elements(budgets.max_enumerate)
-    index = {g.images: i for i, g in enumerate(elements)}
-    columns: dict[int, list[int]] = {}
-
-    def col(j: int) -> list[int]:
-        if j not in columns:
-            e = elements[j].images
-            columns[j] = [index[tuple(map(e.__getitem__, x.images))]
-                          for x in elements]
-        return columns[j]
+    elements, index, col = G.indexed(budgets.max_enumerate)
 
     def walk(seen: set, stack: list, cols) -> set:
         """seen plus everything reached from stack by the columns."""

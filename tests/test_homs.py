@@ -288,3 +288,20 @@ class TestIndexedSearch:
                         assert f.first_difference(g) == expected
                 pairs += 1
         assert pairs > 500
+
+
+def test_kernel_has_at_most_log2_order_generators():
+    kernels = 0
+    for G in bundled_catalog():
+        for C in bundled_catalog():
+            if G.order() * C.order() > ORACLE_MAX_PRODUCT:
+                continue
+            for f in all_homomorphisms(G, C):
+                K = f.kernel()
+                if K.order() == 1:
+                    assert [g.is_identity() for g in K.generators] == [True]
+                else:
+                    assert 2 ** len(K.generators) <= K.order(), (G.name,
+                                                                 C.name)
+                kernels += 1
+    assert kernels > 1000

@@ -1,15 +1,19 @@
-"""The per-group memo behind solvable_radical, derived_series and
-class_representatives: budgets before the cache, fresh lists, and cached
-answers equal to answers computed on a fresh group."""
+"""The per-group memo behind solvable_radical, derived_series,
+class_representatives and indexed: budgets before the cache, fresh lists,
+one element index shared by its clients, and cached answers equal to
+answers computed on a fresh group."""
 
 import pytest
 
 from vlab.catalog import bundled_catalog
-from vlab.config import Budgets
+from vlab.config import DEFAULT_BUDGETS, Budgets
+from vlab.constructions import regular_wreath
 from vlab.errors import BudgetExceeded
-from vlab.perm import PermutationGroup, symmetric_group
-from vlab.structure import (class_representatives, derived_series,
-                            solvable_radical)
+from vlab.homs import all_homomorphisms
+from vlab.perm import (PermutationGroup, cyclic_group, dihedral_group,
+                       symmetric_group)
+from vlab.structure import (all_subgroups, class_representatives,
+                            derived_series, solvable_radical)
 
 
 def shape(H: PermutationGroup):
@@ -42,7 +46,10 @@ def test_memo_computes_once_per_key():
     (solvable_radical, Budgets(max_enumerate=10), ("max_enumerate", 10, 24)),
     (class_representatives, Budgets(max_enumerate=10),
      ("max_enumerate", 10, 24)),
-], ids=["radical-normal-enumeration", "radical-enumerate", "class-reps"])
+    (lambda G, budgets=DEFAULT_BUDGETS: G.indexed(budgets.max_enumerate),
+     Budgets(max_enumerate=10), ("max_enumerate", 10, 24)),
+], ids=["radical-normal-enumeration", "radical-enumerate", "class-reps",
+        "indexed"])
 def test_budget_is_checked_before_the_cache(query, budgets, expected):
     S4 = symmetric_group(4)
     query(S4)  # fills the memo under the default budgets
@@ -50,6 +57,24 @@ def test_budget_is_checked_before_the_cache(query, budgets, expected):
         query(S4, budgets)
     exc = info.value
     assert (exc.budget_name, exc.limit, exc.requested) == expected
+
+
+def test_lattice_homs_and_wreath_share_one_index(monkeypatch):
+    G = dihedral_group(4)
+    computed = []
+    memo = G.memo
+
+    def counting_memo(key, compute):
+        def counted():
+            computed.append(key)
+            return compute()
+        return memo(key, counted)
+
+    monkeypatch.setattr(G, "memo", counting_memo)
+    assert len(all_subgroups(G)) == 10
+    assert len(all_homomorphisms(G, G)) == 36
+    regular_wreath(cyclic_group(2), G)
+    assert computed.count("indexed") == 1
 
 
 def test_returned_lists_are_fresh_copies():

@@ -1,6 +1,7 @@
-"""Only perm.py may build a Permutation without validating its images, and
-only perm.py may touch the per-group memo other than through
-PermutationGroup.memo."""
+"""Only perm.py may build a Permutation without validating its images, only
+perm.py may touch the per-group memo other than through
+PermutationGroup.memo, and only perm.py may build an element-position index
+(PermutationGroup.indexed)."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,44 @@ def test_perm_module_holds_the_memo_dict():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_module_outside_perm_touches_the_memo_dict(path):
     assert name_uses(path.read_text(encoding="utf-8"), "_memo") == []
+
+
+def position_indexes(source: str) -> list[int]:
+    """Lines that build an element-position index: a dict comprehension
+    keyed on `.images` whose value is the counter of an `enumerate`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.DictComp)
+                and isinstance(node.key, ast.Attribute)
+                and node.key.attr == "images"
+                and isinstance(node.value, ast.Name)):
+            continue
+        for gen in node.generators:
+            call, target = gen.iter, gen.target
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "enumerate"
+                    and isinstance(target, ast.Tuple)
+                    and isinstance(target.elts[0], ast.Name)
+                    and target.elts[0].id == node.value.id):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_detector_flags_an_element_index():
+    assert position_indexes(
+        "index = {g.images: i for i, g in enumerate(elements)}\n"
+        "orders = {g.images: g.order() for g in elements}\n"
+        "regular = {b.images: make(j) for j, b in enumerate(elements)}\n"
+        "keys = {key: i for i, key in enumerate(sorted(keys))}\n"
+        "other = {t.images: k\n"
+        "         for k, t in enumerate(targets)}\n") == [1, 5]
+
+
+def test_perm_module_holds_the_element_index():
+    assert position_indexes((SRC / "perm.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", OUTSIDE_PERM,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_outside_perm_builds_an_element_index(path):
+    assert position_indexes(path.read_text(encoding="utf-8")) == []
