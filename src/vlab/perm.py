@@ -12,7 +12,11 @@ The stabilizer chain is built by a plain deterministic Schreier-Sims: base
 points are the smallest moved points, orbits are explored breadth-first with
 generators in list order.  Two runs over the same generator list produce the
 same chain, the same transversals and the same element enumeration, which is
-what makes certificates reproducible.
+what makes certificates reproducible.  The build and the sift work on image
+tuples, with the inverse of every transversal value kept beside it, and a
+Schreier generator already known to lie in the deeper chain is not sifted
+again; neither changes which generators are adjoined or in what order, so
+the chain is the one the plain algorithm builds (see ``StabilizerChain``).
 
 Validation happens only at the boundaries: ``Permutation(...)``,
 ``from_cycles``, ``parse_permutation`` and everything built on them (the
@@ -28,6 +32,7 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .errors import DegreeMismatch, GroupError, ParseError, check_budget
@@ -53,7 +58,7 @@ class Permutation:
 
     @staticmethod
     def identity(degree: int) -> Permutation:
-        return Permutation._trusted(tuple(range(degree)))
+        return Permutation._trusted(_identity_images(degree))
 
     @staticmethod
     def from_cycles(degree: int, cycles) -> Permutation:
@@ -107,7 +112,7 @@ class Permutation:
         return result
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def moved_points(self):
         return [i for i, j in enumerate(self.images) if i != j]
@@ -146,6 +151,12 @@ class Permutation:
     @staticmethod
     def parse(text: str, degree: int | None = None) -> Permutation:
         return parse_permutation(text, degree)
+
+
+@cache
+def _identity_images(degree: int) -> tuple[int, ...]:
+    """The identity's image tuple, one shared tuple per degree."""
+    return tuple(range(degree))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -189,15 +200,17 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         # generators of this level's full stabilizer group (not a partition:
         # every element of the deeper group that surfaces here is appended)
         self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {
-            point: Permutation.identity(degree)}
+        identity = Permutation.identity(degree)
+        self.transversal: dict[int, Permutation] = {point: identity}
+        # image tuple of the inverse of every transversal value
+        self.inverses: dict[int, tuple[int, ...]] = {point: identity.images}
 
 
 class StabilizerChain:
@@ -207,14 +220,27 @@ class StabilizerChain:
     the pointwise stabilizer of the first i base points, its orbit is
     explored breadth-first with generators in list order, and every Schreier
     generator that fails to sift is adjoined to the next level.
+
+    The build and the sift work on image tuples: each level keeps the
+    inverse of every transversal value, built in the same breadth-first
+    pass (u_q = u_p s gives u_q^-1 = s^-1 u_p^-1), so a sift step and a
+    Schreier generator u_p s u_q^-1 are one tuple each.  While the chain is
+    built, each level remembers the Schreier generators already known to lie
+    in the deeper chain's group (they sifted to the identity, or their
+    residue was adjoined) and does not sift them again when it is rebuilt.
+    That group only grows and a sift has no side effect, so such a sift
+    could only give the identity: the same generators are adjoined in the
+    same order, and the chain is the one the plain algorithm builds.
     """
 
     def __init__(self, degree: int, generators):
         self.degree = degree
         self.levels: list[_Level] = []
+        self._identity = _identity_images(degree)
+        build: list[tuple[list, set]] = []
         for g in generators:
             if not g.is_identity():
-                self._add_generator(0, g)
+                self._add_generator(0, g, build)
 
     @property
     def base(self):
@@ -226,61 +252,67 @@ class StabilizerChain:
             n *= len(lvl.transversal)
         return n
 
-    def sift(self, p: Permutation) -> tuple[Permutation, int]:
-        """Reduce p through the chain; returns (residue, level reached)."""
-        return self._sift_from(0, p)
-
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch(
                 f"element degree {p.degree} vs group degree {self.degree}")
-        residue, _ = self.sift(p)
-        return residue.is_identity()
+        return self._sift_from(0, p.images) == self._identity
 
-    def _add_generator(self, i: int, g: Permutation):
-        if g.is_identity():
-            return
+    def _add_generator(self, i: int, g: Permutation, build: list):
+        """Adjoin g (not the identity) to level i and complete the chain
+        from level i down.  While the chain is built, build[i] holds level
+        i's generators as (images, inverse images) and the Schreier tuples
+        of level i already known to lie in the group of level i + 1."""
         if i == len(self.levels):
-            point = min(g.moved_points())
-            self.levels.append(_Level(point, self.degree))
+            self.levels.append(_Level(min(g.moved_points()), self.degree))
+            build.append(([], set()))
         lvl = self.levels[i]
         lvl.gens.append(g)
+        gens, seen = build[i]
+        gens.append((g.images, g.inverse().images))
         # deterministic breadth-first orbit of the base point
-        transversal = {lvl.point: Permutation.identity(self.degree)}
+        identity = self._identity
+        images = {lvl.point: identity}
+        inverses = {lvl.point: identity}
         queue = deque([lvl.point])
         while queue:
             p = queue.popleft()
-            u = transversal[p]
-            for s in lvl.gens:
-                q = s.images[p]
-                if q not in transversal:
-                    transversal[q] = u * s
+            u, u_inv = images[p], inverses[p]
+            for s, s_inv in gens:
+                q = s[p]
+                if q not in images:
+                    images[q] = tuple(map(s.__getitem__, u))
+                    inverses[q] = tuple(map(u_inv.__getitem__, s_inv))
                     queue.append(q)
-        lvl.transversal = transversal
+        lvl.transversal = {q: Permutation._trusted(u)
+                           for q, u in images.items()}
+        lvl.inverses = inverses
         # every Schreier generator lies in the stabilizer; those that do not
         # sift through the deeper chain become generators one level down
-        for p in sorted(transversal):
-            u = transversal[p]
-            for s in lvl.gens:
-                q = s.images[p]
-                schreier = u * s * transversal[q].inverse()
-                if schreier.is_identity():
+        for p in sorted(images):
+            u = images[p]
+            for s, _ in gens:
+                schreier = tuple(map(inverses[s[p]].__getitem__,
+                                     map(s.__getitem__, u)))
+                if schreier == identity or schreier in seen:
                     continue
-                residue, _ = self._sift_from(i + 1, schreier)
-                if not residue.is_identity():
-                    self._add_generator(i + 1, residue)
+                residue = self._sift_from(i + 1, schreier)
+                if residue != identity:
+                    self._add_generator(i + 1, Permutation._trusted(residue),
+                                        build)
+                seen.add(schreier)
 
-    def _sift_from(self, start: int, p: Permutation):
-        for i in range(start, len(self.levels)):
-            lvl = self.levels[i]
-            x = p.images[lvl.point]
+    def _sift_from(self, start: int, p: tuple[int, ...]) -> tuple[int, ...]:
+        """The residue of the image tuple p sifted from level start down."""
+        for lvl in self.levels[start:]:
+            x = p[lvl.point]
             if x == lvl.point:
                 continue
-            u = lvl.transversal.get(x)
-            if u is None:
-                return p, i
-            p = p * u.inverse()
-        return p, len(self.levels)
+            u_inv = lvl.inverses.get(x)
+            if u_inv is None:
+                return p
+            p = tuple(map(u_inv.__getitem__, p))
+        return p
 
     def iter_elements(self):
         """Yield all elements (unsorted, but in a deterministic order)."""

@@ -1,11 +1,18 @@
+import random
+from collections import deque
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import mulclose
+from vlab.catalog import bundled_catalog
+from vlab.constructions import regular_wreath
 from vlab.errors import DegreeMismatch, GroupError, ParseError
-from vlab.perm import (Permutation, PermutationGroup, alternating_group,
-                       cyclic_group, dihedral_group, named_group,
-                       parse_permutation, symmetric_group, trivial_group)
+from vlab.perm import (Permutation, PermutationGroup, StabilizerChain,
+                       alternating_group, cyclic_group, dihedral_group,
+                       named_group, parse_permutation, symmetric_group,
+                       trivial_group)
 
 
 def perm_strategy(degree):
@@ -126,6 +133,158 @@ class TestStabilizerChain:
         rng = random.Random(7)
         for _ in range(20):
             assert a5.contains(a5.random_element(rng))
+
+
+def reference_chain(degree, generators):
+    """The plain deterministic Schreier-Sims on Permutation objects, which
+    sifts every Schreier generator on every rebuild of its level.
+
+    Returns (levels, sifts): each level has the `point`, `gens` and
+    `transversal` of a StabilizerChain level, and sifts counts the sifts."""
+    levels = []
+    sifts = 0
+
+    def sift_from(start, p):
+        nonlocal sifts
+        sifts += 1
+        for lvl in levels[start:]:
+            x = p.images[lvl.point]
+            if x == lvl.point:
+                continue
+            u = lvl.transversal.get(x)
+            if u is None:
+                return p
+            p = p * u.inverse()
+        return p
+
+    def add_generator(i, g):
+        if i == len(levels):
+            levels.append(SimpleNamespace(point=min(g.moved_points()),
+                                          gens=[], transversal={}))
+        lvl = levels[i]
+        lvl.gens.append(g)
+        transversal = {lvl.point: Permutation.identity(degree)}
+        queue = deque([lvl.point])
+        while queue:
+            p = queue.popleft()
+            u = transversal[p]
+            for s in lvl.gens:
+                q = s.images[p]
+                if q not in transversal:
+                    transversal[q] = u * s
+                    queue.append(q)
+        lvl.transversal = transversal
+        for p in sorted(transversal):
+            u = transversal[p]
+            for s in lvl.gens:
+                schreier = u * s * transversal[s.images[p]].inverse()
+                if schreier.is_identity():
+                    continue
+                residue = sift_from(i + 1, schreier)
+                if not residue.is_identity():
+                    add_generator(i + 1, residue)
+
+    for g in generators:
+        if not g.is_identity():
+            add_generator(0, g)
+    return levels, sifts
+
+
+def chain_shape(levels):
+    return [(lvl.point, [g.images for g in lvl.gens],
+             sorted((q, u.images) for q, u in lvl.transversal.items()))
+            for lvl in levels]
+
+
+def reference_random_elements(levels, degree, rng, count):
+    """PermutationGroup.random_element's draws, read off the given levels."""
+    draws = []
+    for _ in range(count):
+        g = Permutation.identity(degree)
+        for lvl in levels:
+            g = g * lvl.transversal[rng.choice(sorted(lvl.transversal))]
+        draws.append(g)
+    return draws
+
+
+def random_subgroup(G, rng):
+    """The subgroup generated by one to four random words in G's
+    generators, so that drawing it needs no stabilizer chain."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        g = G.identity()
+        for _ in range(rng.randint(1, 8)):
+            g = g * rng.choice(G.generators)
+        gens.append(g)
+    return G.subgroup(gens)
+
+
+def random_group(n, rng):
+    return PermutationGroup(n, [Permutation(tuple(rng.sample(range(n), n)))
+                                for _ in range(3)])
+
+
+def oracle_cases():
+    """(id, build) for every catalog group and four seeded random subgroups
+    of each, S_n and A_n for n <= 10, ten seeded random 3-generator
+    subgroups of S_n for each 4 <= n <= 9, and the regular wreaths of small
+    catalog pairs.  Random generators make the transversals change between
+    rebuilds of a level, which is where a wrong skip rule shows.  Each group
+    is built inside its test, so a faulty chain fails the test rather than
+    the collection."""
+    catalog = bundled_catalog()
+    cases = []
+    for G in catalog:
+        cases.append((G.name, lambda G=G: G))
+        cases += [(f"{G.name}-sub{k}", lambda G=G, k=k: random_subgroup(
+            G, random.Random(f"{G.name}-{k}"))) for k in range(4)]
+    for n in range(2, 11):
+        cases += [(f"S{n}", lambda n=n: symmetric_group(n)),
+                  (f"A{n}", lambda n=n: alternating_group(n))]
+    for n in range(4, 10):
+        cases += [(f"S{n}-rand{k}", lambda n=n, k=k: random_group(
+            n, random.Random(f"S{n}-{k}"))) for k in range(10)]
+    small = [G for G in catalog if 1 < G.order() <= 6]
+    cases += [(f"{A.name}wr{B.name}", lambda A=A, B=B: regular_wreath(
+        A, B).product) for A in small for B in small if B.order() <= 4]
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+
+
+class TestChainMatchesTheReference:
+    # the tuple build must adjoin the same generators in the same order
+
+    @pytest.mark.parametrize("build", [b for _, b in ORACLE_CASES],
+                             ids=[name for name, _ in ORACLE_CASES])
+    def test_same_chain_and_random_elements(self, build):
+        G = build()
+        levels, _ = reference_chain(G.degree, G.generators)
+        chain = StabilizerChain(G.degree, G.generators)
+        assert chain_shape(chain.levels) == chain_shape(levels)
+        for lvl in chain.levels:
+            assert lvl.inverses == {q: u.inverse().images
+                                    for q, u in lvl.transversal.items()}
+        rng = random.Random(7)
+        assert [G.random_element(rng) for _ in range(6)] == \
+            reference_random_elements(levels, G.degree, random.Random(7), 6)
+
+    def test_known_members_are_not_sifted_again(self, monkeypatch):
+        S8 = symmetric_group(8)
+        _, reference_sifts = reference_chain(8, S8.generators)
+        calls = 0
+        sift_from = StabilizerChain._sift_from
+
+        def counting(self, start, p):
+            nonlocal calls
+            calls += 1
+            return sift_from(self, start, p)
+
+        monkeypatch.setattr(StabilizerChain, "_sift_from", counting)
+        chain = StabilizerChain(8, S8.generators)
+        assert chain.order() == 40320
+        assert 0 < calls < reference_sifts
 
 
 class TestNamedConstructors:

@@ -1,7 +1,8 @@
 """Only perm.py may build a Permutation without validating its images, only
 perm.py may touch the per-group memo other than through
-PermutationGroup.memo, and only perm.py may build an element-position index
-(PermutationGroup.indexed)."""
+PermutationGroup.memo, only perm.py may build an element-position index
+(PermutationGroup.indexed), and only perm.py may sift image tuples or read a
+chain level's inverse transversal."""
 
 import ast
 from pathlib import Path
@@ -100,3 +101,30 @@ def test_perm_module_holds_the_element_index():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_module_outside_perm_builds_an_element_index(path):
     assert position_indexes(path.read_text(encoding="utf-8")) == []
+
+
+def chain_internal_uses(source: str) -> list[int]:
+    """Lines that name the tuple sift `_sift_from` or read a level's
+    `inverses` as an attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute)
+            and node.attr in ("_sift_from", "inverses"))
+        or (isinstance(node, ast.Name) and node.id == "_sift_from"))
+
+
+def test_detector_flags_the_chain_internals():
+    assert chain_internal_uses(
+        "G.contains(p)\nchain._sift_from(0, p.images)\n"
+        "inv = level.inverses[x]\ninverses = {}\nsift = _sift_from\n"
+        ) == [2, 3, 5]
+
+
+def test_perm_module_holds_the_chain_internals():
+    assert chain_internal_uses((SRC / "perm.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", OUTSIDE_PERM,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_outside_perm_touches_the_chain_internals(path):
+    assert chain_internal_uses(path.read_text(encoding="utf-8")) == []
