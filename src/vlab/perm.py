@@ -18,6 +18,18 @@ Schreier generator already known to lie in the deeper chain is not sifted
 again; neither changes which generators are adjoined or in what order, so
 the chain is the one the plain algorithm builds (see ``StabilizerChain``).
 
+A subgroup made by ``G.subgroup(gens)`` remembers its root ambient (G's own
+root, or G).  Once the root has listed its elements, the subgroup answers
+``order``, ``contains`` and ``elements`` from the set of its members'
+positions in the root's ``indexed()`` list, the closure of the identity
+along the root's multiplication columns of its generators; position order
+is canonical order, so no chain and no sort is needed.  The path lists
+nothing that was not listed already, and its closure is bounded by the
+root's order, which passed the root's ``max_enumerate`` check when it was
+listed.  A query made before the root is listed, a subgroup with a
+generator outside its root, a group not made by ``subgroup()``, and
+``random_element`` and ``chain()`` use the stabilizer chain.
+
 Validation happens only at the boundaries: ``Permutation(...)``,
 ``from_cycles``, ``parse_permutation`` and everything built on them (the
 catalog, certificate JSON) check that the images form a permutation.
@@ -96,9 +108,16 @@ class Permutation:
         return Permutation._trusted(tuple(inv))
 
     def __pow__(self, g):
-        # integer power; for a Permutation exponent this is conjugation g^-1*self*g
+        # integer power; for a Permutation exponent this is conjugation
+        # g^-1*self*g, which maps g(x) to g(self(x))
         if isinstance(g, Permutation):
-            return g.inverse() * self * g
+            p, h = self.images, g.images
+            if len(p) != len(h):
+                raise DegreeMismatch(f"degree {len(p)} vs {len(h)}")
+            out = [0] * len(p)
+            for x, y in zip(h, map(h.__getitem__, p)):
+                out[x] = y
+            return Permutation._trusted(tuple(out))
         n = g
         if n < 0:
             return self.inverse() ** (-n)
@@ -345,6 +364,16 @@ class PermutationGroup:
     element orders.  Each checks its budgets before the lookup, so a
     tighter budget still raises after an earlier looser call, as
     ``elements`` does.
+
+    A group made by ``subgroup()`` keeps its root ambient in ``_ambient``.
+    While that root is listed (``root._elements is not None``), ``order``,
+    ``contains`` and ``elements`` read the ``"members"`` memo entry: the
+    frozenset of the positions of the group's elements in the root's
+    ``indexed()`` list, walked from the identity (position 0) along the
+    root's columns of the generators, so it has at most |root| entries.  It
+    is None, and the chain answers, when a generator lies outside the root;
+    that is decided once.  Nothing else selects the path: no option, size
+    constant or budget.
     """
 
     def __init__(self, degree: int, generators, name: str | None = None):
@@ -367,8 +396,25 @@ class PermutationGroup:
         self._elements: tuple[Permutation, ...] | None = None
         self._order: int | None = None
         self._memo: dict = {}
+        self._ambient: PermutationGroup | None = None
 
-    # -- chain-backed queries ------------------------------------------------
+    # -- queries: member positions in a listed root, else the chain ----------
+
+    def _members(self) -> frozenset[int] | None:
+        """Positions of the elements in the listed root ambient, or None
+        when the chain answers."""
+        root = self._ambient
+        if root is None or root._elements is None:
+            return None
+
+        def compute():
+            _, index, col = root._indexed()
+            positions = [index.get(g.images) for g in self.generators]
+            if None in positions:
+                return None
+            return frozenset(walk({0}, [0], [col(j) for j in positions if j]))
+
+        return self.memo("members", compute)
 
     def chain(self) -> StabilizerChain:
         if self._chain is None:
@@ -377,11 +423,19 @@ class PermutationGroup:
 
     def order(self) -> int:
         if self._order is None:
-            self._order = self.chain().order()
+            members = self._members()
+            self._order = (self.chain().order() if members is None
+                           else len(members))
         return self._order
 
     def contains(self, p: Permutation) -> bool:
-        return self.chain().contains(p)
+        members = self._members()
+        if members is None:
+            return self.chain().contains(p)
+        if p.degree != self.degree:
+            raise DegreeMismatch(
+                f"element degree {p.degree} vs group degree {self.degree}")
+        return self._ambient._indexed()[1].get(p.images) in members
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
@@ -398,14 +452,24 @@ class PermutationGroup:
         """All elements in canonical (image tuple) order; budgeted per call."""
         check_budget("max_enumerate", max_enumerate, self.order())
         if self._elements is None:
-            self._elements = tuple(sorted(self.chain().iter_elements()))
+            members = self._members()
+            if members is None:
+                self._elements = tuple(sorted(self.chain().iter_elements()))
+            else:
+                listed = self._ambient._elements
+                self._elements = tuple(listed[i] for i in sorted(members))
         return self._elements
 
     def indexed(self, max_enumerate: int = 100_000):
         """(elements, index, col) on the canonical list, memoised: index maps
         image tuples to positions, col(j)[x] is the position of elements[x] *
         elements[j] and is built on first use."""
-        elements = self.elements(max_enumerate)
+        self.elements(max_enumerate)
+        return self._indexed()
+
+    def _indexed(self):
+        """indexed() of a group already listed, with no budget check."""
+        elements = self._elements
 
         def compute():
             index = {g.images: i for i, g in enumerate(elements)}
@@ -431,8 +495,11 @@ class PermutationGroup:
         return Permutation.identity(self.degree)
 
     def subgroup(self, generators, name: str | None = None) -> PermutationGroup:
-        """A subgroup value of the same degree; callers keep containment."""
-        return PermutationGroup(self.degree, generators, name=name)
+        """The group the generators generate, of the same degree, with this
+        group's root ambient as its own; callers keep containment."""
+        H = PermutationGroup(self.degree, generators, name=name)
+        H._ambient = self if self._ambient is None else self._ambient
+        return H
 
     def is_subgroup_of(self, other: PermutationGroup) -> bool:
         if self.degree != other.degree:
@@ -457,6 +524,18 @@ class PermutationGroup:
         label = self.name or f"degree {self.degree}"
         return (f"<PermutationGroup {label}, "
                 f"{len(self.generators)} generators>")
+
+
+def walk(seen: set, stack: list, cols) -> set:
+    """seen plus every position reached from stack along the columns."""
+    seen.update(stack)
+    while stack:
+        x = stack.pop()
+        for c in cols:
+            if c[x] not in seen:
+                seen.add(c[x])
+                stack.append(c[x])
+    return seen
 
 
 # -- named constructors ------------------------------------------------------

@@ -13,7 +13,7 @@ from math import gcd
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import GroupError, check_budget
-from .perm import Permutation, PermutationGroup
+from .perm import Permutation, PermutationGroup, walk
 
 
 def commutator(a: Permutation, b: Permutation) -> Permutation:
@@ -380,25 +380,13 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
     element, so the result is the same as extending by every e outside H.
     The walks run on G.indexed() positions: a subgroup is the set of its
     members' positions, closed along the multiplication columns.  Only G
-    builds a stabilizer chain; each new subgroup becomes one
-    PermutationGroup, which builds its chain only when asked.
+    builds a stabilizer chain; each new subgroup becomes one G.subgroup,
+    which answers its order and members from G's positions.
     Budgeted by max_normal_enumeration and max_enumerate on |G|.
     """
     check_budget("max_normal_enumeration", budgets.max_normal_enumeration,
                  G.order())
     elements, index, col = G.indexed(budgets.max_enumerate)
-
-    def walk(seen: set, stack: list, cols) -> set:
-        """seen plus everything reached from stack by the columns."""
-        seen.update(stack)
-        while stack:
-            x = stack.pop()
-            for c in cols:
-                if c[x] not in seen:
-                    seen.add(c[x])
-                    stack.append(c[x])
-        return seen
-
     found = {frozenset([0]): G.subgroup([G.identity()])}  # identity is 0
     cyclic_generators = {0}
     for i, e in enumerate(elements):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 from vlab.cli import build_parser, main
 from vlab.catalog import bundled_catalog, serialize_catalog
@@ -197,3 +199,16 @@ class TestFormatsAndFiles:
                                 "--bottom", "C2", "--top", "C3")
         assert code == 0
         assert report["budgets"]["max_wreath_top"] == 6
+
+
+PINS = Path(__file__).resolve().parent.parent / "perfbench/data/pins.json"
+
+
+def test_scenario_all_bytes_match_the_pinned_digest(capsys):
+    """The report of `vlab scenario --all` is byte-identical to the one whose
+    sha256 the benchmark pins."""
+    pins = json.loads(PINS.read_text(encoding="utf-8"))
+    code, out, _ = run_cli(capsys, "scenario", "--all")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == pins["scenario_all_sha256"]

@@ -376,6 +376,18 @@ class TestCertificateSoundness:
         broken3.certificate["node"]["verbal_order"] = 30
         assert not verify_certificate(a5, a4_in_a5, desc, broken3, ctx)
 
+    def test_solvable_class_rule_is_no_certificate_kind(self, ctx, c4,
+                                                        c2_in_c4):
+        # C4 lies in the solvable class Sl:3 and C2 is proper, so the
+        # deleted rule's verifier branch would have accepted this
+        desc = parse_descriptor("Sl:3")
+        forged = EpiVerdict(NOT_EPI, {
+            "kind": "solvable-class-rule", "descriptor": str(desc),
+            "group_order": 4, "subgroup_order": 2}, [], {})
+        assert verify_certificate(c4, c2_in_c4, desc, forged, ctx) is False
+        verdict = epi_decide(c4, c2_in_c4, desc, ctx)
+        assert verdict.certificate["kind"] == "neumann-solvable-complement"
+
     def test_unknown_carries_no_certificate(self, ctx, a5, a4_in_a5):
         bare = EngineContext(fixtures=[], catalog=[], budgets=Budgets())
         verdict = epi_decide(a5, a4_in_a5, VarOfGroup("A5"), bare)

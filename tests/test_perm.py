@@ -78,6 +78,22 @@ class TestPermutation:
             parse_permutation("(0 1 0)", 3)
 
 
+CATALOG_UP_TO_24 = [G for G in bundled_catalog() if G.order() <= 24]
+
+
+@pytest.mark.parametrize("G", CATALOG_UP_TO_24, ids=lambda G: G.name)
+def test_conjugation_is_inverse_product_product(G):
+    elements = G.elements()
+    for p in elements:
+        for g in elements:
+            assert p ** g == g.inverse() * p * g
+
+
+def test_conjugation_checks_degrees():
+    with pytest.raises(DegreeMismatch):
+        parse_permutation("(0 1)", 2) ** parse_permutation("(0 1)", 3)
+
+
 class TestStabilizerChain:
     # the exhaustive closure is the independent order oracle
     @pytest.mark.parametrize("group,expected", [

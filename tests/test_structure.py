@@ -1,17 +1,25 @@
+import random
+
 import pytest
 
 from tests.conftest import mulclose
+from vlab import perm
+from vlab.catalog import bundled_catalog
 from vlab.constructions import direct_product
-from vlab.errors import BudgetExceeded, GroupError
-from vlab.perm import (alternating_group, cyclic_group, dihedral_group,
-                       parse_permutation, pad_permutation, symmetric_group)
-from vlab.structure import (all_subgroups, conjugacy_classes, derived_series,
+from vlab.engine import epi_decide
+from vlab.errors import BudgetExceeded, DegreeMismatch, GroupError
+from vlab.perm import (Permutation, PermutationGroup, alternating_group,
+                       cyclic_group, dihedral_group, parse_permutation,
+                       pad_permutation, symmetric_group)
+from vlab.structure import (all_subgroups, class_representatives,
+                            conjugacy_classes, derived_series,
                             derived_subgroup, is_normal, is_solvable,
                             lower_central_series, nilpotency_class,
                             normal_closure, normal_subgroups, normalizer,
                             product_covers, quotient, solvable_radical,
                             subgroup_intersection)
 from vlab.config import Budgets
+from vlab.varieties import parse_descriptor
 
 
 def brute_subgroup_elements(G, seed):
@@ -235,3 +243,101 @@ class TestRadicalAndLattices:
     def test_conjugacy_class_count(self, a5):
         assert len(conjugacy_classes(a5)) == 5
         assert len(conjugacy_classes(symmetric_group(4))) == 5
+
+
+# -- subgroups of a listed group answer from its element positions -----------
+
+
+def outside_permutations(G, rng, count=4):
+    """A few seeded permutations of G's degree that lie outside G."""
+    n = G.degree
+    candidates = [Permutation(tuple(rng.sample(range(n), n)))
+                  for _ in range(20)]
+    return [p for p in candidates if not G.contains(p)][:count]
+
+
+def assert_same_as_chain(G, H, probes):
+    """H answers order, elements and contains as a chain-only copy does,
+    and answered them without a chain of its own."""
+    reference = PermutationGroup(G.degree, H.generators)
+    assert [H.contains(p) for p in probes] == [reference.contains(p)
+                                               for p in probes]
+    assert H.order() == reference.order()
+    assert H.elements() == reference.elements()
+    assert H._chain is None
+
+
+@pytest.mark.parametrize("catalog_group", bundled_catalog(),
+                         ids=lambda G: G.name)
+def test_position_path_matches_the_chain(catalog_group):
+    G = PermutationGroup(catalog_group.degree, catalog_group.generators,
+                         name=catalog_group.name)
+    G.elements()
+    probes = [*G.elements(), *outside_permutations(G, random.Random(11))]
+    for H in all_subgroups(G):
+        assert_same_as_chain(G, H, probes)
+    for rep in class_representatives(G):
+        assert_same_as_chain(G, normal_closure(G, [rep]), probes)
+
+
+def _never():
+    raise AssertionError("the members memo was computed twice")
+
+
+class TestPositionPath:
+    def test_generator_outside_the_root_falls_back_to_the_chain(self, ctx):
+        G = alternating_group(4)
+        G.elements()
+        H = G.subgroup([parse_permutation("(0 1 2)", 4),
+                        parse_permutation("(0 1)", 4)])
+        assert H.order() == 6  # Sym({0, 1, 2}), not a subgroup of A4
+        assert H.contains(parse_permutation("(1 2)", 4))
+        assert len(H.elements()) == 6
+        assert H._chain is not None
+        assert H.memo("members", _never) is None
+        with pytest.raises(GroupError):
+            epi_decide(G, H, parse_descriptor("Sl:3"), ctx)
+
+    def test_listed_root_builds_no_chain(self, monkeypatch):
+        G = symmetric_group(4)
+        G.elements()
+        builds = []
+        init = perm.StabilizerChain.__init__
+
+        def counting_init(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(perm.StabilizerChain, "__init__", counting_init)
+        H = G.subgroup([parse_permutation("(0 1 2 3)", 4)])
+        K = H.subgroup([parse_permutation("(0 2)(1 3)", 4)])
+        assert K._ambient is G
+        assert (H.order(), K.order()) == (4, 2)
+        assert K.contains(parse_permutation("(0 2)(1 3)", 4))
+        assert builds == []
+
+    def test_queries_before_the_root_is_listed_use_the_chain(self,
+                                                             monkeypatch):
+        G = symmetric_group(4)
+        builds = []
+        init = perm.StabilizerChain.__init__
+
+        def counting_init(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(perm.StabilizerChain, "__init__", counting_init)
+        H = G.subgroup([parse_permutation("(0 1 2 3)", 4)])
+        assert H.order() == 4 and len(builds) == 1  # H's own chain
+        G.elements()
+        assert len(builds) == 2  # G's chain lists G
+        assert H.contains(parse_permutation("(0 2)(1 3)", 4))
+        assert not H.contains(parse_permutation("(0 1)", 4))
+        assert len(builds) == 2
+
+    def test_contains_checks_the_degree(self):
+        G = symmetric_group(3)
+        G.elements()
+        H = G.subgroup([parse_permutation("(0 1 2)", 3)])
+        with pytest.raises(DegreeMismatch):
+            H.contains(parse_permutation("(0 1 2)", 4))

@@ -1,8 +1,9 @@
 """Only perm.py may build a Permutation without validating its images, only
 perm.py may touch the per-group memo other than through
 PermutationGroup.memo, only perm.py may build an element-position index
-(PermutationGroup.indexed), and only perm.py may sift image tuples or read a
-chain level's inverse transversal."""
+(PermutationGroup.indexed), only perm.py may sift image tuples or read a
+chain level's inverse transversal, and only perm.py may read a subgroup's
+root ambient or its member positions."""
 
 import ast
 from pathlib import Path
@@ -128,3 +129,27 @@ def test_perm_module_holds_the_chain_internals():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_module_outside_perm_touches_the_chain_internals(path):
     assert chain_internal_uses(path.read_text(encoding="utf-8")) == []
+
+
+def position_path_uses(source: str) -> list[int]:
+    """Lines that name a subgroup's root ambient `_ambient` or its member
+    positions `_members`."""
+    return sorted(set(name_uses(source, "_ambient")
+                      + name_uses(source, "_members")))
+
+
+def test_detector_flags_the_position_path():
+    assert position_path_uses(
+        "H = G.subgroup(gens)\nroot = H._ambient\nH._members()\n"
+        "_members = None\nambient = H\n") == [2, 3, 4]
+
+
+def test_perm_module_holds_the_position_path():
+    source = (SRC / "perm.py").read_text(encoding="utf-8")
+    assert name_uses(source, "_ambient") and name_uses(source, "_members")
+
+
+@pytest.mark.parametrize("path", OUTSIDE_PERM,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_outside_perm_touches_the_position_path(path):
+    assert position_path_uses(path.read_text(encoding="utf-8")) == []
