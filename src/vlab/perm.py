@@ -366,14 +366,11 @@ class PermutationGroup:
     ``elements`` does.
 
     A group made by ``subgroup()`` keeps its root ambient in ``_ambient``.
-    While that root is listed (``root._elements is not None``), ``order``,
-    ``contains`` and ``elements`` read the ``"members"`` memo entry: the
-    frozenset of the positions of the group's elements in the root's
-    ``indexed()`` list, walked from the identity (position 0) along the
-    root's columns of the generators, so it has at most |root| entries.  It
-    is None, and the chain answers, when a generator lies outside the root;
-    that is decided once.  Nothing else selects the path: no option, size
-    constant or budget.
+    Exactly while that root is listed (``root._elements is not None``),
+    ``order``, ``contains`` and ``elements`` read the ``"members"`` memo
+    entry: the positions of the group's elements in the root's list, at
+    most |root| of them, or None (decided once) when a generator lies
+    outside the root and the chain answers.
     """
 
     def __init__(self, degree: int, generators, name: str | None = None):
