@@ -170,10 +170,6 @@ class WreathContext:
                 for h in H.generators]
         return self.product.subgroup(gens)
 
-    def top_subgroup(self) -> PermutationGroup:
-        return self.product.subgroup(
-            [self.top_element(b) for b in self.top_original.generators])
-
     def wreath_subgroup(self, H: PermutationGroup) -> PermutationGroup:
         """H wr B inside A wr B, for H <= A (base functions valued in H)."""
         gens = list(self.base_power_subgroup(H).generators)

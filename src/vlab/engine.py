@@ -5,12 +5,29 @@ budget exhaustion and fixture gaps.  Every decided verdict carries a
 machine-checkable certificate that ``verify_certificate`` re-runs from
 scratch.  For ``prod(N, Q)`` the product step takes the Q-verbal subgroup
 V = Q(G), the cover test HV = G and the trace H intersect V; one function
-computes it for bounds, decisions, verification and the pipeline.  Each
-rule, with its hypotheses:
+computes it for bounds, decisions, verification and the pipeline.
+
+``epi_decide`` tries the rules as one chain, in this order; a rule that
+cannot decide adds a note and hands over to the next, and only the end of
+the chain (or a budget or fixture gap) answers ``unknown``:
+
+1. whole group - H = G is epi (an ``epi-derivation`` leaf);
+2. product rules, for ``prod(N, Q)`` only - ``verbal-cover-failure`` when
+   HV is not G, else the inner question for the trace in V within N, whose
+   ``epi`` gives a product-splitting node and whose ``not_epi`` gives
+   ``inner-dominion-failure``;
+3. fixture - a known-epi fixture for (G, H, descriptor);
+4. ``neumann-solvable-complement``, when G lies in the variety;
+5. ``separating-pair`` over the catalog members of the variety.
+
+For G in prod(N, Q) with N solvable and nontrivial, step 2 decides every
+proper H: either HV is not G, or the trace is proper in V, which lies in N,
+so the inner step 4 gives ``not_epi``.  Each certificate, with its
+hypotheses:
 
 * ``neumann-solvable-complement`` - needs G in the variety; a solvable
   normal N with NH = G and H proper: no proper such subgroup can be
-  epimorphically embedded in any quotient/subgroup-closed class containing G.
+  epimorphically embedded in any variety containing G.
 * ``separating-pair`` - two homomorphisms into a catalog member agreeing on
   the subgroup but not on the group.
 * ``verbal-cover-failure`` - needs a nontrivial left factor N, which then
@@ -124,21 +141,6 @@ def _nontrivial_left(desc: ProductVariety, ctx: EngineContext) -> bool:
     return is_trivial_variety(desc.left, ctx.fixtures) == NO
 
 
-def _in_solvable_class(G: PermutationGroup, desc: Descriptor,
-                       ctx: EngineContext, notes: list[str]) -> bool:
-    """Whether desc is a class of solvable groups that contains G.
-
-    A solvable class whose membership of G is not confirmed gets a note.
-    """
-    if is_solvable_variety(desc, ctx.fixtures) != YES:
-        return False
-    membership = member_of_variety(G, desc, ctx.budgets, ctx.fixtures)
-    if membership is not True:
-        notes.append(f"group membership in solvable class {desc}: "
-                     f"{membership}; rule not applicable")
-    return membership is True
-
-
 def _splitting_node(desc: ProductVariety, verbal: PermutationGroup,
                     inner: dict) -> dict:
     return {"rule": "product-splitting",
@@ -211,7 +213,11 @@ def dominion_bounds(G: PermutationGroup, H: PermutationGroup,
                      else "bounds do not pinch")
         return DominionBounds(lower=lower, upper=upper, exact=exact,
                               derivation=steps)
-    if _in_solvable_class(G, desc, ctx, []):
+    # with H normal, G/H lies in the variety and H is the equalizer of
+    # G -> G/H and the trivial map
+    if (is_solvable_variety(desc, ctx.fixtures) == YES
+            and member_of_variety(G, desc, ctx.budgets, ctx.fixtures) is True
+            and is_normal(G, H)):
         return DominionBounds(
             lower=H, upper=H, exact=True,
             derivation=[f"solvable class {desc}: dominion pinches to "
@@ -248,7 +254,7 @@ def neumann_not_epi_test(G: PermutationGroup, H: PermutationGroup,
         f"solvable radical has order {radical.order()}",
         "radical times subgroup covers the group; subgroup is proper",
         "solvable-complement rule: the embedding is not epi in any "
-        "quotient/subgroup-closed class containing the group",
+        "variety containing the group",
     ], [], certificate)
 
 
@@ -329,21 +335,6 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
                         {"kind": "epi-derivation",
                          "node": {"rule": "whole-group"}})
 
-    if _in_solvable_class(G, desc, ctx, notes):
-        # G is solvable, so its radical is G and the test decides every
-        # proper H; were it ever None, the branches below are sound alone
-        verdict = neumann_not_epi_test(G, H, ctx)
-        derivation = [
-            f"{desc} is a class of solvable groups and the group "
-            f"belongs to it",
-            "epimorphisms in solvable classes are onto; the subgroup "
-            "is proper",
-        ]
-        if verdict is not None:
-            verdict.derivation = derivation + verdict.derivation
-            verdict.notes.extend(notes)
-            return verdict
-
     if isinstance(desc, ProductVariety):
         verbal, trace, covers = _product_step(G, H, desc, ctx)
         if covers:
@@ -381,9 +372,12 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
                     f"inner embedding fails, but membership of the group "
                     f"in {desc} is {membership}: the failure does not "
                     f"transfer")
-            return _verdict(ctx, UNKNOWN, ["product recursion is undecided"],
-                            notes + inner.notes)
-        if _nontrivial_left(desc, ctx):
+            else:
+                notes.append(f"product rules undecided: the trace's "
+                             f"embedding in the verbal subgroup within "
+                             f"{desc.left} is unknown")
+            notes.extend(f"inner: {note}" for note in inner.notes)
+        elif _nontrivial_left(desc, ctx):
             bound_order = H.order() * verbal.order() // trace.order()
             certificate = {
                 "kind": "verbal-cover-failure",
@@ -398,10 +392,10 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
                 f"the dominion lies inside verbal*subgroup, of order "
                 f"{bound_order} < {G.order()}",
             ], notes, certificate)
-        notes.append(f"verbal-cover-failure skipped: the left factor "
-                     f"{desc.left} is not known to be nontrivial")
+        else:
+            notes.append(f"verbal-cover-failure skipped: the left factor "
+                         f"{desc.left} is not known to be nontrivial")
 
-    # base descriptor
     fx = find_epi_fixture(ctx.fixtures, G, H, desc)
     if fx is not None:
         return _verdict(ctx, EPI, [f"fixture: {fx.provenance}"], notes,

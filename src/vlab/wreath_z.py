@@ -67,11 +67,6 @@ class TailConstantFn:
     def constant(group: PermutationGroup, value: Permutation) -> TailConstantFn:
         return TailConstantFn(group, 0, -1, (), value, value)
 
-    @staticmethod
-    def point_mass(group: PermutationGroup, position: int,
-                   value: Permutation) -> TailConstantFn:
-        return TailConstantFn.make(group, {position: value})
-
     def value(self, n: int) -> Permutation:
         if n < self.lo:
             return self.left_tail

@@ -65,7 +65,8 @@ class TestBundledCatalog:
                             ("Dic3", 12), ("Dic6", 24), ("F20", 20),
                             ("C7:C3", 21), ("C3:D4", 24), ("C2^2:C4", 16),
                             ("D4oC4", 16), ("C3^2:C2", 18), ("M16", 16),
-                            ("SD16", 16), ("A5", 60), ("S5", 120),
+                            ("SD16", 16), ("Dic5", 20), ("C4:C4", 16),
+                            ("C3:C8", 24), ("A5", 60), ("S5", 120),
                             ("C2wrC2wrC2", 128), ("C3wrC3", 81)):
             assert resolve_group_name(name).order() == order, name
 

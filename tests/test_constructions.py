@@ -74,7 +74,8 @@ class TestRegularWreath:
         for a, b in (("C2", "C2"), ("C3", "C2"), ("S3", "C2"), ("C2", "C4")):
             w = regular_wreath(resolve_group_name(a), resolve_group_name(b))
             base = w.base_subgroup()
-            top = w.top_subgroup()
+            top = w.product.subgroup(
+                [w.top_element(b) for b in w.top_original.generators])
             assert is_normal(w.product, base)
             assert base.order() == w.bottom.order() ** w.block_count
             assert subgroup_intersection(w.product, base, top).order() == 1

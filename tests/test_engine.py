@@ -16,8 +16,9 @@ from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext, EpiVerdict,
 from vlab.errors import BudgetExceeded, GroupError
 from vlab.perm import (PermutationGroup, alternating_group, cyclic_group,
                        pad_permutation, parse_permutation, symmetric_group)
-from vlab.structure import (nilpotency_class, normal_subgroups,
-                            product_covers, quotient, subgroup_intersection)
+from vlab.structure import (all_subgroups, nilpotency_class,
+                            normal_subgroups, product_covers, quotient,
+                            subgroup_intersection)
 from vlab.varieties import (Abelian, ProductVariety, SolvableLength,
                             VarOfGroup, member_of_variety, parse_descriptor)
 
@@ -182,6 +183,17 @@ class TestDominionBounds:
             bounds = dominion_bounds(G, H, desc, ctx)
             assert bounds.sandwich_ok(G, H), (G.name, str(desc))
 
+    def test_solvable_class_pinches_only_normal_subgroups(self, ctx, s4,
+                                                          s3_in_s4):
+        # S4 lies in Sl:3; A4 is normal in it, S3 is not
+        desc = SolvableLength(3)
+        a4 = s4.subgroup(alternating_group(4).generators)
+        bounds = dominion_bounds(s4, a4, desc, ctx)
+        assert bounds.exact and bounds.upper.order() == 12
+        bounds = dominion_bounds(s4, s3_in_s4, desc, ctx)
+        assert not bounds.exact
+        assert bounds.lower.order() == 6 and bounds.upper.order() == 24
+
     def test_non_member_solvable_ambient_gets_trivial_sandwich(self, ctx):
         # A4 is not abelian: the abelian-base pinch does not apply
         a4 = alternating_group(4)
@@ -294,13 +306,54 @@ class TestEpiDecide:
 
     def test_inner_failure_guard_notes_missing_membership(self, ctx):
         # SL(2,3) with a Sylow 3: the trace inside Q8 is separated, but
-        # SL(2,3) is not metabelian, so the failure must not transfer
+        # SL(2,3) is not metabelian, so the failure must not transfer; the
+        # base rules then find a separating pair
         sl23 = resolve_group_name("SL23")
         syl3 = next(g for g in sl23.elements() if g.order() == 3)
         h = sl23.subgroup([syl3])
-        verdict = epi_decide(sl23, h, parse_descriptor("prod(A,A)"), ctx)
-        assert verdict.outcome == UNKNOWN
+        desc = parse_descriptor("prod(A,A)")
+        verdict = epi_decide(sl23, h, desc, ctx)
         assert any("does not transfer" in note for note in verdict.notes)
+        assert verdict.certificate["kind"] != "inner-dominion-failure"
+        assert verdict.outcome == NOT_EPI
+        assert verdict.certificate["kind"] == "separating-pair"
+        assert verdict.certificate["codomain"]["name"] == "A4"
+        assert verify_certificate(sl23, h, desc, verdict, ctx)
+
+    def test_undecided_product_step_reaches_the_base_rules(self, ctx):
+        # SL(2,3) > C3 under prod(laws:{x1^3}, A): HV = G for V = Q8, and
+        # Q8 > 1 is undecided within exponent 3, so the base rules run
+        sl23 = resolve_group_name("SL23")
+        syl3 = next(g for g in sl23.elements() if g.order() == 3)
+        h = sl23.subgroup([syl3])
+        desc = parse_descriptor("prod(laws:{x1^3},A)")
+        verdict = epi_decide(sl23, h, desc, ctx)
+        assert verdict.outcome == UNKNOWN
+        assert verdict.derivation == ["no decision path concluded"]
+        assert verdict.notes[0].startswith("product rules undecided")
+        assert verdict.notes[-1] == (
+            "fixtures, solvable-complement test and separating-pair "
+            "search were all inconclusive")
+        assert verify_certificate(sl23, h, desc, verdict, ctx)
+
+    def test_metabelian_groups_are_decided_by_the_product_rules(self, ctx):
+        # G in prod(A, A): either HV is not G, or the trace is proper in
+        # the abelian V = G' and the inner solvable-complement test fails
+        desc = parse_descriptor("prod(A,A)")
+        kinds = set()
+        for G in ctx.catalog:
+            if (G.order() > 24
+                    or member_of_variety(G, desc, ctx.budgets,
+                                         ctx.fixtures) is not True):
+                continue
+            for H in all_subgroups(G):
+                if H.order() == G.order():
+                    continue
+                verdict = epi_decide(G, H, desc, ctx)
+                assert verdict.outcome == NOT_EPI, (G.name, H.generators)
+                assert verify_certificate(G, H, desc, verdict, ctx)
+                kinds.add(verdict.certificate["kind"])
+        assert kinds == {"verbal-cover-failure", "inner-dominion-failure"}
 
     def test_h_not_subgroup_rejected(self, ctx, a5):
         with pytest.raises(GroupError):

@@ -28,7 +28,7 @@ def random_element(rng, G):
 class TestTailConstantFn:
     def test_point_mass_values(self):
         g = parse_permutation("(0 1 2)", 3)
-        fn = TailConstantFn.point_mass(S3, 2, g)
+        fn = TailConstantFn.make(S3, {2: g})
         assert fn.value(2) == g
         assert fn.value(1).is_identity()
         assert fn.value(100).is_identity()
@@ -70,7 +70,7 @@ class TestTailConstantFn:
 
     def test_shift(self):
         g = parse_permutation("(0 1)", 3)
-        fn = TailConstantFn.point_mass(S3, 1, g)
+        fn = TailConstantFn.make(S3, {1: g})
         shifted = fn.shift(3)  # n |-> value(n + 3)
         assert shifted.value(-2) == g
         assert shifted.value(1).is_identity()
@@ -137,7 +137,7 @@ class TestSolveCommutator:
         # hand-traced: a point mass g at 0 with identity seed solves to
         # psi = g on all n < 0 and identity on n >= 0
         g = parse_permutation("(0 1 2)", 3)
-        phi = TailConstantFn.point_mass(S3, 0, g)
+        phi = TailConstantFn.make(S3, {0: g})
         psi = solve_commutator(phi)
         for n in range(-6, 0):
             assert psi.value(n) == g
@@ -167,8 +167,7 @@ class TestSolveCommutator:
         for _ in range(50):
             phi = random_fn(rng, S3)
             if not phi.has_identity_tails():
-                phi = TailConstantFn.point_mass(S3, 0,
-                                                S3.random_element(rng))
+                phi = TailConstantFn.make(S3, {0: S3.random_element(rng)})
             s1, s2 = S3.random_element(rng), S3.random_element(rng)
             p1 = solve_commutator(phi, s1)
             p2 = solve_commutator(phi, s2)
@@ -211,7 +210,7 @@ class TestComponentwise:
 class TestDepth2Witness:
     def test_point_mass(self):
         g = parse_permutation("(0 1)", 3)
-        phi = TailConstantFn.point_mass(S3, 0, g)
+        phi = TailConstantFn.make(S3, {0: g})
         report = depth2_witness(phi)
         assert report.verified
         assert "finite analogs" in report.note
