@@ -11,7 +11,7 @@ the budgets they ran under so that "unknown" outcomes are attributable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class Budgets:
     max_tuples: int = 3_000_000
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 DEFAULT_BUDGETS = Budgets()

@@ -47,6 +47,7 @@ False and never raises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceeded, FixtureGap, GroupError
@@ -335,8 +336,14 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
                         {"kind": "epi-derivation",
                          "node": {"rule": "whole-group"}})
 
+    # G's membership, computed once, and only when a rule reaches it
+    member = cache(lambda: member_of_variety(G, desc, ctx.budgets,
+                                             ctx.fixtures))
     if isinstance(desc, ProductVariety):
         verbal, trace, covers = _product_step(G, H, desc, ctx)
+        # G lies in prod(N, Q) exactly when Q(G) lies in N
+        member = cache(lambda: member_of_variety(verbal, desc.left,
+                                                 ctx.budgets, ctx.fixtures))
         if covers:
             inner = epi_decide(verbal, trace, desc.left, ctx)
             if inner.outcome == EPI:
@@ -352,8 +359,7 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
             if inner.outcome == NOT_EPI:
                 # the necessity direction of the product characterization
                 # assumes the ambient group lies in the product variety
-                membership = member_of_variety(G, desc, ctx.budgets,
-                                               ctx.fixtures)
+                membership = member()
                 if membership is True:
                     certificate = {
                         "kind": "inner-dominion-failure",
@@ -402,7 +408,7 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
                         {"kind": "epi-derivation",
                          "node": {"rule": "fixture",
                                   "fixture": _fixture_json(fx)}})
-    membership = member_of_variety(G, desc, ctx.budgets, ctx.fixtures)
+    membership = member()
     if membership is True:
         verdict = neumann_not_epi_test(G, H, ctx)
         if verdict is not None:
@@ -497,10 +503,10 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
                      == cert["bound_order"])
                 and not covers)
     if kind == "inner-dominion-failure" and isinstance(desc, ProductVariety):
-        if member_of_variety(G, desc, ctx.budgets, ctx.fixtures) is not True:
-            return False
         verbal, trace, _ = _product_step(G, H, desc, ctx)
-        return (verbal.order() == cert["verbal_order"]
+        return (member_of_variety(verbal, desc.left, ctx.budgets,
+                                  ctx.fixtures) is True
+                and verbal.order() == cert["verbal_order"]
                 and trace.order() == cert["trace_order"]
                 and _certified_outcome(cert["inner"]) == NOT_EPI
                 and _verify_cert(verbal, trace, desc.left, cert["inner"],

@@ -26,9 +26,11 @@ along the root's multiplication columns of its generators; position order
 is canonical order, so no chain and no sort is needed.  The path lists
 nothing that was not listed already, and its closure is bounded by the
 root's order, which passed the root's ``max_enumerate`` check when it was
-listed.  A query made before the root is listed, a subgroup with a
-generator outside its root, a group not made by ``subgroup()``, and
-``random_element`` and ``chain()`` use the stabilizer chain.
+listed.  A group with no member set (a query made before the root is
+listed, a subgroup with a generator outside its root, a group not made by
+``subgroup()``) answers ``contains`` from its own index once it is listed
+itself, and from its stabilizer chain before; ``random_element`` and
+``chain()`` always use the chain.
 
 Validation happens only at the boundaries: ``Permutation(...)``,
 ``from_cycles``, ``parse_permutation`` and everything built on them (the
@@ -359,18 +361,34 @@ class PermutationGroup:
 
     ``memo(key, compute)`` is the cache for queries that depend on the group
     alone: ``indexed`` (shared by the lattice, the hom search and the
-    regular wreath), ``solvable_radical``, ``derived_series`` and
-    ``class_representatives``, a source's Cayley walk and a codomain's
-    element orders.  Each checks its budgets before the lookup, so a
-    tighter budget still raises after an earlier looser call, as
-    ``elements`` does.
+    regular wreath), the conjugation columns, ``solvable_radical``,
+    ``derived_series``, ``class_representatives`` and ``exponent``, a
+    source's Cayley walk and a codomain's element orders.  Each checks its
+    budgets before the lookup, so a tighter budget still raises after an
+    earlier looser call, as ``elements`` does.
 
     A group made by ``subgroup()`` keeps its root ambient in ``_ambient``.
     Exactly while that root is listed (``root._elements is not None``),
     ``order``, ``contains`` and ``elements`` read the ``"members"`` memo
     entry: the positions of the group's elements in the root's list, at
     most |root| of them, or None (decided once) when a generator lies
-    outside the root and the chain answers.
+    outside the root and the chain answers.  Any other listed group
+    answers ``contains`` from its own index.
+
+    ``members_memo(key, compute)`` caches a query whose value depends only
+    on the element set (today ``is_solvable``) on the listed root, keyed
+    by the member set, so two generating sets of one subgroup share the
+    entry.  It holds bools and ints, never a group: the generators of a
+    derived term or a radical depend on the generating set they came
+    from, and sharing one would make output bytes depend on which query
+    ran first.  Those memos stay on each group.
+
+    A listed group keeps a conjugation column ``conj(g)`` per g, built on
+    first use: ``conj(g)[x]`` is the position of ``elements[x] ** g``.
+    ``conjugacy_classes`` takes orbits of positions under G's own columns,
+    and ``is_normalized_by`` (behind ``is_normal``) reads the root's
+    columns when the group has members in a listed root that contains
+    the conjugating elements.
     """
 
     def __init__(self, degree: int, generators, name: str | None = None):
@@ -427,11 +445,13 @@ class PermutationGroup:
 
     def contains(self, p: Permutation) -> bool:
         members = self._members()
-        if members is None:
+        if members is None and self._elements is None:
             return self.chain().contains(p)
         if p.degree != self.degree:
             raise DegreeMismatch(
                 f"element degree {p.degree} vs group degree {self.degree}")
+        if members is None:
+            return p.images in self._indexed()[1]
         return self._ambient._indexed()[1].get(p.images) in members
 
     def __contains__(self, p: Permutation) -> bool:
@@ -482,11 +502,52 @@ class PermutationGroup:
 
         return self.memo("indexed", compute)
 
+    def conj(self, g: Permutation) -> list[int]:
+        """conj(g)[x] is the position of elements[x] ** g, for g in this
+        listed group; one column per g, built on first use."""
+        columns = self.memo("conj", dict)
+        if g.images not in columns:
+            elements, index, _ = self._indexed()
+            h, h_inv = g.images, g.inverse().images
+            # (p ** g)[y] = g(p(g^-1(y)))
+            columns[g.images] = [
+                index[tuple(map(h.__getitem__,
+                                map(e.images.__getitem__, h_inv)))]
+                for e in elements]
+        return columns[g.images]
+
+    def is_normalized_by(self, gens) -> bool:
+        """Whether conjugation by each of gens maps this group into itself.
+
+        Reads the root's conjugation columns when this group has members
+        in a listed root that contains gens, else tests n ** g directly.
+        """
+        members = self._members()
+        if members is not None:
+            root = self._ambient
+            _, index, _ = root._indexed()
+            if all(g.images in index for g in gens):
+                positions = [index[n.images] for n in self.generators]
+                return all(c[x] in members
+                           for c in map(root.conj, gens) for x in positions)
+        return all(self.contains(n ** g)
+                   for g in gens for n in self.generators)
+
     def memo(self, key, compute):
         """The cached value for key, computed by compute() on a miss."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    def members_memo(self, key, compute):
+        """memo() for a query whose value depends only on the element set
+        and is a bool or an int: kept on the listed root, keyed by the
+        member set, so every generating set of one subgroup shares it.
+        A group with no member set keeps it in its own memo."""
+        members = self._members()
+        if members is None:
+            return self.memo(key, compute)
+        return self._ambient.memo((key, members), compute)
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import GroupError, check_budget
@@ -81,7 +81,10 @@ def derived_series(G: PermutationGroup) -> list[PermutationGroup]:
 
 
 def is_solvable(G: PermutationGroup) -> bool:
-    return derived_series(G)[-1].order() == 1
+    """Memoised by element set: two generating sets of one subgroup of a
+    listed root compute the derived series once."""
+    return G.members_memo("is_solvable",
+                          lambda: derived_series(G)[-1].order() == 1)
 
 
 def derived_length(G: PermutationGroup) -> int | None:
@@ -125,11 +128,7 @@ def nilpotency_class(G: PermutationGroup, max_c: int = 20) -> int | None:
 
 def is_normal(G: PermutationGroup, N: PermutationGroup) -> bool:
     """Whether N is invariant under conjugation by G's generators."""
-    for g in G.generators:
-        for n in N.generators:
-            if not N.contains(n ** g):
-                return False
-    return True
+    return N.is_normalized_by(G.generators)
 
 
 def subgroup_intersection(G: PermutationGroup, A: PermutationGroup,
@@ -169,24 +168,20 @@ def product_subgroup(G: PermutationGroup, A: PermutationGroup,
 
 def conjugacy_classes(G: PermutationGroup,
                       budgets: Budgets = DEFAULT_BUDGETS):
-    """Conjugacy classes as lists of elements; reps are the class minima."""
-    elements = G.elements(budgets.max_enumerate)
-    seen: set[tuple[int, ...]] = set()
+    """Conjugacy classes as lists of elements; reps are the class minima.
+
+    Each class is an orbit of positions under G's conjugation columns of
+    its generators; position order is canonical order.
+    """
+    elements, _, _ = G.indexed(budgets.max_enumerate)
+    cols = [G.conj(g) for g in G.generators]
+    seen: set[int] = set()
     classes = []
-    for e in elements:  # canonical order: class reps are the minima
-        if e.images in seen:
-            continue
-        orbit = {e.images: e}
-        queue = deque([e])
-        while queue:
-            x = queue.popleft()
-            for g in G.generators:
-                y = x ** g
-                if y.images not in orbit:
-                    orbit[y.images] = y
-                    queue.append(y)
-        seen.update(orbit)
-        classes.append(sorted(orbit.values()))
+    for i in range(len(elements)):
+        if i not in seen:
+            orbit = walk(set(), [i], cols)
+            seen |= orbit
+            classes.append([elements[x] for x in sorted(orbit)])
     return classes
 
 
@@ -196,6 +191,12 @@ def class_representatives(G: PermutationGroup,
     check_budget("max_enumerate", budgets.max_enumerate, G.order())
     return list(G.memo("class_representatives", lambda: tuple(
         cls[0] for cls in conjugacy_classes(G, budgets))))
+
+
+def exponent(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS) -> int:
+    """The lcm of the element orders; memoised on G, budget first."""
+    reps = class_representatives(G, budgets)
+    return G.memo("exponent", lambda: lcm(*(r.order() for r in reps)))
 
 
 def normalizer(G: PermutationGroup, D: PermutationGroup,

@@ -21,7 +21,7 @@ from .config import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceeded, FixtureGap, GroupError, ParseError
 from .perm import PermutationGroup, all_tuples
 from .structure import (class_representatives, derived_series,
-                        derived_subgroup, generated_subgroup,
+                        derived_subgroup, exponent, generated_subgroup,
                         lower_central_series, normal_closure)
 from .words import (Word, as_derived_law, as_nilpotency_law, as_power_law,
                     derived_law, nilpotency_law, parse_word)
@@ -262,8 +262,7 @@ def verbal_subgroup(G: PermutationGroup, laws,
 def _law_holds(G: PermutationGroup, word: Word, budgets: Budgets) -> bool:
     e = as_power_law(word)
     if e is not None:
-        return all(e % r.order() == 0
-                   for r in class_representatives(G, budgets))
+        return e % exponent(G, budgets) == 0
     c = as_nilpotency_law(word)
     if c is not None:
         return lower_central_series(G, c)[c].order() == 1
@@ -382,12 +381,7 @@ def _resolve_variety_group(desc: VarOfGroup, fixtures):
 
 def _screen_laws(S: PermutationGroup, budgets: Budgets):
     """Cheap sampled laws of S: the exponent law and small named families."""
-    laws = []
-    exponent = 1
-    for rep in class_representatives(S, budgets):
-        o = rep.order()
-        exponent = exponent * o // gcd(exponent, o)
-    laws.append(Word.variable(1, exponent))
+    laws = [Word.variable(1, exponent(S, budgets))]
     for c in (1, 2):
         if lower_central_series(S, c)[c].order() == 1:
             laws.append(nilpotency_law(c))

@@ -1,6 +1,7 @@
 """Every budget stop goes through check_budget and carries structured fields."""
 
 import ast
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,13 @@ def test_entry_point_stop_is_structured(budget_name, call):
     assert exc.requested > exc.limit
     assert str(exc) == (f"{budget_name}: {exc.requested} exceeds the limit "
                         f"{exc.limit}")
+
+
+@pytest.mark.parametrize("budgets", [
+    DEFAULT_BUDGETS, Budgets(max_enumerate=7, max_tuples=11,
+                             max_wreath_top=3)], ids=["default", "custom"])
+def test_as_dict_is_asdict(budgets):
+    assert list(budgets.as_dict().items()) == list(asdict(budgets).items())
 
 
 def test_budgets_hold_after_caching():

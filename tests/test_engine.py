@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vlab import engine, varieties
 from vlab.catalog import resolve_group_name
 from vlab.config import Budgets
 from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext, EpiVerdict,
@@ -354,6 +355,43 @@ class TestEpiDecide:
                 assert verify_certificate(G, H, desc, verdict, ctx)
                 kinds.add(verdict.certificate["kind"])
         assert kinds == {"verbal-cover-failure", "inner-dominion-failure"}
+
+    def test_product_rules_compute_each_verbal_subgroup_once(
+            self, ctx, monkeypatch):
+        # G lies in prod(N, Q) exactly when Q(G) lies in N, so the guard of
+        # inner-dominion-failure and the Neumann step reuse the product
+        # step's Q(G); calls made by the separating-pair search are left
+        # out, since it tests each catalog codomain (G among them) anew
+        calls, searching = [], []
+        q_verbal, search = varieties.q_verbal, engine.separating_pair_search
+
+        def counting(G, desc, *args, **kwargs):
+            if not searching:
+                calls.append((G, str(desc)))
+            return q_verbal(G, desc, *args, **kwargs)
+
+        def flagged(*args, **kwargs):
+            searching.append(True)
+            try:
+                return search(*args, **kwargs)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(varieties, "q_verbal", counting)
+        monkeypatch.setattr(engine, "q_verbal", counting)
+        monkeypatch.setattr(engine, "separating_pair_search", flagged)
+        desc = parse_descriptor("prod(A,A)")
+        for G in ctx.catalog:
+            if G.order() > 24:
+                continue
+            for H in all_subgroups(G):
+                if H.order() == G.order():
+                    continue
+                calls.clear()
+                epi_decide(G, H, desc, ctx)
+                pairs = [(id(K), d) for K, d in calls]  # calls holds each K
+                assert calls and len(set(pairs)) == len(pairs), (
+                    G.name, H.generators)
 
     def test_h_not_subgroup_rejected(self, ctx, a5):
         with pytest.raises(GroupError):

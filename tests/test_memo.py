@@ -1,10 +1,13 @@
-"""The per-group memo behind solvable_radical, derived_series,
+"""The per-group memo behind solvable_radical, derived_series, exponent,
 class_representatives and indexed: budgets before the cache, fresh lists,
 one element index shared by its clients, and cached answers equal to
 answers computed on a fresh group."""
 
+from math import lcm
+
 import pytest
 
+from tests.conftest import mulclose
 from vlab.catalog import bundled_catalog
 from vlab.config import DEFAULT_BUDGETS, Budgets
 from vlab.constructions import regular_wreath
@@ -13,7 +16,7 @@ from vlab.homs import all_homomorphisms
 from vlab.perm import (PermutationGroup, cyclic_group, dihedral_group,
                        symmetric_group)
 from vlab.structure import (all_subgroups, class_representatives,
-                            derived_series, solvable_radical)
+                            derived_series, exponent, solvable_radical)
 
 
 def shape(H: PermutationGroup):
@@ -46,10 +49,11 @@ def test_memo_computes_once_per_key():
     (solvable_radical, Budgets(max_enumerate=10), ("max_enumerate", 10, 24)),
     (class_representatives, Budgets(max_enumerate=10),
      ("max_enumerate", 10, 24)),
+    (exponent, Budgets(max_enumerate=10), ("max_enumerate", 10, 24)),
     (lambda G, budgets=DEFAULT_BUDGETS: G.indexed(budgets.max_enumerate),
      Budgets(max_enumerate=10), ("max_enumerate", 10, 24)),
 ], ids=["radical-normal-enumeration", "radical-enumerate", "class-reps",
-        "indexed"])
+        "exponent", "indexed"])
 def test_budget_is_checked_before_the_cache(query, budgets, expected):
     S4 = symmetric_group(4)
     query(S4)  # fills the memo under the default budgets
@@ -98,3 +102,15 @@ def test_cached_answers_equal_fresh_answers(G):
     assert memoised_queries(G) == first
     fresh = PermutationGroup(G.degree, G.generators, name=G.name)
     assert memoised_queries(fresh) == first
+
+
+@pytest.mark.parametrize("G", bundled_catalog(),
+                         ids=lambda G: G.name or str(G.degree))
+def test_exponent_is_the_lcm_of_all_element_orders(G):
+    orders = []
+    for x in mulclose(list(G.generators)):
+        power, k = x, 1
+        while not power.is_identity():
+            power, k = power * x, k + 1
+        orders.append(k)
+    assert exponent(G) == lcm(*orders)
