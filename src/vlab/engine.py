@@ -28,8 +28,8 @@ hypotheses:
 * ``neumann-solvable-complement`` - needs G in the variety; a solvable
   normal N with NH = G and H proper: no proper such subgroup can be
   epimorphically embedded in any variety containing G.
-* ``separating-pair`` - two homomorphisms into a catalog member agreeing on
-  the subgroup but not on the group.
+* ``separating-pair`` - needs the codomain in the variety; two
+  homomorphisms into it agreeing on the subgroup but not on the group.
 * ``verbal-cover-failure`` - needs a nontrivial left factor N, which then
   contains some C_p, and C_p wr (G/V) separates the cosets of HV: so the
   dominion lies inside Q(G)H, of order |H||V|/|H intersect V|, which is
@@ -259,20 +259,54 @@ def neumann_not_epi_test(G: PermutationGroup, H: PermutationGroup,
     ], [], certificate)
 
 
+def _membership_key(desc: Descriptor, ctx: EngineContext) -> tuple:
+    """Everything a catalog member's membership answer depends on: the
+    descriptor, the budgets and, for a ``var:`` part, the fixtures."""
+    text = str(desc)
+    return (text, ctx.budgets,
+            tuple(ctx.fixtures) if "var:" in text else None)
+
+
+def _catalog_membership(C: PermutationGroup, desc: Descriptor,
+                        ctx: EngineContext, key: tuple):
+    """member_of_variety(C, desc), memoised on C under key; the catalog is
+    shared by every context in a process, hence the full key.  An
+    exception leaves no entry."""
+    memo = C.memo("variety_membership", dict)
+    if key not in memo:
+        memo[key] = member_of_variety(C, desc, ctx.budgets, ctx.fixtures)
+    return memo[key]
+
+
+def _catalog_entry(C: PermutationGroup, ctx: EngineContext):
+    """The ctx.catalog entry with C's degree and generator tuple, else C:
+    the same group, whose memos then apply.  Its name and order are not
+    read."""
+    return next((E for E in ctx.catalog if E.degree == C.degree
+                 and E.generators == C.generators), C)
+
+
 def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
                            catalog, desc: Descriptor, ctx: EngineContext,
                            notes: list[str] | None = None):
     """Look for two maps into a catalog member agreeing on H, differing on G.
 
-    Pairs (i, j), i < j, are examined in lexicographic order of the
-    canonical hom order, so pairs with the inclusion map come first when it
-    is hom 0.  Exhaustion returns None: it proves nothing positive.  Skipped
-    catalog entries are reported through the notes sink.
+    Homs are bucketed by their images of H's generators, read from their
+    tables at those generators' positions in ``G.indexed()``; the pair is
+    the first two homs of the first bucket, in the canonical hom order, that
+    holds two, so a pair with the inclusion map comes first when it is hom
+    0.  Each catalog member's membership is memoised on it (by descriptor,
+    budgets and, for ``var:`` parts, fixtures) and its hom list on G, so
+    each is computed once per process.  Exhaustion returns None: it proves
+    nothing positive.  Skipped catalog entries are reported through the
+    notes sink.
     """
     if notes is None:
         notes = []
+    key = _membership_key(desc, ctx)
+    positions = None
     for C in catalog:
-        membership = member_of_variety(C, desc, ctx.budgets, ctx.fixtures)
+        membership = _catalog_membership(C, desc, ctx, key)
         if membership is False:
             continue
         if membership is None:
@@ -287,10 +321,13 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
             notes.append(f"catalog group {C.name or C.degree} skipped: "
                          f"hom budget")
             continue
+        if positions is None:  # G is listed now
+            _, index, _ = G.indexed(ctx.budgets.max_enumerate)
+            positions = [index[h.images] for h in H.generators]
         buckets: dict[tuple, list] = {}  # H-images -> homs, keyed in hom order
         for f in homs:
-            key = tuple(f.apply(h, ctx.budgets).images for h in H.generators)
-            buckets.setdefault(key, []).append(f)
+            buckets.setdefault(f.table_at(positions, ctx.budgets),
+                               []).append(f)
         for f, g, *_ in (fs for fs in buckets.values() if len(fs) > 1):
             # distinct generator images are distinct maps: a witness exists
             witness = f.first_difference(g, ctx.budgets)
@@ -479,7 +516,11 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
                 and product_covers(G, H, N, ctx.budgets)
                 and H.order() < G.order())
     if kind == "separating-pair":
-        C = _group_from_json(cert["codomain"])
+        C = _catalog_entry(_group_from_json(cert["codomain"]), ctx)
+        # a pair separates in the variety only if its codomain lies in it
+        if _catalog_membership(C, desc, ctx,
+                               _membership_key(desc, ctx)) is not True:
+            return False
         # GroupHomomorphism validates well-definedness
         f = GroupHomomorphism(
             G, C, _perms_from_json(cert["f_images"], C.degree),

@@ -6,6 +6,9 @@ in G's canonical element list (``G.indexed()``).  A factorization table
 lists the image of each position.  By von Dyck's theorem the generator
 images define a homomorphism exactly when every edge gives table[x] *
 image(k) == table[y], so no presentation of the source is ever needed.
+
+G also keeps ``all_homomorphisms`` in ``G.memo("homs")``, one list per
+codomain object; the budgets are checked before the lookup.
 """
 
 from __future__ import annotations
@@ -112,6 +115,13 @@ class GroupHomomorphism:
                 kernel = self.source.subgroup(gens)
         return kernel
 
+    def table_at(self, positions,
+                 budgets: Budgets = DEFAULT_BUDGETS) -> tuple:
+        """The images of the source elements at these positions of
+        ``source.indexed()``, in the order given."""
+        _, table = self._factorization_table(budgets)
+        return tuple(table[i] for i in positions)
+
     def agrees_on(self, other: GroupHomomorphism, subgroup: PermutationGroup,
                   budgets: Budgets = DEFAULT_BUDGETS) -> bool:
         return all(self.apply(h, budgets) == other.apply(h, budgets)
@@ -166,9 +176,24 @@ def all_homomorphisms(G: PermutationGroup, C: PermutationGroup,
     factorization table.  Enumeration order is the canonical element
     order, except that when C contains G the inclusion map is listed
     first: it is the natural reference morphism for certificates.
+
+    The homs are memoised in ``G.memo("homs")``, keyed by the codomain
+    object, after max_hom_product and max_enumerate (on |C| and |G|) are
+    checked; each call returns a new list of the same hom objects.
     """
     check_budget("max_hom_product", budgets.max_hom_product,
                  G.order() * C.order())
+    check_budget("max_enumerate", budgets.max_enumerate, C.order())
+    check_budget("max_enumerate", budgets.max_enumerate, G.order())
+    memo = G.memo("homs", dict)
+    if C not in memo:
+        memo[C] = _enumerate_homs(G, C, budgets)
+    return list(memo[C])
+
+
+def _enumerate_homs(G: PermutationGroup, C: PermutationGroup,
+                    budgets: Budgets) -> list[GroupHomomorphism]:
+    """all_homomorphisms(G, C), computed."""
     gens = G.generators
     targets, _, col = C.indexed(budgets.max_enumerate)
     orders = C.memo("element_orders", lambda: [t.order() for t in targets])

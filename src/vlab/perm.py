@@ -363,9 +363,14 @@ class PermutationGroup:
     alone: ``indexed`` (shared by the lattice, the hom search and the
     regular wreath), the conjugation columns, ``solvable_radical``,
     ``derived_series``, ``class_representatives`` and ``exponent``, a
-    source's Cayley walk and a codomain's element orders.  Each checks its
+    source's Cayley walk, its ``all_homomorphisms`` lists (``"homs"``, one
+    per codomain object) and a codomain's element orders.  Each checks its
     budgets before the lookup, so a tighter budget still raises after an
-    earlier looser call, as ``elements`` does.
+    earlier looser call, as ``elements`` does.  The separating-pair
+    search keeps a catalog member's variety memberships in
+    ``"variety_membership"``, keyed by the descriptor, the budgets and,
+    for a ``var:`` part, the fixtures, since every context in a process
+    shares the bundled catalog.
 
     A group made by ``subgroup()`` keeps its root ambient in ``_ambient``.
     Exactly while that root is listed (``root._elements is not None``),

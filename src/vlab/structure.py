@@ -347,6 +347,8 @@ def solvable_radical(G: PermutationGroup,
     Any solvable normal N is the join of the (solvable) normal closures of
     its elements, and a join of solvable normals is solvable normal, so
     joining every solvable class-representative closure reaches the radical.
+    The partial join R is normal, so a representative already in R has its
+    closure inside R and is skipped before its closure is computed.
     Memoised on G.  The two budget checks come first and cover the whole
     computation, since every group it enumerates is G or a subgroup of G.
     """
@@ -356,9 +358,10 @@ def solvable_radical(G: PermutationGroup,
 
     def compute():
         radical = G.subgroup([G.identity()])
-        for closure in element_normal_closures(G, budgets):
-            if closure.order() == 1 or closure.is_subgroup_of(radical):
+        for rep in class_representatives(G, budgets):
+            if radical.contains(rep):
                 continue
+            closure = normal_closure(G, [rep])
             if is_solvable(closure):
                 radical = product_subgroup(G, radical, closure)
         if not is_solvable(radical):

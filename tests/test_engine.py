@@ -467,6 +467,34 @@ class TestCertificateSoundness:
         broken3.certificate["node"]["verbal_order"] = 30
         assert not verify_certificate(a5, a4_in_a5, desc, broken3, ctx)
 
+    def test_separating_pair_needs_its_codomain_in_the_variety(self, ctx):
+        # f = id and g = conjugation by (0 1) agree on <(0 1)> and differ
+        # at (0 1 2), but S3 is not abelian: the pair separates nothing in
+        # A, where <(0 1)> is epimorphically embedded, as it covers
+        # S3/S3' = C2
+        s3 = symmetric_group(3)
+        h = s3.subgroup([parse_permutation("(0 1)", 3)])
+        t = parse_permutation("(0 1)", 3)
+        forged = EpiVerdict(NOT_EPI, {
+            "kind": "separating-pair",
+            "codomain": {"name": "S3", "degree": 3, "order": 6,
+                         "generators": [str(g) for g in s3.generators]},
+            "f_images": [str(g) for g in s3.generators],
+            "g_images": [str(g ** t) for g in s3.generators],
+            "subgroup_generators": ["(0 1)"],
+            "witness": "(0 1 2)", "f_witness": "(0 1 2)",
+            "g_witness": "(0 2 1)"}, [], {})
+        assert verify_certificate(s3, h, Abelian(), forged, ctx) is False
+        # the codomain is rebuilt from its generators; its name and order
+        # are never read
+        renamed = copy.deepcopy(forged)
+        renamed.certificate["codomain"].update(name="C2", order=2)
+        assert verify_certificate(s3, h, Abelian(), renamed, ctx) is False
+        assert epi_decide(s3, h, Abelian(), ctx).outcome == UNKNOWN
+        # the same maps do separate in Sl:2, which contains S3
+        metabelian = parse_descriptor("Sl:2")
+        assert verify_certificate(s3, h, metabelian, forged, ctx) is True
+
     def test_solvable_class_rule_is_no_certificate_kind(self, ctx, c4,
                                                         c2_in_c4):
         # C4 lies in the solvable class Sl:3 and C2 is proper, so the

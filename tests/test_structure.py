@@ -13,10 +13,11 @@ from vlab.perm import (Permutation, PermutationGroup, alternating_group,
                        pad_permutation, symmetric_group)
 from vlab.structure import (all_subgroups, class_representatives,
                             conjugacy_classes, derived_series,
-                            derived_subgroup, is_normal, is_solvable,
-                            lower_central_series, nilpotency_class,
-                            normal_closure, normal_subgroups, normalizer,
-                            product_covers, quotient, solvable_radical,
+                            derived_subgroup, element_normal_closures,
+                            is_normal, is_solvable, lower_central_series,
+                            nilpotency_class, normal_closure,
+                            normal_subgroups, normalizer, product_covers,
+                            product_subgroup, quotient, solvable_radical,
                             subgroup_intersection)
 from vlab.config import Budgets
 from vlab.varieties import parse_descriptor
@@ -220,6 +221,22 @@ class TestRadicalAndLattices:
         from vlab.constructions import regular_wreath
         w = regular_wreath(cyclic_group(2), cyclic_group(3))
         assert solvable_radical(w.product).order() == 24
+
+    @pytest.mark.parametrize("G", bundled_catalog(),
+                             ids=lambda G: G.name or str(G.degree))
+    def test_radical_joins_the_same_closures_as_the_full_join(self, G):
+        # the join over every class representative's closure, deduplicated
+        # by element set, as solvable_radical computed it before it skipped
+        # representatives already in the partial join
+        radical = G.subgroup([G.identity()])
+        for closure in element_normal_closures(G):
+            if closure.order() == 1 or closure.is_subgroup_of(radical):
+                continue
+            if is_solvable(closure):
+                radical = product_subgroup(G, radical, closure)
+        fast = solvable_radical(G)
+        assert fast.order() == radical.order()
+        assert fast.generators == radical.generators
 
     def test_normal_subgroups_s4(self):
         orders = sorted(n.order() for n in normal_subgroups(symmetric_group(4)))
