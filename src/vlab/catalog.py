@@ -23,7 +23,7 @@ from .errors import GroupError, ParseError
 from .perm import (Permutation, PermutationGroup, alternating_group,
                    cyclic_group, dihedral_group, named_group, parse_permutation,
                    symmetric_group, trivial_group)
-from .constructions import direct_product, regular_wreath
+from .constructions import MAX_DEGREE, direct_product, regular_wreath
 from .structure import quotient
 from .varieties import Fixture, parse_descriptor
 
@@ -103,7 +103,7 @@ def klein_by_c4() -> PermutationGroup:
     ctx = regular_wreath(cyclic_group(2), cyclic_group(4))
     swap = cyclic_group(2).generators[0]
     ident = cyclic_group(2).identity()
-    v1 = ctx.element(ctx.top.identity(),
+    v1 = ctx.element(ctx.top_original.identity(),
                      lambda c: swap if c % 2 == 0 else ident)
     c = ctx.top_element(cyclic_group(4).generators[0])
     return PermutationGroup(8, [v1, c], name="C2^2:C4")
@@ -282,6 +282,9 @@ def parse_catalog(text: str) -> list[PermutationGroup]:
             degree = int(degree_text)
         except ValueError:
             raise ParseError(f"line {lineno}: bad degree {degree_text!r}") from None
+        if not 1 <= degree <= MAX_DEGREE:
+            raise ParseError(f"line {lineno}: degree {degree} is outside "
+                             f"1..{MAX_DEGREE}")
         gens = []
         for chunk in gens_text.split(";"):
             tokens = chunk.split()

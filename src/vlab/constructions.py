@@ -44,13 +44,6 @@ class DirectPowerContext:
         return pad_permutation(p, self.product.degree,
                                offset=index * self.base.degree)
 
-    def diagonal(self, p: Permutation) -> Permutation:
-        parts = [self.embed(i, p) for i in range(self.copies)]
-        out = parts[0]
-        for q in parts[1:]:
-            out = out * q
-        return out
-
     def power_subgroup(self, H: PermutationGroup) -> PermutationGroup:
         """H^k inside the power (H must be a subgroup of the base)."""
         if H.degree != self.base.degree:
@@ -65,8 +58,7 @@ class DirectPowerContext:
         return Permutation(images)
 
 
-def direct_power(G: PermutationGroup, k: int,
-                 budgets: Budgets = DEFAULT_BUDGETS) -> DirectPowerContext:
+def direct_power(G: PermutationGroup, k: int) -> DirectPowerContext:
     """k disjoint copies of G acting on k * degree points."""
     if k < 1:
         raise GroupError("direct_power needs k >= 1")
@@ -99,11 +91,10 @@ class WreathContext:
     """A wr B with its block data and the canonical embeddings."""
 
     bottom: PermutationGroup
-    top: PermutationGroup            # regular image of B on its |B| elements
     top_original: PermutationGroup   # B as given
     product: PermutationGroup
-    top_elements: tuple[Permutation, ...]  # sorted elements of original B
-    regular_of: dict[tuple[int, ...], Permutation]  # original element -> regular
+    top_elements: tuple[Permutation, ...]  # sorted elements of B
+    regular_of: dict[tuple[int, ...], Permutation]  # element of B -> regular
 
     @property
     def block_count(self) -> int:
@@ -113,41 +104,26 @@ class WreathContext:
         m = self.bottom.degree
         return range(block * m, (block + 1) * m)
 
-    def element(self, top_part: Permutation, base_fn) -> Permutation:
-        """The wreath element (b, f); base_fn maps block index -> bottom elt.
-
-        top_part may be an element of the original B or of its regular image.
-        """
+    def element(self, b: Permutation, base_fn) -> Permutation:
+        """The wreath element (b, f) for b in B; base_fn maps block index ->
+        bottom element."""
         m = self.bottom.degree
-        shift = self._as_regular(top_part)
-        images = [0] * self.product.degree
+        shift = self.regular_of.get(b.images)
+        if shift is None:
+            raise GroupError("top part is not an element of the top group")
+        images = []
         for c in range(self.block_count):
-            f_c = base_fn(c)
-            if f_c.degree != m:
+            f_c = base_fn(c).images
+            if len(f_c) != m:
                 raise DegreeMismatch("base value degree differs from bottom")
-            dest = shift.images[c]
-            for i in range(m):
-                images[c * m + i] = dest * m + f_c.images[i]
+            dest = shift.images[c] * m
+            images += [dest + x for x in f_c]
         return Permutation(tuple(images))
-
-    def _as_regular(self, b: Permutation) -> Permutation:
-        reg = self.regular_of.get(b.images) if b.degree == \
-            self.top_original.degree else None
-        if reg is not None:
-            return reg
-        if b.degree == self.block_count and b.images in self._regular_set():
-            return b
-        raise GroupError("top part is not an element of the top group")
-
-    def _regular_set(self):
-        if not hasattr(self, "_regset"):
-            self._regset = {p.images for p in self.regular_of.values()}
-        return self._regset
 
     def base_element(self, block: int, a: Permutation) -> Permutation:
         identity = self.bottom.identity()
         return self.element(
-            self.top.identity(),
+            self.top_original.identity(),
             lambda c: a if c == block else identity)
 
     def top_element(self, b: Permutation) -> Permutation:
@@ -156,10 +132,7 @@ class WreathContext:
 
     def base_subgroup(self) -> PermutationGroup:
         """The normal base A^B (one copy of A per block)."""
-        gens = [self.base_element(c, a)
-                for c in range(self.block_count)
-                for a in self.bottom.generators]
-        return self.product.subgroup(gens)
+        return self.base_power_subgroup(self.bottom)
 
     def base_power_subgroup(self, H: PermutationGroup) -> PermutationGroup:
         """H^B inside the base, for H <= A."""
@@ -192,8 +165,7 @@ class WreathContext:
 
 
 def regular_wreath(A: PermutationGroup, B: PermutationGroup,
-                   budgets: Budgets = DEFAULT_BUDGETS,
-                   name: str | None = None) -> WreathContext:
+                   budgets: Budgets = DEFAULT_BUDGETS) -> WreathContext:
     """The regular wreath product A wr B as an imprimitive permutation group."""
     order_b = B.order()
     check_budget("max_wreath_top", budgets.max_wreath_top, order_b)
@@ -201,30 +173,15 @@ def regular_wreath(A: PermutationGroup, B: PermutationGroup,
     # right translation x |-> x*b on the sorted element list is b's column
     regular_of = {b.images: Permutation(tuple(col(j)))
                   for j, b in enumerate(top_elements)}
-    regular_gens = [regular_of[b.images] for b in B.generators]
-    top_regular = PermutationGroup(order_b, regular_gens,
-                                   name=f"{B.name}-regular" if B.name else None)
-
-    m = A.degree
-    degree = m * order_b
+    degree = A.degree * order_b
     check_budget("max_degree", MAX_DEGREE, degree)
-    gens = []
-    for a in A.generators:
-        gens.append(pad_permutation(a, degree, offset=0))  # block of identity
-    for b in B.generators:
-        reg = regular_of[b.images]
-        images = [0] * degree
-        for c in range(order_b):
-            dest = reg.images[c]
-            for i in range(m):
-                images[c * m + i] = dest * m + i
-        gens.append(Permutation(tuple(images)))
-    if name is None and A.name and B.name:
-        name = f"{A.name}wr{B.name}"
-    product = PermutationGroup(degree, gens, name=name)
-    ctx = WreathContext(bottom=A, top=top_regular, top_original=B,
-                        product=product, top_elements=top_elements,
-                        regular_of=regular_of)
+    # the embeddings read only the block data, so they build the generators
+    ctx = WreathContext(bottom=A, top_original=B, product=None,
+                        top_elements=top_elements, regular_of=regular_of)
+    gens = [ctx.base_element(0, a) for a in A.generators]  # identity block
+    gens += [ctx.top_element(b) for b in B.generators]
+    name = f"{A.name}wr{B.name}" if A.name and B.name else None
+    ctx.product = PermutationGroup(degree, gens, name=name)
     return ctx
 
 

@@ -60,7 +60,7 @@ from .homs import GroupHomomorphism, all_homomorphisms
 from .varieties import (NO, YES, Descriptor, ProductVariety,
                         find_epi_fixture, is_solvable_variety,
                         is_trivial_variety, member_of_variety, q_verbal)
-from .constructions import WreathContext, regular_wreath
+from .constructions import MAX_DEGREE, WreathContext, regular_wreath
 
 EPI = "epi"
 NOT_EPI = "not_epi"
@@ -69,9 +69,15 @@ UNKNOWN = "unknown"
 
 @dataclass
 class EngineContext:
+    """The rules' fixtures, catalog and budgets.  These fix every catalog
+    member C's answer to member_of_variety(C, desc), so ``memberships`` keeps
+    it as ``memberships[str(desc)][C]``, by C's identity."""
+
     fixtures: list = field(default_factory=list)
     catalog: list = field(default_factory=list)
     budgets: Budgets = DEFAULT_BUDGETS
+    memberships: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @staticmethod
     def bundled(budgets: Budgets = DEFAULT_BUDGETS) -> "EngineContext":
@@ -116,8 +122,10 @@ def _perms_from_json(texts, degree: int) -> tuple[Permutation, ...]:
 
 def _group_from_json(data) -> PermutationGroup:
     degree = data.get("degree") if isinstance(data, dict) else None
-    if not isinstance(degree, int):
-        raise GroupError("certificate group needs an int degree")
+    # the declared degree sets the parsing cost: bound it first
+    if not isinstance(degree, int) or not 1 <= degree <= MAX_DEGREE:
+        raise GroupError(f"certificate group needs an int degree in "
+                         f"1..{MAX_DEGREE}")
     gens = _perms_from_json(data["generators"], degree)
     return PermutationGroup(degree, gens, name=data.get("name"))
 
@@ -129,7 +137,8 @@ def _product_step(G: PermutationGroup, H: PermutationGroup,
                   desc: ProductVariety, ctx: EngineContext):
     """(V, H intersect V, HV = G) for V the desc.right-verbal subgroup of G.
 
-    V is normal, so HV = G exactly when |H||V| = |G||H intersect V|.
+    V is normal, so HV = G exactly when |H||V| = |G||H intersect V|.  V is
+    q_verbal's one object per (G, desc.right), so its hom lists stay warm.
     """
     verbal = q_verbal(G, desc.right, ctx.budgets, ctx.fixtures)
     trace = subgroup_intersection(G, H, verbal, ctx.budgets)
@@ -259,23 +268,13 @@ def neumann_not_epi_test(G: PermutationGroup, H: PermutationGroup,
     ], [], certificate)
 
 
-def _membership_key(desc: Descriptor, ctx: EngineContext) -> tuple:
-    """Everything a catalog member's membership answer depends on: the
-    descriptor, the budgets and, for a ``var:`` part, the fixtures."""
-    text = str(desc)
-    return (text, ctx.budgets,
-            tuple(ctx.fixtures) if "var:" in text else None)
-
-
 def _catalog_membership(C: PermutationGroup, desc: Descriptor,
-                        ctx: EngineContext, key: tuple):
-    """member_of_variety(C, desc), memoised on C under key; the catalog is
-    shared by every context in a process, hence the full key.  An
+                        ctx: EngineContext, answers: dict):
+    """member_of_variety(C, desc), kept in answers, by C's identity.  An
     exception leaves no entry."""
-    memo = C.memo("variety_membership", dict)
-    if key not in memo:
-        memo[key] = member_of_variety(C, desc, ctx.budgets, ctx.fixtures)
-    return memo[key]
+    if C not in answers:
+        answers[C] = member_of_variety(C, desc, ctx.budgets, ctx.fixtures)
+    return answers[C]
 
 
 def _catalog_entry(C: PermutationGroup, ctx: EngineContext):
@@ -295,18 +294,18 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
     tables at those generators' positions in ``G.indexed()``; the pair is
     the first two homs of the first bucket, in the canonical hom order, that
     holds two, so a pair with the inclusion map comes first when it is hom
-    0.  Each catalog member's membership is memoised on it (by descriptor,
-    budgets and, for ``var:`` parts, fixtures) and its hom list on G, so
-    each is computed once per process.  Exhaustion returns None: it proves
-    nothing positive.  Skipped catalog entries are reported through the
-    notes sink.
+    0.  Each catalog member's membership is kept in
+    ``ctx.memberships[str(desc)]``, so it is computed once per context, and
+    its hom list on G, so that is computed once per G object.  Exhaustion
+    returns None: it proves nothing positive.  Skipped catalog entries are
+    reported through the notes sink.
     """
     if notes is None:
         notes = []
-    key = _membership_key(desc, ctx)
+    answers = ctx.memberships.setdefault(str(desc), {})
     positions = None
     for C in catalog:
-        membership = _catalog_membership(C, desc, ctx, key)
+        membership = _catalog_membership(C, desc, ctx, answers)
         if membership is False:
             continue
         if membership is None:
@@ -378,9 +377,6 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
                                              ctx.fixtures))
     if isinstance(desc, ProductVariety):
         verbal, trace, covers = _product_step(G, H, desc, ctx)
-        # G lies in prod(N, Q) exactly when Q(G) lies in N
-        member = cache(lambda: member_of_variety(verbal, desc.left,
-                                                 ctx.budgets, ctx.fixtures))
         if covers:
             inner = epi_decide(verbal, trace, desc.left, ctx)
             if inner.outcome == EPI:
@@ -516,10 +512,13 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
                 and product_covers(G, H, N, ctx.budgets)
                 and H.order() < G.order())
     if kind == "separating-pair":
-        C = _catalog_entry(_group_from_json(cert["codomain"]), ctx)
-        # a pair separates in the variety only if its codomain lies in it
-        if _catalog_membership(C, desc, ctx,
-                               _membership_key(desc, ctx)) is not True:
+        codomain = _group_from_json(cert["codomain"])
+        C = _catalog_entry(codomain, ctx)
+        # a pair separates in the variety only if its codomain lies in it;
+        # the context keeps the answers of catalog members only
+        answers = ({} if C is codomain
+                   else ctx.memberships.setdefault(str(desc), {}))
+        if _catalog_membership(C, desc, ctx, answers) is not True:
             return False
         # GroupHomomorphism validates well-definedness
         f = GroupHomomorphism(

@@ -364,13 +364,16 @@ class PermutationGroup:
     regular wreath), the conjugation columns, ``solvable_radical``,
     ``derived_series``, ``class_representatives`` and ``exponent``, a
     source's Cayley walk, its ``all_homomorphisms`` lists (``"homs"``, one
-    per codomain object) and a codomain's element orders.  Each checks its
-    budgets before the lookup, so a tighter budget still raises after an
-    earlier looser call, as ``elements`` does.  The separating-pair
-    search keeps a catalog member's variety memberships in
-    ``"variety_membership"``, keyed by the descriptor, the budgets and,
-    for a ``var:`` part, the fixtures, since every context in a process
-    shares the bundled catalog.
+    per codomain object), a codomain's element orders, its verbal
+    subgroups (``"q_verbal"``, by descriptor and budgets) and, for the
+    group generating a ``var:`` variety, the membership screen
+    (``"screen_families"``).  Each checks its budgets before the lookup, so
+    a tighter budget still raises after an earlier looser call, as
+    ``elements`` does.
+
+    Memo keys: cayley_walk class_representatives conj derived_series
+    element_orders exponent homs indexed is_solvable members q_verbal
+    screen_families solvable_radical
 
     A group made by ``subgroup()`` keeps its root ambient in ``_ambient``.
     Exactly while that root is listed (``root._elements is not None``),

@@ -24,6 +24,25 @@ from .words import Word
 Monomial = tuple[int, ...]  # sequence over variable indices 1..k
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve primes: exact below 3.1 * 10**23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class SeriesParams:
     p: int
@@ -31,7 +50,7 @@ class SeriesParams:
     truncation: int
 
     def __post_init__(self):
-        if self.p < 2:
+        if not _is_prime(self.p):
             raise GroupError("p must be a prime >= 2")
         if self.variables < 1:
             raise GroupError("need at least one variable")
@@ -58,10 +77,6 @@ class TruncatedSeries:
         self.terms = clean
 
     # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def zero(params: SeriesParams) -> TruncatedSeries:
-        return TruncatedSeries(params, {})
 
     @staticmethod
     def one(params: SeriesParams) -> TruncatedSeries:
@@ -227,6 +242,8 @@ def law_failure_witness(word: Word, p: int) -> WitnessReport:
     """
     if word.is_identity():
         raise GroupError("the empty word is a law of every group")
+    if not _is_prime(p):  # p_adic_split would divide by p forever
+        raise GroupError(f"p must be a prime >= 2, got {p}")
     splits = [p_adic_split(exp, p) for _, exp in word.letters]
     degree_sum = sum(p ** k for _, k in splits)
     d = degree_sum + 1

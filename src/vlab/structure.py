@@ -200,14 +200,12 @@ def exponent(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS) -> int:
 
 
 def normalizer(G: PermutationGroup, D: PermutationGroup,
-               budgets: Budgets = DEFAULT_BUDGETS,
-               seed: PermutationGroup | None = None) -> PermutationGroup:
-    """N_G(D) by scanning coset representatives of a known subgroup of it.
+               budgets: Budgets = DEFAULT_BUDGETS) -> PermutationGroup:
+    """N_G(D) by scanning G for elements outside the part found so far.
 
-    D itself (and the optional seed, which the caller promises normalizes D)
-    always lie in the normalizer, so it suffices to test one representative
-    per coset of that known part; the scan is plain brute force, bounded by
-    the documented budget.
+    D itself always lies in the normalizer, so the scan starts from D and
+    tests at most one representative per coset of each part found; it is
+    plain brute force, bounded by the documented budget.
     """
     n = G.order()
     check_budget("max_normalizer", budgets.max_normalizer, n)
@@ -218,12 +216,8 @@ def normalizer(G: PermutationGroup, D: PermutationGroup,
     def normalizes(g: Permutation) -> bool:
         return all((d ** g).images in d_elements for d in D.generators)
 
-    known_gens = list(D.generators)
-    if seed is not None:
-        known_gens.extend(seed.generators)
-    known = G.subgroup(known_gens)
-    result_gens = known_gens[:]
-    result = known
+    result_gens = list(D.generators)
+    result = G.subgroup(result_gens)
     for g in G.elements(budgets.max_enumerate):
         if result.contains(g):
             continue

@@ -8,7 +8,9 @@ by a Q-group.
 
 The verbal subgroup of a product is computed with the identity
 ``(NQ)(G) = N(Q(G))``, which the test suite validates against the brute-force
-value collection on small groups via the universal property.
+value collection on small groups via the universal property.  Membership
+uses G in ``prod(N, Q)`` iff Q(G) in N; both read ``q_verbal``'s memoised
+Q(G).  A law word spelling Nc:c or Sl:n is answered by that family.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from math import gcd
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceeded, FixtureGap, GroupError, ParseError
 from .perm import PermutationGroup, all_tuples
-from .structure import (class_representatives, derived_series,
-                        derived_subgroup, exponent, generated_subgroup,
-                        lower_central_series, normal_closure)
+from .structure import (class_representatives, derived_length,
+                        derived_series, derived_subgroup, exponent,
+                        generated_subgroup, lower_central_series,
+                        normal_closure)
 from .words import (Word, as_derived_law, as_nilpotency_law, as_power_law,
                     derived_law, nilpotency_law, parse_word)
 
@@ -97,10 +100,12 @@ def parse_descriptor(text: str) -> Descriptor:
     s = text.strip()
     if s == "A":
         return Abelian()
-    if s.startswith("Nc:"):
-        return NilpotentClass(int(s[3:]))
-    if s.startswith("Sl:"):
-        return SolvableLength(int(s[3:]))
+    for prefix, family in (("Nc:", NilpotentClass), ("Sl:", SolvableLength)):
+        if s.startswith(prefix):
+            try:
+                return family(int(s[3:]))
+            except ValueError:
+                raise ParseError(f"{prefix} needs an integer: {text!r}") from None
     if s.startswith("var:"):
         name = s[4:].strip()
         if not name:
@@ -211,6 +216,15 @@ def eval_word(word: Word, values, G: PermutationGroup):
     return word.evaluate(list(values) + [G.identity()])
 
 
+def _word_family(word: Word):
+    """The named family a law word defines (Nc:c or Sl:n), else None."""
+    c = as_nilpotency_law(word)
+    if c is not None:
+        return NilpotentClass(c)
+    n = as_derived_law(word)
+    return None if n is None else SolvableLength(n)
+
+
 def _value_seed(G: PermutationGroup, word: Word, budgets: Budgets):
     """Generators for the single-word verbal subgroup, by strategy.
 
@@ -223,13 +237,9 @@ def _value_seed(G: PermutationGroup, word: Word, budgets: Budgets):
         reps = class_representatives(G, budgets)
         values = [r ** e for r in reps]
         return normal_closure(G, [v for v in values if not v.is_identity()])
-    c = as_nilpotency_law(word)
-    if c is not None:
-        return lower_central_series(G, c)[c]
-    n = as_derived_law(word)
-    if n is not None:
-        series = derived_series(G)
-        return series[min(n, len(series) - 1)]
+    family = _word_family(word)
+    if family is not None:
+        return q_verbal(G, family, budgets)
     # fallback: full tuple enumeration under budget
     elements = G.elements(budgets.max_enumerate)
     values = set()
@@ -263,13 +273,9 @@ def _law_holds(G: PermutationGroup, word: Word, budgets: Budgets) -> bool:
     e = as_power_law(word)
     if e is not None:
         return e % exponent(G, budgets) == 0
-    c = as_nilpotency_law(word)
-    if c is not None:
-        return lower_central_series(G, c)[c].order() == 1
-    n = as_derived_law(word)
-    if n is not None:
-        series = derived_series(G)
-        return series[-1].order() == 1 and len(series) - 1 <= n
+    family = _word_family(word)
+    if family is not None:
+        return member_of_variety(G, family, budgets)
     elements = G.elements(budgets.max_enumerate)
     for tup in all_tuples(elements, word.arity, budgets.max_tuples):
         if not word.evaluate(list(tup)).is_identity():
@@ -311,7 +317,22 @@ def satisfies_laws(G: PermutationGroup, laws,
 def q_verbal(G: PermutationGroup, desc: Descriptor,
              budgets: Budgets = DEFAULT_BUDGETS,
              fixtures=()) -> PermutationGroup:
-    """The verbal subgroup of G for desc: the least normal N with G/N in desc."""
+    """The verbal subgroup of G for desc: the least normal N with G/N in desc.
+
+    Kept in ``G.memo("q_verbal")`` by (desc, budgets), so a tighter budget
+    still raises after a looser call; an exception leaves no entry.  No
+    fixture is read: a ``var:`` part raises FixtureGap on nontrivial G.
+    """
+    memo = G.memo("q_verbal", dict)
+    key = (desc, budgets)
+    if key not in memo:
+        memo[key] = _compute_verbal(G, desc, budgets)
+    return memo[key]
+
+
+def _compute_verbal(G: PermutationGroup, desc: Descriptor,
+                    budgets: Budgets) -> PermutationGroup:
+    """q_verbal(G, desc), computed."""
     if isinstance(desc, Abelian):
         return derived_subgroup(G)
     if isinstance(desc, NilpotentClass):
@@ -322,8 +343,7 @@ def q_verbal(G: PermutationGroup, desc: Descriptor,
     if isinstance(desc, Laws):
         return verbal_subgroup(G, desc.words, budgets)
     if isinstance(desc, ProductVariety):
-        inner = q_verbal(G, desc.right, budgets, fixtures)
-        return q_verbal(inner, desc.left, budgets, fixtures)
+        return q_verbal(q_verbal(G, desc.right, budgets), desc.left, budgets)
     if isinstance(desc, VarOfGroup):
         if G.order() == 1:
             return G.subgroup([G.identity()])
@@ -349,6 +369,7 @@ def member_of_variety(G: PermutationGroup, desc: Descriptor,
         return all(_law_holds(G, w, budgets) for w in desc.words
                    if not w.is_identity())
     if isinstance(desc, ProductVariety):
+        # G lies in prod(N, Q) exactly when Q(G) lies in N
         inner = q_verbal(G, desc.right, budgets, fixtures)
         return member_of_variety(inner, desc.left, budgets, fixtures)
     if isinstance(desc, VarOfGroup):
@@ -358,10 +379,10 @@ def member_of_variety(G: PermutationGroup, desc: Descriptor,
         # necessary-condition screen: laws that hold in the generating group
         # must hold in every member.
         generator = _resolve_variety_group(desc, fixtures)
-        if generator is not None:
-            for law in _screen_laws(generator, budgets):
-                if not _law_holds(G, law, budgets):
-                    return False
+        if generator is not None and any(
+                member_of_variety(G, family, budgets) is False
+                for family in _screen_families(generator, budgets)):
+            return False
         return None
     raise GroupError(f"unhandled descriptor {desc!r}")
 
@@ -379,16 +400,26 @@ def _resolve_variety_group(desc: VarOfGroup, fixtures):
         return None
 
 
-def _screen_laws(S: PermutationGroup, budgets: Budgets):
-    """Cheap sampled laws of S: the exponent law and small named families."""
-    laws = [Word.variable(1, exponent(S, budgets))]
-    for c in (1, 2):
-        if lower_central_series(S, c)[c].order() == 1:
-            laws.append(nilpotency_law(c))
-    series = derived_series(S)
-    if series[-1].order() == 1:
-        laws.append(derived_law(len(series) - 1))
-    return laws
+def _screen_families(S: PermutationGroup, budgets: Budgets):
+    """Cheap varieties containing S: its exponent law, Nc:1, Nc:2 and Sl:n
+    for its derived length n, each kept if S lies in it.  Memoised in
+    ``S.memo("screen_families")`` once exponent() has checked the budget."""
+    e = exponent(S, budgets)
+
+    def compute():
+        n = derived_length(S) or 1  # a nonsolvable S is not in Sl:1
+        candidates = (Laws((Word.variable(1, e),)), NilpotentClass(1),
+                      NilpotentClass(2), SolvableLength(n))
+        return tuple(d for d in candidates if member_of_variety(S, d, budgets))
+
+    return S.memo("screen_families", compute)
+
+
+def _both(left: str, right: str) -> str:
+    """Three-valued: a product has the property iff both factors have it."""
+    if left == YES and right == YES:
+        return YES
+    return NO if NO in (left, right) else UNKNOWN
 
 
 def is_trivial_variety(desc: Descriptor, fixtures=()) -> str:
@@ -403,11 +434,8 @@ def is_trivial_variety(desc: Descriptor, fixtures=()) -> str:
                 for w in desc.words for var in range(1, w.arity + 1)]
         return YES if gcd(*sums) == 1 else NO
     if isinstance(desc, ProductVariety):
-        left = is_trivial_variety(desc.left, fixtures)
-        right = is_trivial_variety(desc.right, fixtures)
-        if left == YES and right == YES:
-            return YES
-        return NO if NO in (left, right) else UNKNOWN
+        return _both(is_trivial_variety(desc.left, fixtures),
+                     is_trivial_variety(desc.right, fixtures))
     if isinstance(desc, VarOfGroup):
         generator = _resolve_variety_group(desc, fixtures)
         if generator is None:
@@ -421,13 +449,8 @@ def is_solvable_variety(desc: Descriptor, fixtures=()) -> str:
     if isinstance(desc, (Abelian, NilpotentClass, SolvableLength)):
         return YES
     if isinstance(desc, ProductVariety):
-        left = is_solvable_variety(desc.left, fixtures)
-        right = is_solvable_variety(desc.right, fixtures)
-        if left == YES and right == YES:
-            return YES
-        if NO in (left, right):
-            return NO
-        return UNKNOWN
+        return _both(is_solvable_variety(desc.left, fixtures),
+                     is_solvable_variety(desc.right, fixtures))
     if isinstance(desc, VarOfGroup):
         generator = _resolve_variety_group(desc, fixtures)
         if generator is not None and generator.order() > 1:

@@ -6,6 +6,7 @@ from vlab.catalog import (bundled_catalog, bundled_fixtures, dicyclic,
                           parse_catalog, parse_fixtures, regular_semidirect,
                           resolve_group_name, serialize_catalog,
                           serialize_fixtures)
+from vlab.constructions import MAX_DEGREE
 from vlab.errors import GroupError, ParseError
 from vlab.structure import derived_subgroup, quotient
 
@@ -116,6 +117,13 @@ class TestCatalogFiles:
         with pytest.raises(ParseError) as exc:
             parse_catalog(text)
         assert "line 2" in str(exc.value)
+
+    def test_degree_above_the_construction_cap_rejected(self):
+        degree = MAX_DEGREE + 1
+        images = " ".join(map(str, [1, 0, *range(2, degree)]))
+        with pytest.raises(ParseError) as exc:
+            parse_catalog(f"big | {degree} | {images}\n")
+        assert "line 1" in str(exc.value)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ParseError) as exc:

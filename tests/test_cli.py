@@ -2,6 +2,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from vlab.cli import build_parser, main
 from vlab.catalog import bundled_catalog, serialize_catalog
 
@@ -193,6 +195,17 @@ class TestFormatsAndFiles:
                                  "-p", "2")
         assert code == 1
         assert "position" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("magnus", "--word", "x1", "-p", "1"),
+        ("magnus", "--word", "x1", "-p", "0"),
+        ("magnus", "--word", "x1", "-p", "4"),
+        ("verbal", "--group", "S3", "--descriptor", "Nc:x"),
+        ("verbal", "--group", "S3", "--descriptor", "Sl:")])
+    def test_bad_input_exits_1_without_a_traceback(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert err.strip() and "Traceback" not in err
 
     def test_budget_flags_echoed(self, capsys):
         code, report = run_json(capsys, "--max-wreath-top", "6", "wreath",

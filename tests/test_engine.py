@@ -5,9 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vlab import engine, varieties
+from vlab import homs, varieties
 from vlab.catalog import resolve_group_name
 from vlab.config import Budgets
+from vlab.constructions import MAX_DEGREE
 from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext, EpiVerdict,
                          EscapeExhausted, dominion_bounds, epi_decide,
                          find_wreath_escape, is_simple_nonabelian, mckay_bound,
@@ -205,6 +206,20 @@ class TestDominionBounds:
         assert bounds.upper.order() == 12
 
 
+def sweep_on_catalog_copies(ctx, desc):
+    """Decide every proper subgroup of every catalog group of order <= 24
+    in a context on catalog copies of its own, so no memo starts warm."""
+    fresh = EngineContext(fixtures=ctx.fixtures, catalog=[
+        PermutationGroup(C.degree, C.generators, name=C.name)
+        for C in ctx.catalog])
+    for G in fresh.catalog:
+        if G.order() > 24:
+            continue
+        for H in all_subgroups(G):
+            if H.order() < G.order():
+                epi_decide(G, H, desc, fresh)
+
+
 class TestEpiDecide:
     def test_fixture_instance(self, ctx, a5, a4_in_a5):
         verdict = epi_decide(a5, a4_in_a5, VarOfGroup("A5"), ctx)
@@ -358,40 +373,36 @@ class TestEpiDecide:
 
     def test_product_rules_compute_each_verbal_subgroup_once(
             self, ctx, monkeypatch):
-        # G lies in prod(N, Q) exactly when Q(G) lies in N, so the guard of
-        # inner-dominion-failure and the Neumann step reuse the product
-        # step's Q(G); calls made by the separating-pair search are left
-        # out, since it tests each catalog codomain (G among them) anew
-        calls, searching = [], []
-        q_verbal, search = varieties.q_verbal, engine.separating_pair_search
+        # G lies in prod(N, Q) exactly when Q(G) lies in N, and q_verbal
+        # keeps each Q(G) on G: the product step, the membership guards and
+        # the separating-pair search share it, so over the whole sweep no
+        # (group, descriptor, budgets) is computed twice
+        computed = []
+        compute = varieties._compute_verbal
 
-        def counting(G, desc, *args, **kwargs):
-            if not searching:
-                calls.append((G, str(desc)))
-            return q_verbal(G, desc, *args, **kwargs)
+        def counting(G, desc, budgets):
+            computed.append((G, desc, budgets))
+            return compute(G, desc, budgets)
 
-        def flagged(*args, **kwargs):
-            searching.append(True)
-            try:
-                return search(*args, **kwargs)
-            finally:
-                searching.pop()
+        monkeypatch.setattr(varieties, "_compute_verbal", counting)
+        sweep_on_catalog_copies(ctx, parse_descriptor("prod(A,A)"))
+        keys = [(id(K), d, b) for K, d, b in computed]  # computed holds each K
+        assert computed and len(set(keys)) == len(keys)
 
-        monkeypatch.setattr(varieties, "q_verbal", counting)
-        monkeypatch.setattr(engine, "q_verbal", counting)
-        monkeypatch.setattr(engine, "separating_pair_search", flagged)
-        desc = parse_descriptor("prod(A,A)")
-        for G in ctx.catalog:
-            if G.order() > 24:
-                continue
-            for H in all_subgroups(G):
-                if H.order() == G.order():
-                    continue
-                calls.clear()
-                epi_decide(G, H, desc, ctx)
-                pairs = [(id(K), d) for K, d in calls]  # calls holds each K
-                assert calls and len(set(pairs)) == len(pairs), (
-                    G.name, H.generators)
+    def test_product_rules_enumerate_each_hom_list_once(self, ctx,
+                                                         monkeypatch):
+        # the inner decide on the one Q(G) object finds its hom lists warm
+        runs = []
+        enumerate_homs = homs._enumerate_homs
+
+        def counting(G, C, budgets):
+            runs.append((G.generators, C))
+            return enumerate_homs(G, C, budgets)
+
+        monkeypatch.setattr(homs, "_enumerate_homs", counting)
+        sweep_on_catalog_copies(ctx, parse_descriptor("prod(A,A)"))
+        keys = [(gens, id(C)) for gens, C in runs]  # runs holds each C
+        assert runs and len(set(keys)) == len(keys)
 
     def test_h_not_subgroup_rejected(self, ctx, a5):
         with pytest.raises(GroupError):
@@ -494,6 +505,19 @@ class TestCertificateSoundness:
         # the same maps do separate in Sl:2, which contains S3
         metabelian = parse_descriptor("Sl:2")
         assert verify_certificate(s3, h, metabelian, forged, ctx) is True
+
+    def test_codomain_degree_is_bounded_before_parsing(self, ctx, c4):
+        # the declared degree sets the cost of rebuilding the codomain; a
+        # valid pair into C2 declared on MAX_DEGREE + 1 points is refused
+        one = c4.subgroup([c4.identity()])
+        desc = parse_descriptor("laws:{x1^6}")
+        verdict = epi_decide(c4, one, desc, ctx)
+        assert verdict.certificate["kind"] == "separating-pair"
+        assert verdict.certificate["codomain"]["degree"] == 2
+        assert verify_certificate(c4, one, desc, verdict, ctx)
+        huge = copy.deepcopy(verdict)
+        huge.certificate["codomain"]["degree"] = MAX_DEGREE + 1
+        assert verify_certificate(c4, one, desc, huge, ctx) is False
 
     def test_solvable_class_rule_is_no_certificate_kind(self, ctx, c4,
                                                         c2_in_c4):

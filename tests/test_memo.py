@@ -1,8 +1,9 @@
 """The per-group memo behind solvable_radical, derived_series, exponent,
-class_representatives, indexed, all_homomorphisms and the separating-pair
-search's catalog membership: budgets before the cache, fresh lists, one
-element index shared by its clients, and cached answers equal to answers
-computed on a fresh group, whatever ran before on the shared catalog."""
+class_representatives, indexed, all_homomorphisms, q_verbal and the var:
+screen, and the context's catalog memberships: budgets before the cache,
+fresh lists, one element index shared by its clients, and cached answers
+equal to answers computed on a fresh group, whatever ran before on the
+shared catalog."""
 
 import json
 from math import lcm
@@ -20,7 +21,7 @@ from vlab.perm import (PermutationGroup, cyclic_group, dihedral_group,
                        symmetric_group)
 from vlab.structure import (all_subgroups, class_representatives,
                             derived_series, exponent, solvable_radical)
-from vlab.varieties import parse_descriptor
+from vlab.varieties import member_of_variety, parse_descriptor, q_verbal
 
 S3 = symmetric_group(3)
 
@@ -64,9 +65,16 @@ def test_memo_computes_once_per_key():
      Budgets(max_enumerate=10), ("max_enumerate", 10, 24)),
     (lambda G, budgets=DEFAULT_BUDGETS: all_homomorphisms(S3, G, budgets),
      Budgets(max_enumerate=10), ("max_enumerate", 10, 24)),
+    (lambda G, budgets=DEFAULT_BUDGETS: q_verbal(
+        G, parse_descriptor("laws:{x1^6}"), budgets),
+     Budgets(max_enumerate=10), ("max_enumerate", 10, 24)),
+    # the var:S4 screen is kept on the catalog's S4, after its exponent
+    (lambda G, budgets=DEFAULT_BUDGETS: member_of_variety(
+        cyclic_group(2), parse_descriptor("var:S4"), budgets),
+     Budgets(max_enumerate=10), ("max_enumerate", 10, 24)),
 ], ids=["radical-normal-enumeration", "radical-enumerate", "class-reps",
         "exponent", "indexed", "homs-product", "homs-source-enumerate",
-        "homs-codomain-enumerate"])
+        "homs-codomain-enumerate", "q-verbal", "var-screen"])
 def test_budget_is_checked_before_the_cache(query, budgets, expected):
     S4 = symmetric_group(4)
     query(S4)  # fills the memo under the default budgets

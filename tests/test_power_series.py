@@ -182,6 +182,18 @@ class TestLawFailureWitness:
         with pytest.raises(GroupError):
             law_failure_witness(Word.identity(), 2)
 
+    @pytest.mark.parametrize("p", [1, 0, -3, 4, 9, 561])
+    def test_p_must_be_prime(self, p):
+        # p = 1 would split each exponent by p forever, p = 0 divide by 0
+        with pytest.raises(GroupError):
+            law_failure_witness(Word.variable(1), p)
+        with pytest.raises(GroupError):
+            SeriesParams(p, 1, 2)
+
+    def test_large_prime_is_accepted_at_once(self):
+        p = 2 ** 61 - 1
+        assert law_failure_witness(Word.variable(1), p).consistent
+
     def test_prediction_matches_extraction_on_random_words(self):
         rng = random.Random(77)
         letters = [(1, 1), (1, -1), (1, 2), (2, 1), (2, -1), (3, 1), (3, 2)]

@@ -3,7 +3,8 @@ perm.py may touch the per-group memo other than through
 PermutationGroup.memo, only perm.py may build an element-position index
 (PermutationGroup.indexed), only perm.py may sift image tuples or read a
 chain level's inverse transversal, and only perm.py may read a subgroup's
-root ambient or its member positions."""
+root ambient or its member positions.  The PermutationGroup docstring names
+every per-group memo key that src/vlab uses, and no other."""
 
 import ast
 from pathlib import Path
@@ -153,3 +154,35 @@ def test_perm_module_holds_the_position_path():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_module_outside_perm_touches_the_position_path(path):
     assert position_path_uses(path.read_text(encoding="utf-8")) == []
+
+
+def memo_keys(source: str) -> set[str]:
+    """The literal first arguments of `.memo(...)` and `.members_memo(...)`."""
+    return {node.args[0].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("memo", "members_memo")
+            and node.args and isinstance(node.args[0], ast.Constant)}
+
+
+def documented_memo_keys() -> set[str]:
+    """The keys of the "Memo keys:" paragraph of the PermutationGroup
+    docstring."""
+    tree = ast.parse((SRC / "perm.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "PermutationGroup")
+    doc = ast.get_docstring(cls)
+    start = doc.index("Memo keys:")
+    paragraph = doc[start:].split("\n\n")[0]
+    return set(paragraph.removeprefix("Memo keys:").split())
+
+
+def test_detector_collects_literal_memo_keys():
+    assert memo_keys("G.memo('a', f)\nH.members_memo('b', g)\n"
+                     "G.memo(key, f)\nmemo('c', f)\n") == {"a", "b"}
+
+
+def test_memo_key_list_names_exactly_the_keys_in_use():
+    used = set().union(*(memo_keys(p.read_text(encoding="utf-8"))
+                         for p in SRC.glob("*.py")))
+    assert documented_memo_keys() == used

@@ -4,6 +4,7 @@ import pytest
 
 from tests.conftest import mulclose
 from vlab.catalog import resolve_group_name
+from vlab.config import DEFAULT_BUDGETS, Budgets
 from vlab.errors import FixtureGap, ParseError
 from vlab.perm import cyclic_group, parse_permutation, symmetric_group
 from vlab.structure import normal_subgroups, quotient
@@ -55,10 +56,17 @@ class TestDescriptorParsing:
             assert parse_descriptor(str(desc)) == desc
 
     @pytest.mark.parametrize("bad", ["B", "Nc:", "laws:{}", "prod(A)",
-                                     "var:"])
+                                     "var:", "Nc:x", "Sl:", "Nc:1.5",
+                                     "Sl:two"])
     def test_errors(self, bad):
-        with pytest.raises((ParseError, ValueError)):
+        with pytest.raises(ParseError):
             parse_descriptor(bad)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("Nc: 2", NilpotentClass(2)), ("Nc:+2", NilpotentClass(2)),
+        ("Sl:03", SolvableLength(3)), ("Sl:1_0", SolvableLength(10))])
+    def test_every_int_spelling_parses(self, text, expected):
+        assert parse_descriptor(text) == expected
 
     def test_equality_is_syntactic(self):
         # no semantic normalization across descriptor forms
@@ -157,6 +165,19 @@ class TestQVerbal:
         with pytest.raises(FixtureGap):
             q_verbal(symmetric_group(3), VarOfGroup("A5"))
 
+    def test_kept_per_descriptor_and_budgets(self):
+        G, desc = symmetric_group(4), ProductVariety(Abelian(), Abelian())
+        first = q_verbal(G, desc)
+        assert q_verbal(G, desc) is first
+        other = q_verbal(G, desc, Budgets(max_tuples=5))
+        assert other is not first and other.same_group_as(first)
+
+    def test_a_fixture_gap_leaves_no_entry(self):
+        G, desc = symmetric_group(3), VarOfGroup("A5")
+        with pytest.raises(FixtureGap):
+            q_verbal(G, desc)
+        assert (desc, DEFAULT_BUDGETS) not in G.memo("q_verbal", dict)
+
     def test_universal_property_validates_product_identity(self):
         # for every normal N: G/N in V  <=>  V(G) <= N; with V = prod(A,A)
         # this simultaneously checks (NQ)(G) = N(Q(G))
@@ -241,6 +262,26 @@ class TestSolvableVarietyRule:
         assert is_solvable_variety(VarOfGroup("A5"), ctx.fixtures) == NO
         assert is_solvable_variety(
             ProductVariety(VarOfGroup("A5"), Abelian()), ctx.fixtures) == NO
+
+
+# one descriptor per answer of each structural question
+TRIVIAL = {YES: "laws:{x1}", NO: "A", UNKNOWN: "var:NoSuchGroup"}
+SOLVABLE = {YES: "A", NO: "var:A5", UNKNOWN: "laws:{x1^2}"}
+
+
+@pytest.mark.parametrize("left", [YES, NO, UNKNOWN])
+@pytest.mark.parametrize("right", [YES, NO, UNKNOWN])
+@pytest.mark.parametrize("question,examples", [
+    (is_trivial_variety, TRIVIAL), (is_solvable_variety, SOLVABLE)],
+    ids=["trivial", "solvable"])
+def test_a_product_has_the_property_iff_both_factors_do(question, examples,
+                                                        left, right):
+    assert question(parse_descriptor(examples[left])) == left
+    assert question(parse_descriptor(examples[right])) == right
+    product = parse_descriptor(f"prod({examples[left]},{examples[right]})")
+    expected = (YES if left == right == YES
+                else NO if NO in (left, right) else UNKNOWN)
+    assert question(product) == expected
 
 
 class TestTrivialVariety:
