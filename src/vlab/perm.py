@@ -380,7 +380,8 @@ class PermutationGroup:
     ``order``, ``contains`` and ``elements`` read the ``"members"`` memo
     entry: the positions of the group's elements in the root's list, at
     most |root| of them, or None (decided once) when a generator lies
-    outside the root and the chain answers.  Any other listed group
+    outside the root and the chain answers.  ``subgroup_at`` fills the
+    entry from positions its caller already walked.  Any other listed group
     answers ``contains`` from its own index.
 
     ``members_memo(key, compute)`` caches a query whose value depends only
@@ -567,6 +568,18 @@ class PermutationGroup:
         H._ambient = self if self._ambient is None else self._ambient
         return H
 
+    def subgroup_at(self, generators, positions: frozenset[int]
+                    ) -> PermutationGroup:
+        """subgroup(generators), whose elements the caller knows to sit at
+        positions of this listed group's elements.  A root stores them as
+        the member set, so the subgroup's order, contains and elements do
+        no walk; under another root they are not the root's positions and
+        the subgroup walks its own on first use."""
+        H = self.subgroup(generators)
+        if self._ambient is None:
+            H.memo("members", lambda: positions)
+        return H
+
     def is_subgroup_of(self, other: PermutationGroup) -> bool:
         if self.degree != other.degree:
             return False
@@ -596,6 +609,20 @@ def walk(seen: set, stack: list, cols) -> set:
     """seen plus every position reached from stack along the columns."""
     seen.update(stack)
     while stack:
+        x = stack.pop()
+        for c in cols:
+            if c[x] not in seen:
+                seen.add(c[x])
+                stack.append(c[x])
+    return seen
+
+
+def walk_capped(seen: set, stack: list, cols, cap: int) -> set:
+    """walk(), stopped as soon as seen holds more than cap positions; it
+    then returns what it has seen.  A function of its own, so that the
+    other walks do not pay for the check."""
+    seen.update(stack)
+    while stack and len(seen) <= cap:
         x = stack.pop()
         for c in cols:
             if c[x] not in seen:

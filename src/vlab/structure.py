@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import GroupError, check_budget
-from .perm import Permutation, PermutationGroup, walk
+from .perm import Permutation, PermutationGroup, walk, walk_capped
 
 
 def commutator(a: Permutation, b: Permutation) -> Permutation:
@@ -372,45 +372,73 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
     known subgroup H by one outside element e until no new subgroup appears.
     Once <e> is added, every e^k with k prime to ord(e) is skipped, since
     it generates the same subgroup.
-    Since <H, e> = <H, h1 e h2> for all h1, h2 in H, one e per double coset
-    HeH is tried: the first in canonical order, i.e. the least element of
-    its double coset.  The first e giving each subgroup is such a least
-    element, so the result is the same as extending by every e outside H.
+    Extension skips a try (H, e) only when an earlier try for the same H
+    formed <H, e>, so the least e giving each subgroup is always tried, and
+    the result (the subgroups, their generator tuples and their order) is
+    that of extending by every e outside H.  Four rules:
+    - The trivial subgroup is not extended: <1, e> = <e>, which the cyclic
+      phase listed.
+    - One e per cyclic subgroup and per double coset: only the least
+      generator r of each <r> is a candidate, since <H, e> = <H, r> for
+      every generator e of <r>; and a tried e marks HeH, since
+      <H, h1 e h2> = <H, e> for h1, h2 in H.  A marked element's <H, e>
+      is one an earlier try formed, so marked candidates are skipped.
+    - Prime index: if p = |<H, e> : H| is prime, the try marks all of
+      K = <H, e>.  For e' in K outside H, |<H, e'> : H| divides p and is
+      not 1, so <H, e'> = K.
+    - Lagrange cap: |<H, e>| is a multiple of |H| dividing |G|, so once the
+      closure walk holds more positions than the largest such proper
+      divisor of |G|, <H, e> = G and the walk stops.
     The walks run on G.indexed() positions: a subgroup is the set of its
     members' positions, closed along the multiplication columns.  Only G
-    builds a stabilizer chain; each new subgroup becomes one G.subgroup,
-    which answers its order and members from G's positions.
+    builds a stabilizer chain.  Each subgroup is one G.subgroup_at, which
+    keeps the walked positions as its member set when G is a root, so its
+    order, contains and elements do no second walk.
     Budgeted by max_normal_enumeration and max_enumerate on |G|.
     """
     check_budget("max_normal_enumeration", budgets.max_normal_enumeration,
                  G.order())
     elements, index, col = G.indexed(budgets.max_enumerate)
-    found = {frozenset([0]): G.subgroup([G.identity()])}  # identity is 0
+    n = len(elements)
+    everything = frozenset(range(n))
+    found = {frozenset([0]): G.subgroup_at([G.identity()], frozenset([0]))}
     cyclic_generators = {0}
+    firsts = []  # the least generator of each cyclic subgroup but 1
     for i, e in enumerate(elements):
         if i in cyclic_generators:
             continue
         powers = [0, i]
         while powers[-1]:
             powers.append(col(i)[powers[-1]])
-        n = len(powers) - 1
-        cyclic_generators.update(powers[k] for k in range(n) if gcd(k, n) == 1)
-        found[frozenset(powers)] = G.subgroup([e])
-    frontier = list(found.items())
+        k = len(powers) - 1
+        cyclic_generators.update(powers[j] for j in range(k)
+                                 if gcd(j, k) == 1)
+        firsts.append(i)
+        key = frozenset(powers)
+        found[key] = G.subgroup_at([e], key)
+    frontier = list(found.items())[1:]  # <1, e> = <e> is listed already
     while frontier:
         new = []
         for members, H in frontier:
+            h = len(members)
             h_cols = [col(index[g.images]) for g in H.generators]
+            cap = max((d for d in range(h, n, h) if n % d == 0), default=h)
             marked = set(members)
-            for i, e in enumerate(elements):
+            for i in firsts:
                 if i in marked:
                     continue
-                coset = [col(i)[h] for h in members]
+                c = col(i)
+                coset = [c[x] for x in members]
                 walk(marked, list(coset), h_cols)
                 # a walk from H's members leaves H only through He
-                key = frozenset(walk(set(members), coset, h_cols + [col(i)]))
+                closure = walk_capped(set(members), coset, h_cols + [c], cap)
+                key = frozenset(closure) if len(closure) <= cap else everything
+                p = len(key) // h
+                if all(p % d for d in range(2, isqrt(p) + 1)):  # p is prime
+                    marked |= key
                 if key not in found:
-                    found[key] = G.subgroup(list(H.generators) + [e])
+                    found[key] = G.subgroup_at(
+                        list(H.generators) + [elements[i]], key)
                     new.append((key, found[key]))
         frontier = new
     ordered = sorted(found.items(),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .config import DEFAULT_BUDGETS, Budgets
@@ -388,14 +389,21 @@ def member_of_variety(G: PermutationGroup, desc: Descriptor,
 
 
 def _resolve_variety_group(desc: VarOfGroup, fixtures):
-    """The concrete group generating var:NAME, if a fixture names it."""
+    """The concrete group generating var:NAME: a fixture's group if one
+    names it, else the one group kept for NAME (None if nothing resolves
+    it), so its memos (the screen among them) are shared across calls."""
     for fx in fixtures:
         if fx.descriptor == desc and fx.kind == "known-member" \
                 and fx.group.name == desc.group_name:
             return fx.group
+    return _named_variety_group(desc.group_name)
+
+
+@cache
+def _named_variety_group(name: str):
     from .catalog import resolve_group_name
     try:
-        return resolve_group_name(desc.group_name)
+        return resolve_group_name(name)
     except (ParseError, KeyError):
         return None
 

@@ -1,14 +1,18 @@
 """`all_subgroups` against the plain layered closure it replaces.
 
 The oracle extends every known subgroup H by every element e outside H;
-`all_subgroups` tries one e per double coset HeH.  Both must return the
-same subgroups with the same generator tuples in the same order.
+`all_subgroups` skips the tries whose answer an earlier try already gave
+(one e per double coset HeH and per cyclic subgroup <e>, all of <H, e> at
+prime index, no extension of the trivial subgroup) and stops each closure
+at the Lagrange bound.  Both must return the same subgroups with the same
+generator tuples in the same order.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vlab.catalog import bundled_catalog, resolve_group_name
-from vlab import perm
+from vlab import perm, structure
 from vlab.perm import Permutation, PermutationGroup, alternating_group
 from vlab.structure import all_subgroups
 
@@ -102,3 +106,71 @@ def test_builds_no_chain_but_the_groups(G, monkeypatch):
     assert len(builds) == 1
     monkeypatch.undo()
     assert all(H.order() == len(H.elements()) for H in subgroups)
+
+
+def test_subgroups_come_with_their_member_sets():
+    G = PermutationGroup(4, resolve_group_name("S4").generators)
+    for H in all_subgroups(G):
+        stored = H.memo("members", lambda: pytest.fail("no member set"))
+        walked = G.subgroup(H.generators)
+        walked.order()
+        assert stored == walked.memo("members", lambda: None)
+
+
+def test_subgroups_of_a_listed_subgroup_answer_from_the_root():
+    # G's positions are not its root's, so no member set is stored from them
+    root = PermutationGroup(4, resolve_group_name("S4").generators)
+    root.elements()
+    G = root.subgroup(alternating_group(4).generators)
+    plain = PermutationGroup(4, G.generators)
+    subgroups, expected = all_subgroups(G), all_subgroups(plain)
+    assert lattice_signature(subgroups) == lattice_signature(expected)
+    for H, K in zip(subgroups, expected):
+        assert H.elements() == K.elements()
+        assert [H.contains(g) for g in root.elements()] == [
+            K.contains(g) for g in root.elements()]
+
+
+def test_walk_stops_once_past_the_cap():
+    G = resolve_group_name("S4")
+    _, index, col = G.indexed()
+    cols = [col(index[g.images]) for g in G.generators]
+    full = perm.walk({0}, [0], cols)
+    assert full == set(range(24))
+    capped = perm.walk_capped({0}, [0], cols, 12)
+    assert capped <= full and 12 < len(capped) <= 12 + len(cols)
+    assert perm.walk_capped({0}, [0], cols, 24) == full
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["S4", "C2^4", "D12", "A4xC2"]), data=st.data())
+def test_relabelled_groups_match_layered_closure(name, data):
+    # the skip rules follow canonical order, which a relabelling reshuffles
+    G = resolve_group_name(name)
+    sigma = data.draw(st.permutations(range(G.degree)))
+    relabelled_G = relabelled(G, Permutation(tuple(sigma)))
+    assert lattice_signature(all_subgroups(relabelled_G)) == lattice_signature(
+        layered_closure(relabelled_G))
+
+
+# two walks per try (marking, then the capped closure); the double-coset
+# closure alone made 234, 856 and 480
+@pytest.mark.parametrize("G,walks", [
+    (resolve_group_name("S4"), 182),
+    (alternating_group(5), 618),
+    (resolve_group_name("C2^4"), 450),
+], ids=["S4", "A5", "C2^4"])
+def test_pinned_walk_counts(G, walks, monkeypatch):
+    calls = []
+
+    def counting(walk):
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+        return counted
+
+    for name in ("walk", "walk_capped"):
+        monkeypatch.setattr(structure, name,
+                            counting(getattr(structure, name)))
+    all_subgroups(G)
+    assert len(calls) == walks

@@ -21,6 +21,7 @@ from vlab.perm import (PermutationGroup, cyclic_group, dihedral_group,
                        symmetric_group)
 from vlab.structure import (all_subgroups, class_representatives,
                             derived_series, exponent, solvable_radical)
+from vlab import varieties
 from vlab.varieties import member_of_variety, parse_descriptor, q_verbal
 
 S3 = symmetric_group(3)
@@ -243,3 +244,22 @@ def test_verdicts_do_not_depend_on_memo_state():
         G = next(C for C in ctx.catalog if C.name == name)
         fresh.update(verdicts(ctx, proper_subgroups(G), descriptors))
     assert fresh == warm
+
+
+def test_a_var_group_outside_the_catalog_is_built_and_screened_once(
+        monkeypatch):
+    desc = parse_descriptor("var:S6")
+    varieties._named_variety_group.cache_clear()
+    screened = []
+    derived_length = varieties.derived_length
+
+    def counting_derived_length(S):
+        screened.append(S)
+        return derived_length(S)
+
+    monkeypatch.setattr(varieties, "derived_length", counting_derived_length)
+    first = varieties._resolve_variety_group(desc, ())
+    assert first is varieties._resolve_variety_group(desc, ())
+    S4 = symmetric_group(4)
+    assert [member_of_variety(S4, desc) for _ in range(3)] == [None] * 3
+    assert screened == [first]
