@@ -28,8 +28,9 @@ hypotheses:
 * ``neumann-solvable-complement`` - needs G in the variety; a solvable
   normal N with NH = G and H proper: no proper such subgroup can be
   epimorphically embedded in any variety containing G.
-* ``separating-pair`` - needs the codomain in the variety; two
-  homomorphisms into it agreeing on the subgroup but not on the group.
+* ``separating-pair`` - needs the codomain C in the variety and every
+  generator image in C; two homomorphisms into C agreeing on the subgroup
+  but not on the group.
 * ``verbal-cover-failure`` - needs a nontrivial left factor N, which then
   contains some C_p, and C_p wr (G/V) separates the cosets of HV: so the
   dominion lies inside Q(G)H, of order |H||V|/|H intersect V|, which is
@@ -38,10 +39,17 @@ hypotheses:
   H intersect V is not epimorphically embedded in V within N.
 * ``epi-derivation`` - a tree whose internal nodes are product-splitting
   condition checks and whose leaves are fixtures (or the whole-group rule,
-  or a componentwise direct-power reduction to a fixture).
+  or a componentwise direct-power reduction to a fixture on disjoint point
+  blocks).
 
 ``verify_certificate`` is total: on malformed or tampered JSON it returns
-False and never raises.
+False and never raises.  Once a rule's hypotheses hold, a certificate
+without a witness (all kinds but the first two) must equal its builder's
+output on the recomputed groups, the builder the decider emits it with; an
+``inner`` certificate is checked by recursion.  The witness kinds are
+checked through their witnesses; the codomain's name and order,
+``subgroup_generators``, ``f_witness``, ``g_witness`` and the Neumann flags
+and orders are informational.
 """
 
 from __future__ import annotations
@@ -53,9 +61,9 @@ from .config import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceeded, FixtureGap, GroupError
 from .perm import (Permutation, PermutationGroup, parse_permutation,
                    trivial_group)
-from .structure import (is_normal, is_solvable, product_covers,
-                        product_subgroup, solvable_radical,
-                        subgroup_intersection)
+from .structure import (class_representatives, is_normal, is_solvable,
+                        normal_closure, product_covers, product_subgroup,
+                        solvable_radical, subgroup_intersection)
 from .homs import GroupHomomorphism, all_homomorphisms
 from .varieties import (NO, YES, Descriptor, ProductVariety,
                         find_epi_fixture, is_solvable_variety,
@@ -151,11 +159,50 @@ def _nontrivial_left(desc: ProductVariety, ctx: EngineContext) -> bool:
     return is_trivial_variety(desc.left, ctx.fixtures) == NO
 
 
+# -- one builder per certificate or node without a witness: the decider and the
+# pipeline emit it, the verifier compares with it --------------------------------
+
+
+def _cover_failure_cert(G: PermutationGroup, H: PermutationGroup,
+                        desc: ProductVariety, verbal: PermutationGroup,
+                        trace: PermutationGroup) -> dict:
+    return {"kind": "verbal-cover-failure",
+            "quotient_descriptor": str(desc.right),
+            "verbal_order": verbal.order(),
+            "bound_order": H.order() * verbal.order() // trace.order(),
+            "group_order": G.order()}
+
+
+def _inner_failure_cert(desc: ProductVariety, verbal: PermutationGroup,
+                        trace: PermutationGroup, inner: dict) -> dict:
+    return {"kind": "inner-dominion-failure",
+            "quotient_descriptor": str(desc.right),
+            "verbal_order": verbal.order(), "trace_order": trace.order(),
+            "inner": inner}
+
+
 def _splitting_node(desc: ProductVariety, verbal: PermutationGroup,
                     inner: dict) -> dict:
     return {"rule": "product-splitting",
             "quotient_descriptor": str(desc.right),
             "verbal_order": verbal.order(), "cover_ok": True, "inner": inner}
+
+
+def _whole_group_node() -> dict:
+    return {"rule": "whole-group"}
+
+
+def _fixture_node(fx) -> dict:
+    return {"rule": "fixture", "fixture": {
+        "kind": fx.kind, "group": _group_json(fx.group),
+        "subgroup": _group_json(fx.subgroup),
+        "descriptor": str(fx.descriptor), "provenance": fx.provenance}}
+
+
+def _power_node(fx, blocks: list) -> dict:
+    """The fixture lifted to the direct power on the given point blocks."""
+    return {**_fixture_node(fx), "rule": "direct-power-fixture",
+            "copies": len(blocks), "blocks": blocks}
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -206,7 +253,7 @@ def dominion_bounds(G: PermutationGroup, H: PermutationGroup,
         inner = dominion_bounds(verbal, trace, desc.left, ctx)
         lower = product_subgroup(G, H, inner.lower)
         if _nontrivial_left(desc, ctx):
-            upper, upper_is = (product_subgroup(G, verbal, H),
+            upper, upper_is = (mckay_bound(G, H, desc.left, desc.right, ctx),
                                "verbal subgroup times subgroup")
         else:
             upper, upper_is = G, f"the group ({desc.left} may be trivial)"
@@ -370,7 +417,7 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
         return _verdict(ctx, EPI, ["subgroup equals group: trivially "
                                    "epimorphic"], notes,
                         {"kind": "epi-derivation",
-                         "node": {"rule": "whole-group"}})
+                         "node": _whole_group_node()})
 
     # G's membership, computed once, and only when a rule reaches it
     member = cache(lambda: member_of_variety(G, desc, ctx.budgets,
@@ -394,13 +441,8 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
                 # assumes the ambient group lies in the product variety
                 membership = member()
                 if membership is True:
-                    certificate = {
-                        "kind": "inner-dominion-failure",
-                        "quotient_descriptor": str(desc.right),
-                        "verbal_order": verbal.order(),
-                        "trace_order": trace.order(),
-                        "inner": inner.certificate,
-                    }
+                    certificate = _inner_failure_cert(desc, verbal, trace,
+                                                      inner.certificate)
                     return _verdict(ctx, NOT_EPI, [
                         "subgroup times verbal subgroup covers the group, but",
                         f"the trace is not epimorphically embedded in the "
@@ -417,19 +459,12 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
                              f"{desc.left} is unknown")
             notes.extend(f"inner: {note}" for note in inner.notes)
         elif _nontrivial_left(desc, ctx):
-            bound_order = H.order() * verbal.order() // trace.order()
-            certificate = {
-                "kind": "verbal-cover-failure",
-                "quotient_descriptor": str(desc.right),
-                "verbal_order": verbal.order(),
-                "bound_order": bound_order,
-                "group_order": G.order(),
-            }
+            certificate = _cover_failure_cert(G, H, desc, verbal, trace)
             return _verdict(ctx, NOT_EPI, [
                 f"verbal subgroup for {desc.right} has order "
                 f"{verbal.order()}",
                 f"the dominion lies inside verbal*subgroup, of order "
-                f"{bound_order} < {G.order()}",
+                f"{certificate['bound_order']} < {G.order()}",
             ], notes, certificate)
         else:
             notes.append(f"verbal-cover-failure skipped: the left factor "
@@ -438,9 +473,7 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
     fx = find_epi_fixture(ctx.fixtures, G, H, desc)
     if fx is not None:
         return _verdict(ctx, EPI, [f"fixture: {fx.provenance}"], notes,
-                        {"kind": "epi-derivation",
-                         "node": {"rule": "fixture",
-                                  "fixture": _fixture_json(fx)}})
+                        {"kind": "epi-derivation", "node": _fixture_node(fx)})
     membership = member()
     if membership is True:
         verdict = neumann_not_epi_test(G, H, ctx)
@@ -457,16 +490,6 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
     notes.append("fixtures, solvable-complement test and separating-pair "
                  "search were all inconclusive")
     return _verdict(ctx, UNKNOWN, ["no decision path concluded"], notes)
-
-
-def _fixture_json(fx) -> dict:
-    return {
-        "kind": fx.kind,
-        "group": _group_json(fx.group),
-        "subgroup": None if fx.subgroup is None else _group_json(fx.subgroup),
-        "descriptor": str(fx.descriptor),
-        "provenance": fx.provenance,
-    }
 
 
 # -- certificate re-verification -------------------------------------------------------
@@ -520,13 +543,13 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
                    else ctx.memberships.setdefault(str(desc), {}))
         if _catalog_membership(C, desc, ctx, answers) is not True:
             return False
-        # GroupHomomorphism validates well-definedness
-        f = GroupHomomorphism(
-            G, C, _perms_from_json(cert["f_images"], C.degree),
-            budgets=ctx.budgets)
-        g = GroupHomomorphism(
-            G, C, _perms_from_json(cert["g_images"], C.degree),
-            budgets=ctx.budgets)
+        f_images = _perms_from_json(cert["f_images"], C.degree)
+        g_images = _perms_from_json(cert["g_images"], C.degree)
+        # the maps must land in C; GroupHomomorphism checks the edges only
+        if not all(C.contains(p) for p in f_images + g_images):
+            return False
+        f = GroupHomomorphism(G, C, f_images, budgets=ctx.budgets)
+        g = GroupHomomorphism(G, C, g_images, budgets=ctx.budgets)
         if not f.agrees_on(g, H, ctx.budgets):
             return False
         witness, = _perms_from_json([cert["witness"]], G.degree)
@@ -538,19 +561,16 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
         if not _nontrivial_left(desc, ctx):
             return False
         verbal, trace, covers = _product_step(G, H, desc, ctx)
-        return (verbal.order() == cert["verbal_order"]
-                and (H.order() * verbal.order() // trace.order()
-                     == cert["bound_order"])
-                and not covers)
+        return (not covers
+                and cert == _cover_failure_cert(G, H, desc, verbal, trace))
     if kind == "inner-dominion-failure" and isinstance(desc, ProductVariety):
         verbal, trace, _ = _product_step(G, H, desc, ctx)
+        inner = cert.get("inner")
         return (member_of_variety(verbal, desc.left, ctx.budgets,
                                   ctx.fixtures) is True
-                and verbal.order() == cert["verbal_order"]
-                and trace.order() == cert["trace_order"]
-                and _certified_outcome(cert["inner"]) == NOT_EPI
-                and _verify_cert(verbal, trace, desc.left, cert["inner"],
-                                 ctx))
+                and cert == _inner_failure_cert(desc, verbal, trace, inner)
+                and _certified_outcome(inner) == NOT_EPI
+                and _verify_cert(verbal, trace, desc.left, inner, ctx))
     if kind == "epi-derivation":
         return _verify_epi_node(G, H, desc, cert["node"], ctx)
     return False
@@ -561,52 +581,45 @@ def _verify_epi_node(G, H, desc, node, ctx) -> bool:
         return False
     rule = node.get("rule")
     if rule == "whole-group":
-        return H.order() == G.order()
+        return node == _whole_group_node() and H.order() == G.order()
     if rule == "fixture":
         fx = find_epi_fixture(ctx.fixtures, G, H, desc)
-        return fx is not None
+        return fx is not None and node == _fixture_node(fx)
     if rule == "product-splitting" and isinstance(desc, ProductVariety):
         verbal, trace, covers = _product_step(G, H, desc, ctx)
-        return (verbal.order() == node["verbal_order"] and covers
-                and _verify_epi_node(verbal, trace, desc.left, node["inner"],
-                                     ctx))
+        inner = node.get("inner")
+        return (covers and node == _splitting_node(desc, verbal, inner)
+                and _verify_epi_node(verbal, trace, desc.left, inner, ctx))
     if rule == "direct-power-fixture":
         return _verify_power_node(G, H, desc, node, ctx)
     return False
 
 
 def _verify_power_node(G, H, desc, node, ctx) -> bool:
-    """G must be the product of block copies of the fixture group, H the
-    matching power of the fixture subgroup; the dominion identity for finite
-    direct powers then lifts the fixture to the whole power."""
-    fx_data = node["fixture"]
-    if not isinstance(fx_data, dict):
+    """G must be the product of block copies of the fixture group, on
+    disjoint blocks, and H the matching power of the fixture subgroup; the
+    dominion identity for finite direct powers then lifts the fixture to the
+    whole power."""
+    blocks = node.get("blocks")
+    if not (isinstance(blocks, list)
+            and all(isinstance(block, list) for block in blocks)):
         return False
-    fixture_group = _group_from_json(fx_data["group"])
-    fixture_sub = _group_from_json(fx_data["subgroup"])
-    fx = find_epi_fixture(ctx.fixtures, fixture_group, fixture_sub, desc)
+    fx = next((fx for fx in ctx.fixtures
+               if fx.kind == "known-epi" and fx.descriptor == desc
+               and node == _power_node(fx, blocks)), None)
     if fx is None:
         return False
-    blocks = node["blocks"]
-    m = fixture_group.degree
-    if not (isinstance(blocks, list) and all(
-            isinstance(block, list) and len(block) == m
-            and all(isinstance(p, int) and 0 <= p < G.degree for p in block)
-            for block in blocks)):
-        return False
-    expected_order = 1
-    for block in blocks:
-        for g in fixture_group.generators:
-            embedded = _embed_on_points(g, block, G.degree)
-            if not G.contains(embedded):
-                return False
-        expected_order *= fixture_group.order()
-    if G.order() != expected_order:
+    points = [p for block in blocks for p in block]
+    if not (all(len(block) == fx.group.degree for block in blocks)
+            and all(type(p) is int and 0 <= p < G.degree for p in points)
+            and len(set(points)) == len(points)
+            and all(G.contains(_embed_on_points(g, block, G.degree))
+                    for block in blocks for g in fx.group.generators)
+            and G.order() == fx.group.order() ** len(blocks)):
         return False
     sub_gens = [_embed_on_points(h, block, G.degree)
-                for block in blocks for h in fixture_sub.generators]
-    power_sub = G.subgroup(sub_gens)
-    return power_sub.same_group_as(H)
+                for block in blocks for h in fx.subgroup.generators]
+    return G.subgroup(sub_gens).same_group_as(H)
 
 
 def _embed_on_points(p: Permutation, points, degree: int) -> Permutation:
@@ -622,11 +635,9 @@ def _embed_on_points(p: Permutation, points, degree: int) -> Permutation:
 def is_simple_nonabelian(S: PermutationGroup, ctx: EngineContext) -> bool:
     if S.is_abelian() or S.order() == 1:
         return False
-    from .structure import element_normal_closures
-    for closure in element_normal_closures(S, ctx.budgets):
-        if closure.order() != S.order():
-            return False
-    return True
+    return all(normal_closure(S, [r]).order() == S.order()
+               for r in class_representatives(S, ctx.budgets)
+               if not r.is_identity())
 
 
 @dataclass
@@ -772,11 +783,11 @@ def simpletimes_pipeline(S: PermutationGroup, H: PermutationGroup,
 
     Given a fixture asserting H is epimorphically embedded in the simple
     nonabelian S within N, pick a ladder group G in Q whose wreath escapes Q,
-    and check the product-splitting conditions for H wr G inside S wr G
-    mechanically: the verbal subgroup is the base power (dichotomy), the
-    subgroup covers it, and the trace is exactly H^G, whose dominion in S^G
-    is everything by the componentwise direct-power identity applied to the
-    fixture.
+    and derive H wr G inside S wr G: the verbal subgroup is the base power
+    (dichotomy), the subgroup covers it, and the trace is exactly H^G, whose
+    dominion in S^G is everything by the componentwise direct-power identity
+    applied to the fixture.  The derivation is checked by the verifier
+    before it is returned; a budget stop in that check propagates.
     """
     fx = find_epi_fixture(ctx.fixtures, S, H, ndesc)
     notes: list[str] = []
@@ -801,43 +812,29 @@ def simpletimes_pipeline(S: PermutationGroup, H: PermutationGroup,
     W = wreath.product
     desc = ProductVariety(ndesc, qdesc)
     embedded_sub = wreath.wreath_subgroup(H)
-    verbal, trace, covers = _product_step(W, embedded_sub, desc, ctx)
-    if verbal.order() == 1:
-        raise GroupError("escape witness is inside the variety after all "
-                         "(internal error)")
-    if not verbal.same_group_as(wreath.base_subgroup()):
-        raise GroupError("dichotomy violated for the escape witness "
-                         "(internal error)")
-    if not covers:
-        raise GroupError("wreath subgroup fails to cover (internal error)")
-    if not trace.same_group_as(wreath.base_power_subgroup(H)):
-        raise GroupError("trace is not the expected base power "
-                         "(internal error)")
+    base = wreath.base_subgroup()
     blocks = [list(wreath.block_range(c)) for c in range(wreath.block_count)]
-    power_node = {
-        "rule": "direct-power-fixture",
-        "fixture": _fixture_json(fx),
-        "copies": wreath.block_count,
-        "blocks": blocks,
-    }
+    node = _splitting_node(desc, base, _power_node(fx, blocks))
+    if not _verify_epi_node(W, embedded_sub, desc, node, ctx):
+        raise GroupError("the lifted derivation does not verify "
+                         "(internal error)")
     top_name = escape.top.name or f"order-{escape.top.order()}"
     verdict = _verdict(ctx, EPI, [
         f"escape: {top_name} lies in {qdesc} but the wreath product "
         f"does not",
         f"verbal subgroup of the wreath is the full base power "
-        f"(order {verbal.order()})",
+        f"(order {base.order()})",
         "the embedded wreath subgroup covers it",
         "its trace is the base power of the fixture subgroup; the "
         "componentwise direct-power identity reduces its dominion to "
         "the fixture",
         f"fixture: {fx.provenance}",
-    ], notes, {"kind": "epi-derivation",
-               "node": _splitting_node(desc, verbal, power_node)})
+    ], notes, {"kind": "epi-derivation", "node": node})
     details = {
         "wreath_order": W.order(),
         "wreath_degree": W.degree,
-        "verbal_order": verbal.order(),
+        "verbal_order": base.order(),
         "embedded_subgroup_order": embedded_sub.order(),
-        "trace_order": trace.order(),
+        "trace_order": wreath.base_power_subgroup(H).order(),
     }
     return PipelineReport(verdict=verdict, escape=escape, details=details)

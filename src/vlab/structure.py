@@ -274,8 +274,6 @@ def quotient(G: PermutationGroup, N: PermutationGroup,
         gen_images.append(Permutation(images))
     Q = PermutationGroup(len(reps), gen_images,
                          name=f"{G.name}/{N.name}" if G.name and N.name else None)
-    if Q.order() * N.order() != G.order():
-        raise GroupError("coset action has wrong order (internal error)")
     proj = GroupHomomorphism(G, Q, tuple(gen_images), budgets=budgets)
     return QuotientResult(group=Q, projection=proj, coset_reps=reps)
 
@@ -358,8 +356,6 @@ def solvable_radical(G: PermutationGroup,
             closure = normal_closure(G, [rep])
             if is_solvable(closure):
                 radical = product_subgroup(G, radical, closure)
-        if not is_solvable(radical):
-            raise GroupError("radical join is not solvable (internal error)")
         return radical
 
     return G.memo("solvable_radical", compute)

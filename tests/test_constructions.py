@@ -6,8 +6,8 @@ from vlab.perm import (alternating_group, cyclic_group, dihedral_group,
                        parse_permutation, symmetric_group, trivial_group)
 from vlab.constructions import (direct_power, direct_product,
                                 kaloujnine_krasner, regular_wreath)
-from vlab.structure import is_normal, subgroup_intersection
-from vlab.catalog import resolve_group_name
+from vlab.structure import is_normal, normal_subgroups, subgroup_intersection
+from vlab.catalog import bundled_catalog, resolve_group_name
 
 from tests.conftest import element_order_profile
 
@@ -159,6 +159,26 @@ class TestKaloujnineKrasner:
         s3 = symmetric_group(3)
         with pytest.raises(GroupError):
             kaloujnine_krasner(s3, s3.subgroup([parse_permutation("(0 1)", 3)]))
+
+    def test_oracle_on_the_small_catalog(self):
+        # every catalog E of order <= 16 over every normal A of index <= 12:
+        # each generator image has all its base values in A, the map is
+        # injective, and the quotient has order |E|/|A|
+        pairs = 0
+        for E in bundled_catalog():
+            if E.order() > 16:
+                continue
+            for A in normal_subgroups(E):
+                if E.order() // A.order() > 12:
+                    continue
+                hom, w, q = kaloujnine_krasner(E, A)
+                for image in hom.generator_images:
+                    _, values = w.decompose(image)
+                    assert all(A.contains(v) for v in values), E.name
+                assert hom.is_injective(), E.name
+                assert q.group.order() * A.order() == E.order(), E.name
+                pairs += 1
+        assert pairs == 346
 
     def test_transversal_choice_gives_conjugate_image(self):
         # perturbing the transversal by kernel elements yields an embedding

@@ -501,10 +501,41 @@ class TestCertificateSoundness:
         renamed = copy.deepcopy(forged)
         renamed.certificate["codomain"].update(name="C2", order=2)
         assert verify_certificate(s3, h, Abelian(), renamed, ctx) is False
+        # declared "into C3": C3 lies in A and both maps pass the
+        # Cayley-edge check, but their images generate S3, not C3
+        into_c3 = copy.deepcopy(forged)
+        into_c3.certificate["codomain"] = {"name": "C3", "degree": 3,
+                                           "generators": ["(0 1 2)"]}
+        assert verify_certificate(s3, h, Abelian(), into_c3, ctx) is False
         assert epi_decide(s3, h, Abelian(), ctx).outcome == UNKNOWN
         # the same maps do separate in Sl:2, which contains S3
         metabelian = parse_descriptor("Sl:2")
         assert verify_certificate(s3, h, metabelian, forged, ctx) is True
+
+    def test_direct_power_blocks_must_be_disjoint(self, ctx, a5, a4_in_a5):
+        # two copies of the A4 < A5 fixture on the same five points would
+        # claim A4 x 1 epi in A5 x A5, where the engine finds it is not
+        from vlab.constructions import direct_product
+        desc = VarOfGroup("A5")
+        G = direct_product(a5, a5)
+        fixture = epi_decide(a5, a4_in_a5, desc, ctx).certificate["node"]
+
+        def power(blocks, H):
+            node = {**fixture, "rule": "direct-power-fixture",
+                    "copies": len(blocks), "blocks": blocks}
+            verdict = EpiVerdict(EPI, {"kind": "epi-derivation",
+                                       "node": node}, [], {})
+            return verify_certificate(G, H, desc, verdict, ctx)
+
+        left = G.subgroup([pad_permutation(g, 10)
+                           for g in a4_in_a5.generators])
+        assert power([[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]], left) is False
+        assert epi_decide(G, left, desc, ctx).outcome == NOT_EPI
+        both = G.subgroup(list(left.generators) + [
+            pad_permutation(g, 10, offset=5) for g in a4_in_a5.generators])
+        assert power([[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]], both) is True
+        # a JSON true is no point, though Python reads it as 1
+        assert power([[0, True, 2, 3, 4], [5, 6, 7, 8, 9]], both) is False
 
     def test_codomain_degree_is_bounded_before_parsing(self, ctx, c4):
         # the declared degree sets the cost of rebuilding the codomain; a
@@ -568,11 +599,12 @@ def certified_verdicts(ctx, a5, a4_in_a5):
         (a5, c5, parse_descriptor("prod(var:A5,A)"))]
     rows = [(G, H, desc, epi_decide(G, H, desc, ctx))
             for G, H, desc in instances]
-    report = simpletimes_pipeline(a5, a4_in_a5, VarOfGroup("A5"), Abelian(),
-                                  ctx)
-    W = report.escape.wreath
-    rows.append((W.product, W.wreath_subgroup(a4_in_a5),
-                 ProductVariety(VarOfGroup("A5"), Abelian()), report.verdict))
+    for right in (Abelian(), parse_descriptor("Nc:2")):
+        report = simpletimes_pipeline(a5, a4_in_a5, VarOfGroup("A5"), right,
+                                      ctx)
+        W = report.escape.wreath
+        rows.append((W.product, W.wreath_subgroup(a4_in_a5),
+                     ProductVariety(VarOfGroup("A5"), right), report.verdict))
     return rows
 
 
@@ -626,6 +658,51 @@ def test_verifier_never_raises_on_one_mutated_field(ctx, certified_verdicts,
     mutated = copy.deepcopy(verdict)
     mutated.certificate = certificate
     assert verify_certificate(G, H, desc, mutated, ctx) in (True, False)
+
+
+_WITNESS_KINDS = ("neumann-solvable-complement", "separating-pair")
+
+
+def _rebuilt_leaves(value, path=()):
+    """Paths to the scalar leaves outside witness certificates: the parts
+    the verifier rebuilds."""
+    if isinstance(value, dict):
+        if value.get("kind") in _WITNESS_KINDS:
+            return
+        for key, child in value.items():
+            yield from _rebuilt_leaves(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _rebuilt_leaves(child, path + (i,))
+    else:
+        yield path, value
+
+
+def _edited(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    return 0
+
+
+def test_every_one_leaf_edit_of_a_rebuilt_certificate_fails(
+        ctx, certified_verdicts):
+    edits = 0
+    for G, H, desc, verdict in certified_verdicts:
+        assert verify_certificate(G, H, desc, verdict, ctx), str(desc)
+        for path, value in _rebuilt_leaves(verdict.certificate):
+            mutated = copy.deepcopy(verdict)
+            parent = mutated.certificate
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = _edited(value)
+            assert verify_certificate(G, H, desc, mutated, ctx) is False, \
+                (str(desc), path)
+            edits += 1
+    assert edits == 112
 
 
 def product_condition_on_normals(G: PermutationGroup, H: PermutationGroup,
@@ -757,6 +834,24 @@ class TestPipeline:
         desc = ProductVariety(VarOfGroup("A5"), Abelian())
         assert verify_certificate(W.product, W.wreath_subgroup(a4_in_a5),
                                   desc, report.verdict, ctx)
+
+    def test_the_lift_is_checked_by_the_verifier(self, ctx, a5, a4_in_a5,
+                                                 monkeypatch):
+        from vlab import engine
+        monkeypatch.setattr(engine, "_verify_epi_node",
+                            lambda *args: False)
+        with pytest.raises(GroupError, match="internal error"):
+            simpletimes_pipeline(a5, a4_in_a5, VarOfGroup("A5"), Abelian(),
+                                 ctx)
+
+        def stop(*args):
+            raise BudgetExceeded("stop", budget_name="max_enumerate")
+
+        # a budget stop in the check propagates, as from any other step
+        monkeypatch.setattr(engine, "_verify_epi_node", stop)
+        with pytest.raises(BudgetExceeded):
+            simpletimes_pipeline(a5, a4_in_a5, VarOfGroup("A5"), Abelian(),
+                                 ctx)
 
     def test_missing_fixture_gives_unknown(self, ctx, a5):
         c5 = a5.subgroup([parse_permutation("(0 1 2 3 4)", 5)])

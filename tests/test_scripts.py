@@ -1,0 +1,22 @@
+"""The scripts under scripts/ run end to end: each main() returns 0.
+
+lift_demo re-verifies the pipeline's certificates under A, Nc:2 and Sl:2;
+run_scenarios reruns every bundled scenario against its recorded outcome.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("name", ["lift_demo", "run_scenarios"])
+def test_script_main_returns_zero(name, capsys):
+    spec = importlib.util.spec_from_file_location(name,
+                                                  SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main() == 0
+    assert capsys.readouterr().out

@@ -238,6 +238,18 @@ class TestRadicalAndLattices:
         assert fast.order() == radical.order()
         assert fast.generators == radical.generators
 
+    def test_radical_is_the_largest_solvable_normal_subgroup(self):
+        # the join is solvable and normal, and holds every solvable normal
+        # subgroup, which normal_subgroups lists independently
+        groups = [G for G in bundled_catalog() if G.order() <= 24]
+        assert len(groups) == 77
+        for G in groups:
+            radical = solvable_radical(G)
+            assert is_solvable(radical) and is_normal(G, radical), G.name
+            for N in normal_subgroups(G):
+                assert not is_solvable(N) or N.is_subgroup_of(radical), \
+                    G.name
+
     def test_normal_subgroups_s4(self):
         orders = sorted(n.order() for n in normal_subgroups(symmetric_group(4)))
         assert orders == [1, 4, 12, 24]
