@@ -15,7 +15,6 @@ fixtures  kind | group name | subgroup gens (cycles, or -) | descriptor | proven
 from __future__ import annotations
 
 import functools
-import os
 import re
 
 from .config import Budgets
@@ -165,7 +164,7 @@ def build_catalog() -> list[PermutationGroup]:
     q8 = dicyclic(2, "Q8")
     a4 = alternating_group(4)
     dic3 = dicyclic(3, "Dic3")
-    groups: list[PermutationGroup] = [
+    return [
         trivial_group(1),
         cyclic_group(2), cyclic_group(3),
         cyclic_group(4), _abelian("C2^2", 2, 2),
@@ -225,14 +224,6 @@ def build_catalog() -> list[PermutationGroup]:
         _wreath("C2wrC2wrC2", _wreath("C2wrC2", cyclic_group(2),
                                       cyclic_group(2)), cyclic_group(2)),
     ]
-    fixed = []
-    seen = set()
-    for g in groups:
-        if g.name in seen:
-            raise GroupError(f"duplicate catalog name {g.name}")
-        seen.add(g.name)
-        fixed.append(g)
-    return fixed
 
 
 @functools.cache
@@ -312,14 +303,6 @@ def parse_catalog(text: str) -> list[PermutationGroup]:
 def load_catalog(path: str) -> list[PermutationGroup]:
     with open(path, encoding="utf-8") as fh:
         return parse_catalog(fh.read())
-
-
-def default_catalog() -> list[PermutationGroup]:
-    """The catalog named by VLAB_CATALOG, or the bundled one."""
-    path = os.environ.get("VLAB_CATALOG")
-    if path:
-        return load_catalog(path)
-    return bundled_catalog()
 
 
 # -- fixtures -------------------------------------------------------------------

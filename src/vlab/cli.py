@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .catalog import (bundled_fixtures, default_catalog, load_catalog,
+from .catalog import (bundled_catalog, bundled_fixtures, load_catalog,
                       load_fixtures, resolve_group_name)
 from .config import Budgets
 from .engine import (EngineContext, UNKNOWN, EscapeExhausted,
@@ -39,8 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report format (default json)")
-    parser.add_argument("--catalog", help="catalog file (default: bundled, "
-                        "or $VLAB_CATALOG)")
+    parser.add_argument("--catalog", help="catalog file (default: bundled)")
     parser.add_argument("--fixtures", help="fixture file (default: bundled)")
     for budget in fields(Budgets):
         parser.add_argument("--" + budget.name.replace("_", "-"), type=int,
@@ -112,7 +111,7 @@ def make_context(args) -> EngineContext:
     budgets = Budgets(**{budget.name: getattr(args, budget.name)
                          for budget in fields(Budgets)})
     catalog = (load_catalog(args.catalog) if args.catalog
-               else default_catalog())
+               else bundled_catalog())
     fixtures = (load_fixtures(args.fixtures) if args.fixtures
                 else bundled_fixtures())
     return EngineContext(fixtures=fixtures, catalog=catalog, budgets=budgets)

@@ -219,5 +219,6 @@ def kaloujnine_krasner(E: PermutationGroup, A: PermutationGroup,
         return ctx.element(pe, base_fn)
 
     images = tuple(embed(g) for g in E.generators)
-    hom = GroupHomomorphism(E, ctx.product, images, budgets=budgets)
+    # the embedding is a theorem: building its table now would only check it
+    hom = GroupHomomorphism(E, ctx.product, images, check=False)
     return hom, ctx, q

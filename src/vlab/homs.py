@@ -64,13 +64,21 @@ class GroupHomomorphism:
             self._factorization_table(budgets)
 
     def is_well_defined(self, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
-        """Whether the images define a homomorphism, by the edge check.
+        """Whether the images lie in the target and define a homomorphism,
+        by the edge check."""
+        return self._defect(budgets) is None
 
-        A walk that passes leaves the factorization table in place.
+    def _defect(self, budgets: Budgets) -> str | None:
+        """Why the images define no homomorphism into the target, or None.
+
+        A walk that passes leaves the factorization table in place; a table
+        already in place (an enumerated hom's) is not checked again.
         """
         elements, _, edges = _cayley_walk(self.source, budgets)
         if self._table is None:
             images = self.generator_images
+            if not all(self.target.contains(img) for img in images):
+                return "generator images must lie in the target"
             table: list = [None] * len(elements)
             table[0] = self.target.identity()
             for x, k, y in edges:
@@ -78,15 +86,16 @@ class GroupHomomorphism:
                 if table[y] is None:
                     table[y] = fy
                 elif table[y] != fy:
-                    return False
+                    return ("generator images do not define a homomorphism "
+                            "(Cayley-graph edge check failed)")
             self._table = table
-        return True
+        return None
 
     def _factorization_table(self, budgets: Budgets = DEFAULT_BUDGETS):
         """The source walk and the table indexed by its positions."""
-        if not self.is_well_defined(budgets):
-            raise GroupError("generator images do not define a homomorphism "
-                             "(Cayley-graph edge check failed)")
+        defect = self._defect(budgets)
+        if defect is not None:
+            raise GroupError(defect)
         return _cayley_walk(self.source, budgets), self._table
 
     def apply(self, p: Permutation,

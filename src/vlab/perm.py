@@ -362,11 +362,11 @@ class PermutationGroup:
     ``memo(key, compute)`` is the cache for queries that depend on the group
     alone: ``indexed`` (shared by the lattice, the hom search and the
     regular wreath), the conjugation columns, ``solvable_radical``,
-    ``derived_series``, ``class_representatives`` and ``exponent``, a
-    source's Cayley walk, its ``all_homomorphisms`` lists (``"homs"``, one
-    per codomain object), a codomain's element orders, its verbal
-    subgroups (``"q_verbal"``, by descriptor and budgets) and, for the
-    group generating a ``var:`` variety, the membership screen
+    ``derived_series``, ``is_solvable``, ``class_representatives`` and
+    ``exponent``, a source's Cayley walk, its ``all_homomorphisms`` lists
+    (``"homs"``, one per codomain object), a codomain's element orders, its
+    verbal subgroups (``"q_verbal"``, by descriptor and budgets) and, for
+    the group generating a ``var:`` variety, the membership screen
     (``"screen_families"``).  Each checks its budgets before the lookup, so
     a tighter budget still raises after an earlier looser call, as
     ``elements`` does.
@@ -383,14 +383,6 @@ class PermutationGroup:
     outside the root and the chain answers.  ``subgroup_at`` fills the
     entry from positions its caller already walked.  Any other listed group
     answers ``contains`` from its own index.
-
-    ``members_memo(key, compute)`` caches a query whose value depends only
-    on the element set (today ``is_solvable``) on the listed root, keyed
-    by the member set, so two generating sets of one subgroup share the
-    entry.  It holds bools and ints, never a group: the generators of a
-    derived term or a radical depend on the generating set they came
-    from, and sharing one would make output bytes depend on which query
-    ran first.  Those memos stay on each group.
 
     A listed group keeps a conjugation column ``conj(g)`` per g, built on
     first use: ``conj(g)[x]`` is the position of ``elements[x] ** g``.
@@ -547,16 +539,6 @@ class PermutationGroup:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
-
-    def members_memo(self, key, compute):
-        """memo() for a query whose value depends only on the element set
-        and is a bool or an int: kept on the listed root, keyed by the
-        member set, so every generating set of one subgroup shares it.
-        A group with no member set keeps it in its own memo."""
-        members = self._members()
-        if members is None:
-            return self.memo(key, compute)
-        return self._ambient.memo((key, members), compute)
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)

@@ -81,10 +81,8 @@ def derived_series(G: PermutationGroup) -> list[PermutationGroup]:
 
 
 def is_solvable(G: PermutationGroup) -> bool:
-    """Memoised by element set: two generating sets of one subgroup of a
-    listed root compute the derived series once."""
-    return G.members_memo("is_solvable",
-                          lambda: derived_series(G)[-1].order() == 1)
+    """Whether the derived series reaches 1; memoised on G."""
+    return G.memo("is_solvable", lambda: derived_series(G)[-1].order() == 1)
 
 
 def derived_length(G: PermutationGroup) -> int | None:

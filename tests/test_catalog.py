@@ -40,6 +40,10 @@ class TestBundledCatalog:
     def test_size(self):
         assert len(bundled_catalog()) >= 50
 
+    def test_names_are_unique(self):
+        names = [g.name for g in bundled_catalog()]
+        assert len(set(names)) == len(names)
+
     def test_isomorphism_class_counts(self):
         counts = Counter(g.order() for g in small_entries())
         assert dict(counts) == EXPECTED_CLASS_COUNTS

@@ -162,8 +162,9 @@ class TestKaloujnineKrasner:
 
     def test_oracle_on_the_small_catalog(self):
         # every catalog E of order <= 16 over every normal A of index <= 12:
-        # each generator image has all its base values in A, the map is
-        # injective, and the quotient has order |E|/|A|
+        # each generator image has all its base values in A, the map is a
+        # homomorphism into the wreath product and injective, and the
+        # quotient has order |E|/|A|
         pairs = 0
         for E in bundled_catalog():
             if E.order() > 16:
@@ -175,6 +176,7 @@ class TestKaloujnineKrasner:
                 for image in hom.generator_images:
                     _, values = w.decompose(image)
                     assert all(A.contains(v) for v in values), E.name
+                assert hom.is_well_defined(), E.name
                 assert hom.is_injective(), E.name
                 assert q.group.order() * A.order() == E.order(), E.name
                 pairs += 1

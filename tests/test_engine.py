@@ -59,6 +59,37 @@ class TestNeumannTest:
         assert member_of_variety(c4, trivial) is False
         assert not verify_certificate(c4, c2_in_c4, trivial, verdict, ctx)
 
+    def test_verification_parses_no_permutation(self, ctx, s4, s3_in_s4,
+                                                 monkeypatch):
+        verdict = neumann_not_epi_test(s4, s3_in_s4, ctx)
+        calls = []
+
+        def counting(text, degree):
+            calls.append(text)
+            return parse_permutation(text, degree)
+
+        monkeypatch.setattr("vlab.engine.parse_permutation", counting)
+        assert verify_certificate(s4, s3_in_s4, SolvableLength(3), verdict,
+                                  ctx)
+        assert calls == []
+
+    def test_a_normal_subgroup_other_than_the_radical_is_rejected(
+            self, ctx, s4, s3_in_s4):
+        # V4 is solvable and normal in S4 and covers with S3, so the rule
+        # holds with it too; but the one certificate of the fact names
+        # the radical, here S4 itself
+        v4 = s4.subgroup([parse_permutation("(0 1)(2 3)", 4),
+                          parse_permutation("(0 2)(1 3)", 4)])
+        assert product_covers(s4, s3_in_s4, v4)
+        verdict = EpiVerdict(NOT_EPI, {
+            "kind": "neumann-solvable-complement",
+            "normal": {"name": "V4", "degree": 4, "order": 4,
+                       "generators": [str(g) for g in v4.generators]},
+            "normal_is_solvable": True, "product_covers": True,
+            "subgroup_order": 6, "group_order": 24}, [], {})
+        assert verify_certificate(s4, s3_in_s4, SolvableLength(3), verdict,
+                                  ctx) is False
+
     def test_a5_a4_inconclusive(self, ctx, a5, a4_in_a5):
         assert neumann_not_epi_test(a5, a4_in_a5, ctx) is None
 
@@ -502,7 +533,7 @@ class TestCertificateSoundness:
         renamed.certificate["codomain"].update(name="C2", order=2)
         assert verify_certificate(s3, h, Abelian(), renamed, ctx) is False
         # declared "into C3": C3 lies in A and both maps pass the
-        # Cayley-edge check, but their images generate S3, not C3
+        # Cayley-edge check, but their images lie outside C3
         into_c3 = copy.deepcopy(forged)
         into_c3.certificate["codomain"] = {"name": "C3", "degree": 3,
                                            "generators": ["(0 1 2)"]}
@@ -660,14 +691,11 @@ def test_verifier_never_raises_on_one_mutated_field(ctx, certified_verdicts,
     assert verify_certificate(G, H, desc, mutated, ctx) in (True, False)
 
 
-_WITNESS_KINDS = ("neumann-solvable-complement", "separating-pair")
-
-
 def _rebuilt_leaves(value, path=()):
-    """Paths to the scalar leaves outside witness certificates: the parts
-    the verifier rebuilds."""
+    """Paths to the scalar leaves outside separating pairs: the parts the
+    verifier rebuilds."""
     if isinstance(value, dict):
-        if value.get("kind") in _WITNESS_KINDS:
+        if value.get("kind") == "separating-pair":
             return
         for key, child in value.items():
             yield from _rebuilt_leaves(child, path + (key,))
@@ -702,7 +730,7 @@ def test_every_one_leaf_edit_of_a_rebuilt_certificate_fails(
             assert verify_certificate(G, H, desc, mutated, ctx) is False, \
                 (str(desc), path)
             edits += 1
-    assert edits == 112
+    assert edits == 144
 
 
 def product_condition_on_normals(G: PermutationGroup, H: PermutationGroup,

@@ -113,6 +113,15 @@ class TestGroupHomomorphism:
         with pytest.raises(GroupError):
             unchecked.apply(a)
 
+    def test_rejects_images_outside_the_target(self):
+        # the edge check passes (the identity map of S3), but S3's
+        # generators are not in C3
+        S3, C3 = symmetric_group(3), cyclic_group(3)
+        with pytest.raises(GroupError, match="lie in the target"):
+            GroupHomomorphism(S3, C3, S3.generators)
+        unchecked = GroupHomomorphism(S3, C3, S3.generators, check=False)
+        assert unchecked.is_well_defined() is False
+
     def test_check_takes_the_callers_budget(self):
         S4, C2 = symmetric_group(4), cyclic_group(2)
         sign = (C2.generators[0], C2.generators[0])

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import mulclose
-from vlab import structure
 from vlab.catalog import bundled_catalog
-from vlab.engine import (NOT_EPI, EngineContext, EpiVerdict,
+from vlab.engine import (NOT_EPI, EngineContext, EpiVerdict, _neumann_cert,
                          verify_certificate)
 from vlab.perm import (Permutation, PermutationGroup, parse_permutation,
                        symmetric_group)
@@ -129,37 +128,15 @@ def test_classes_and_normality_match_brute_force(G):
     assert chain_G._elements is None  # the chain answered
 
 
-# -- solvability memoised by member set ---------------------------------------
-
-
-def test_two_generating_sets_compute_the_derived_series_once(monkeypatch):
-    S4 = symmetric_group(4)
-    S4.elements()
-    calls = []
-    derived_subgroup = structure.derived_subgroup
-
-    def counting(G):
-        calls.append(G)
-        return derived_subgroup(G)
-
-    monkeypatch.setattr(structure, "derived_subgroup", counting)
-    one = S4.subgroup([parse_permutation("(0 1 2)", 4),
-                       parse_permutation("(1 2 3)", 4)])
-    other = S4.subgroup([parse_permutation("(0 1)(2 3)", 4),
-                         parse_permutation("(0 2 1)", 4)])
-    assert one.elements() == other.elements()  # both are A4
-    assert is_solvable(one)
-    assert calls
-    computed = len(calls)
-    assert is_solvable(other)
-    assert len(calls) == computed
+# -- solvability in the Neumann verifier --------------------------------------
 
 
 def test_nonsolvable_normal_in_a_neumann_certificate_is_rejected(
         monkeypatch):
     """S5 with N = A5 and H = <(0 1)>: every hypothesis of the rule holds
     but the solvability of N, so the certificate must verify False, also
-    once the root's memo holds solvability for other subgroups."""
+    once the root's memo holds solvability for other subgroups, and also
+    when the verifier's radical is A5 and the certificate its builder's."""
     ctx = EngineContext.bundled()
     S5 = symmetric_group(5)
     A5 = S5.subgroup([parse_permutation("(0 1 2)", 5),
@@ -178,6 +155,10 @@ def test_nonsolvable_normal_in_a_neumann_certificate_is_rejected(
     assert verify_certificate(S5, H, desc, verdict, ctx) is False
     solvable = [is_solvable(K) for K in all_subgroups(S5)]
     assert solvable.count(False) == 2  # A5 and S5
+    assert verify_certificate(S5, H, desc, verdict, ctx) is False
+    monkeypatch.setattr("vlab.engine.solvable_radical",
+                        lambda G, budgets: A5)
+    verdict.certificate = _neumann_cert(S5, H, A5)
     assert verify_certificate(S5, H, desc, verdict, ctx) is False
     # every other hypothesis holds: only solvability rejects it
     monkeypatch.setattr("vlab.engine.is_solvable", lambda N: True)

@@ -157,11 +157,11 @@ def test_no_module_outside_perm_touches_the_position_path(path):
 
 
 def memo_keys(source: str) -> set[str]:
-    """The literal first arguments of `.memo(...)` and `.members_memo(...)`."""
+    """The literal first arguments of `.memo(...)`."""
     return {node.args[0].value for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("memo", "members_memo")
+            and node.func.attr == "memo"
             and node.args and isinstance(node.args[0], ast.Constant)}
 
 
@@ -178,7 +178,7 @@ def documented_memo_keys() -> set[str]:
 
 
 def test_detector_collects_literal_memo_keys():
-    assert memo_keys("G.memo('a', f)\nH.members_memo('b', g)\n"
+    assert memo_keys("G.memo('a', f)\nH.memo('b', g)\n"
                      "G.memo(key, f)\nmemo('c', f)\n") == {"a", "b"}
 
 
