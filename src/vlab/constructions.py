@@ -31,6 +31,14 @@ MAX_DEGREE = 10_000
 # -- direct products and powers -------------------------------------------------
 
 
+def power_generators(H: PermutationGroup, copies: int,
+                     degree: int) -> list[Permutation]:
+    """H's generators on each of ``copies`` consecutive blocks of H.degree
+    points, padded to ``degree``: the generators of H^copies."""
+    return [pad_permutation(h, degree, offset=i * H.degree)
+            for i in range(copies) for h in H.generators]
+
+
 @dataclass
 class DirectPowerContext:
     base: PermutationGroup
@@ -48,9 +56,8 @@ class DirectPowerContext:
         """H^k inside the power (H must be a subgroup of the base)."""
         if H.degree != self.base.degree:
             raise DegreeMismatch("subgroup degree differs from base degree")
-        gens = [self.embed(i, h)
-                for i in range(self.copies) for h in H.generators]
-        return self.product.subgroup(gens)
+        return self.product.subgroup(
+            power_generators(H, self.copies, self.product.degree))
 
     def component(self, w: Permutation, index: int) -> Permutation:
         lo = index * self.base.degree
@@ -64,12 +71,9 @@ def direct_power(G: PermutationGroup, k: int) -> DirectPowerContext:
         raise GroupError("direct_power needs k >= 1")
     degree = G.degree * k
     check_budget("max_degree", MAX_DEGREE, degree)
-    gens = []
-    for i in range(k):
-        for g in G.generators:
-            gens.append(pad_permutation(g, degree, offset=i * G.degree))
     name = f"{G.name}^{k}" if G.name else None
-    product = PermutationGroup(degree, gens, name=name)
+    product = PermutationGroup(degree, power_generators(G, k, degree),
+                               name=name)
     return DirectPowerContext(base=G, copies=k, product=product)
 
 
@@ -100,10 +104,6 @@ class WreathContext:
     def block_count(self) -> int:
         return len(self.top_elements)
 
-    def block_range(self, block: int):
-        m = self.bottom.degree
-        return range(block * m, (block + 1) * m)
-
     def element(self, b: Permutation, base_fn) -> Permutation:
         """The wreath element (b, f) for b in B; base_fn maps block index ->
         bottom element."""
@@ -121,10 +121,11 @@ class WreathContext:
         return Permutation(tuple(images))
 
     def base_element(self, block: int, a: Permutation) -> Permutation:
-        identity = self.bottom.identity()
-        return self.element(
-            self.top_original.identity(),
-            lambda c: a if c == block else identity)
+        """The base function with value a at the block, identity elsewhere."""
+        m = self.bottom.degree
+        if a.degree != m:
+            raise DegreeMismatch("base value degree differs from bottom")
+        return pad_permutation(a, m * self.block_count, offset=block * m)
 
     def top_element(self, b: Permutation) -> Permutation:
         identity = self.bottom.identity()
@@ -138,10 +139,8 @@ class WreathContext:
         """H^B inside the base, for H <= A."""
         if H.degree != self.bottom.degree:
             raise DegreeMismatch("H must act on the bottom group's points")
-        gens = [self.base_element(c, h)
-                for c in range(self.block_count)
-                for h in H.generators]
-        return self.product.subgroup(gens)
+        return self.product.subgroup(power_generators(
+            H, self.block_count, self.product.degree))
 
     def wreath_subgroup(self, H: PermutationGroup) -> PermutationGroup:
         """H wr B inside A wr B, for H <= A (base functions valued in H)."""

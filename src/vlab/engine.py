@@ -37,12 +37,12 @@ hypotheses:
   contains some C_p, and C_p wr (G/V) separates the cosets of HV: so the
   dominion lies inside Q(G)H, of order |H||V|/|H intersect V|, which is
   proper.
-* ``inner-dominion-failure`` - needs G in prod(N, Q): the trace
-  H intersect V is not epimorphically embedded in V within N.
+* ``inner-dominion-failure`` - needs G in prod(N, Q) and HV = G: the
+  trace H intersect V is not epimorphically embedded in V within N.
 * ``epi-derivation`` - a tree whose internal nodes are product-splitting
   condition checks and whose leaves are fixtures (or the whole-group rule,
-  or a componentwise direct-power reduction to a fixture on disjoint point
-  blocks).
+  or a componentwise direct-power reduction to a fixture on the consecutive
+  point blocks the pipeline builds).
 
 ``verify_certificate`` is total: on malformed or tampered JSON it returns
 False and never raises.  Once a rule's hypotheses hold, every certificate
@@ -69,7 +69,8 @@ from .homs import GroupHomomorphism, all_homomorphisms
 from .varieties import (NO, YES, Descriptor, ProductVariety,
                         find_epi_fixture, is_solvable_variety,
                         is_trivial_variety, member_of_variety, q_verbal)
-from .constructions import MAX_DEGREE, WreathContext, regular_wreath
+from .constructions import (MAX_DEGREE, WreathContext, power_generators,
+                            regular_wreath)
 
 EPI = "epi"
 NOT_EPI = "not_epi"
@@ -208,10 +209,12 @@ def _fixture_node(fx) -> dict:
         "descriptor": str(fx.descriptor), "provenance": fx.provenance}}
 
 
-def _power_node(fx, blocks: list) -> dict:
-    """The fixture lifted to the direct power on the given point blocks."""
+def _power_node(fx, copies: int) -> dict:
+    """The fixture lifted to its direct power on consecutive point blocks."""
+    m = fx.group.degree
+    blocks = [list(range(i * m, (i + 1) * m)) for i in range(copies)]
     return {**_fixture_node(fx), "rule": "direct-power-fixture",
-            "copies": len(blocks), "blocks": blocks}
+            "copies": copies, "blocks": blocks}
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -221,24 +224,26 @@ def _power_node(fx, blocks: list) -> dict:
 class DominionBounds:
     lower: PermutationGroup
     upper: PermutationGroup
-    exact: bool
     derivation: list[str]
+
+    @property
+    def exact(self) -> bool:
+        """The pinch test: the bounds meet, so both equal the dominion."""
+        return self.lower.order() == self.upper.order()
 
     def sandwich_ok(self, G: PermutationGroup, H: PermutationGroup) -> bool:
         return (H.is_subgroup_of(self.lower)
                 and self.lower.is_subgroup_of(self.upper)
-                and self.upper.is_subgroup_of(G)
-                and (not self.exact
-                     or self.lower.order() == self.upper.order()))
+                and self.upper.is_subgroup_of(G))
 
 
 def mckay_bound(G: PermutationGroup, H: PermutationGroup,
-                ndesc: Descriptor, qdesc: Descriptor,
-                ctx: EngineContext) -> PermutationGroup:
+                qdesc: Descriptor, ctx: EngineContext) -> PermutationGroup:
     """The product upper bound: the dominion lies inside q_verbal(G, Q) * H.
 
-    The containment is a theorem when ndesc is a nontrivial variety; the
-    formula itself is computed unconditionally (callers own the hypothesis).
+    The containment is a theorem in prod(N, Q) for a nontrivial variety N;
+    the formula itself is computed unconditionally (callers own the
+    hypothesis).
     """
     verbal = q_verbal(G, qdesc, ctx.budgets, ctx.fixtures)
     return product_subgroup(G, verbal, H)
@@ -255,18 +260,17 @@ def dominion_bounds(G: PermutationGroup, H: PermutationGroup,
     if not H.is_subgroup_of(G):
         raise GroupError("H must be a subgroup of G")
     if H.order() == G.order():
-        return DominionBounds(lower=H, upper=H, exact=True,
+        return DominionBounds(lower=H, upper=H,
                               derivation=["subgroup equals group"])
     if isinstance(desc, ProductVariety):
         verbal, trace, _ = _product_step(G, H, desc, ctx)
         inner = dominion_bounds(verbal, trace, desc.left, ctx)
         lower = product_subgroup(G, H, inner.lower)
         if _nontrivial_left(desc, ctx):
-            upper, upper_is = (mckay_bound(G, H, desc.left, desc.right, ctx),
+            upper, upper_is = (mckay_bound(G, H, desc.right, ctx),
                                "verbal subgroup times subgroup")
         else:
             upper, upper_is = G, f"the group ({desc.left} may be trivial)"
-        exact = lower.order() == upper.order()
         steps = [
             f"verbal subgroup for {desc.right} has order {verbal.order()}",
             f"lower bound: subgroup times inner lower bound "
@@ -275,24 +279,24 @@ def dominion_bounds(G: PermutationGroup, H: PermutationGroup,
         ] + [f"  inner: {s}" for s in inner.derivation]
         if inner.exact:
             steps.append("inner bounds are exact")
-        steps.append("exactness by pinch: lower == upper" if exact
+        steps.append("exactness by pinch: lower == upper"
+                     if lower.order() == upper.order()
                      else "bounds do not pinch")
-        return DominionBounds(lower=lower, upper=upper, exact=exact,
-                              derivation=steps)
+        return DominionBounds(lower=lower, upper=upper, derivation=steps)
     # with H normal, G/H lies in the variety and H is the equalizer of
     # G -> G/H and the trivial map
     if (is_solvable_variety(desc, ctx.fixtures) == YES
             and member_of_variety(G, desc, ctx.budgets, ctx.fixtures) is True
             and is_normal(G, H)):
         return DominionBounds(
-            lower=H, upper=H, exact=True,
+            lower=H, upper=H,
             derivation=[f"solvable class {desc}: dominion pinches to "
                         f"the subgroup"])
     fx = find_epi_fixture(ctx.fixtures, G, H, desc)
     if fx is not None:
-        return DominionBounds(lower=G, upper=G, exact=True,
+        return DominionBounds(lower=G, upper=G,
                               derivation=[f"fixture: {fx.provenance}"])
-    return DominionBounds(lower=H, upper=G, exact=False,
+    return DominionBounds(lower=H, upper=G,
                           derivation=["no rule applies: trivial sandwich"])
 
 
@@ -559,10 +563,11 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
         return (not covers
                 and cert == _cover_failure_cert(G, H, desc, verbal, trace))
     if kind == "inner-dominion-failure" and isinstance(desc, ProductVariety):
-        verbal, trace, _ = _product_step(G, H, desc, ctx)
+        verbal, trace, covers = _product_step(G, H, desc, ctx)
         inner = cert.get("inner")
-        return (member_of_variety(verbal, desc.left, ctx.budgets,
-                                  ctx.fixtures) is True
+        return (covers
+                and member_of_variety(verbal, desc.left, ctx.budgets,
+                                      ctx.fixtures) is True
                 and cert == _inner_failure_cert(desc, verbal, trace, inner)
                 and _certified_outcome(inner) == NOT_EPI
                 and _verify_cert(verbal, trace, desc.left, inner, ctx))
@@ -591,37 +596,25 @@ def _verify_epi_node(G, H, desc, node, ctx) -> bool:
 
 
 def _verify_power_node(G, H, desc, node, ctx) -> bool:
-    """G must be the product of block copies of the fixture group, on
-    disjoint blocks, and H the matching power of the fixture subgroup; the
-    dominion identity for finite direct powers then lifts the fixture to the
-    whole power."""
-    blocks = node.get("blocks")
-    if not (isinstance(blocks, list)
-            and all(isinstance(block, list) for block in blocks)):
+    """G must be the product of block copies of the fixture group, on the
+    consecutive blocks the pipeline builds, and H the matching power of the
+    fixture subgroup; the dominion identity for finite direct powers then
+    lifts the fixture to the whole power."""
+    copies = node.get("copies")
+    if not (type(copies) is int and 1 <= copies <= G.degree):
         return False
     fx = next((fx for fx in ctx.fixtures
                if fx.kind == "known-epi" and fx.descriptor == desc
-               and node == _power_node(fx, blocks)), None)
-    if fx is None:
+               and node == _power_node(fx, copies)), None)
+    # a JSON true equals 1 in the comparison above, but is no point
+    if fx is None or not all(type(p) is int
+                             for block in node["blocks"] for p in block):
         return False
-    points = [p for block in blocks for p in block]
-    if not (all(len(block) == fx.group.degree for block in blocks)
-            and all(type(p) is int and 0 <= p < G.degree for p in points)
-            and len(set(points)) == len(points)
-            and all(G.contains(_embed_on_points(g, block, G.degree))
-                    for block in blocks for g in fx.group.generators)
-            and G.order() == fx.group.order() ** len(blocks)):
-        return False
-    sub_gens = [_embed_on_points(h, block, G.degree)
-                for block in blocks for h in fx.subgroup.generators]
-    return G.subgroup(sub_gens).same_group_as(H)
-
-
-def _embed_on_points(p: Permutation, points, degree: int) -> Permutation:
-    images = list(range(degree))
-    for i, j in enumerate(p.images):
-        images[points[i]] = points[j]
-    return Permutation(tuple(images))
+    return (all(G.contains(g)
+                for g in power_generators(fx.group, copies, G.degree))
+            and G.order() == fx.group.order() ** copies
+            and G.subgroup(power_generators(fx.subgroup, copies, G.degree))
+            .same_group_as(H))
 
 
 # -- the wreath dichotomy and escape search ----------------------------------------------
@@ -808,8 +801,7 @@ def simpletimes_pipeline(S: PermutationGroup, H: PermutationGroup,
     desc = ProductVariety(ndesc, qdesc)
     embedded_sub = wreath.wreath_subgroup(H)
     base = wreath.base_subgroup()
-    blocks = [list(wreath.block_range(c)) for c in range(wreath.block_count)]
-    node = _splitting_node(desc, base, _power_node(fx, blocks))
+    node = _splitting_node(desc, base, _power_node(fx, wreath.block_count))
     if not _verify_epi_node(W, embedded_sub, desc, node, ctx):
         raise GroupError("the lifted derivation does not verify "
                          "(internal error)")

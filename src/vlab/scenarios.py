@@ -52,9 +52,9 @@ def scenario_mckay_bound_demo(ctx: EngineContext) -> dict:
     s3 = s4.subgroup([pad_permutation(g, 4)
                       for g in symmetric_group(3).generators], name="S3<S4")
     abelian = parse_descriptor("A")
-    bound1 = mckay_bound(s4, s3, abelian, abelian, ctx)
+    bound1 = mckay_bound(s4, s3, abelian, ctx)
     a5, a4 = _a4_in_a5(ctx)
-    bound2 = mckay_bound(a5, a4, parse_descriptor("var:A5"), abelian, ctx)
+    bound2 = mckay_bound(a5, a4, abelian, ctx)
     ok = bound1.order() == 24 and bound2.order() == 60
     return {"ok": ok,
             "bound_orders": {"S4/S3 under prod(A,A)": bound1.order(),

@@ -40,7 +40,7 @@ class TailConstantFn:
     group: PermutationGroup
     lo: int
     hi: int
-    window: tuple[tuple[int, ...], ...]  # images of values at lo..hi
+    window: tuple[Permutation, ...]  # the values at lo..hi
     left_tail: Permutation
     right_tail: Permutation
 
@@ -72,7 +72,7 @@ class TailConstantFn:
             return self.left_tail
         if n > self.hi:
             return self.right_tail
-        return Permutation(self.window[n - self.lo])
+        return self.window[n - self.lo]
 
     def is_identity(self) -> bool:
         identity = self.group.identity()
@@ -133,8 +133,7 @@ def _canonical(group, lo, window, left, right) -> TailConstantFn:
             lo, hi = 0, -1
         else:
             hi = lo - 1  # positioned empty window marks the step
-    return TailConstantFn(group, lo, hi,
-                          tuple(v.images for v in values), left, right)
+    return TailConstantFn(group, lo, hi, tuple(values), left, right)
 
 
 @dataclass(frozen=True)

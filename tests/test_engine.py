@@ -176,11 +176,9 @@ class TestSeparatingPairSearch:
 
 class TestMcKayBound:
     def test_examples(self, ctx, a5, a4_in_a5, s4, s3_in_s4):
-        var_a5 = VarOfGroup("A5")
-        assert mckay_bound(a5, a4_in_a5, var_a5, Abelian(), ctx).order() == 60
-        assert mckay_bound(s4, s3_in_s4, Abelian(), Abelian(),
-                           ctx).order() == 24
-        assert mckay_bound(s4, s4, Abelian(), Abelian(), ctx).order() == 24
+        assert mckay_bound(a5, a4_in_a5, Abelian(), ctx).order() == 60
+        assert mckay_bound(s4, s3_in_s4, Abelian(), ctx).order() == 24
+        assert mckay_bound(s4, s4, Abelian(), ctx).order() == 24
 
 
 class TestDominionBounds:
@@ -493,6 +491,25 @@ class TestCertificateSoundness:
             [], {})
         assert verify_certificate(a5, a4_in_a5, desc, forged, ctx) is False
 
+    def test_inner_failure_needs_the_cover(self, ctx, s4):
+        # HV is not G for H = <(0 1 2)> and V = Sl:2(S4) = V4, so the
+        # decider answers verbal-cover-failure; the inner certificate for
+        # 1 < V4 under A holds, but the inner failure does not transfer
+        desc = parse_descriptor("prod(A,Sl:2)")
+        H = s4.subgroup([parse_permutation("(0 1 2)", 4)])
+        assert (epi_decide(s4, H, desc, ctx).certificate["kind"]
+                == "verbal-cover-failure")
+        verbal = varieties.q_verbal(s4, desc.right, ctx.budgets,
+                                    ctx.fixtures)
+        trace = subgroup_intersection(s4, H, verbal, ctx.budgets)
+        inner = epi_decide(verbal, trace, desc.left, ctx)
+        assert inner.certificate["kind"] == "neumann-solvable-complement"
+        forged = EpiVerdict(NOT_EPI, {
+            "kind": "inner-dominion-failure", "quotient_descriptor": "Sl:2",
+            "verbal_order": 4, "trace_order": 1,
+            "inner": inner.certificate}, [], {})
+        assert verify_certificate(s4, H, desc, forged, ctx) is False
+
     def test_tampered_certificates_fail(self, ctx, c4, c2_in_c4, a5,
                                         a4_in_a5):
         verdict = separating_pair_search(c4, c2_in_c4, [c4], Abelian(), ctx)
@@ -565,6 +582,9 @@ class TestCertificateSoundness:
         both = G.subgroup(list(left.generators) + [
             pad_permutation(g, 10, offset=5) for g in a4_in_a5.generators])
         assert power([[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]], both) is True
+        # disjoint blocks other than the consecutive ones the pipeline
+        # builds are a second certificate for the same fact
+        assert power([[5, 6, 7, 8, 9], [0, 1, 2, 3, 4]], both) is False
         # a JSON true is no point, though Python reads it as 1
         assert power([[0, True, 2, 3, 4], [5, 6, 7, 8, 9]], both) is False
 
