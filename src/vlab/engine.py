@@ -30,9 +30,9 @@ hypotheses:
   epimorphically embedded in any variety containing G.  N is the solvable
   radical, which contains every solvable normal subgroup, so the rule
   applies exactly when the radical covers.
-* ``separating-pair`` - needs the codomain C in the variety and every
-  generator image in C; two homomorphisms into C agreeing on the subgroup
-  but not on the group.
+* ``separating-pair`` - needs the codomain C in the variety and two
+  homomorphisms into C with distinct generator images that agree on the
+  subgroup; the witness is the least element of G where they differ.
 * ``verbal-cover-failure`` - needs a nontrivial left factor N, which then
   contains some C_p, and C_p wr (G/V) separates the cosets of HV: so the
   dominion lies inside Q(G)H, of order |H||V|/|H intersect V|, which is
@@ -45,12 +45,10 @@ hypotheses:
   point blocks the pipeline builds).
 
 ``verify_certificate`` is total: on malformed or tampered JSON it returns
-False and never raises.  Once a rule's hypotheses hold, every certificate
-but a separating pair must equal its builder's output on the recomputed
-groups, the builder the decider emits it with; an ``inner`` certificate is
-checked by recursion.  A separating pair is checked through its witnesses;
-the codomain's name and order, ``subgroup_generators``, ``f_witness`` and
-``g_witness`` are informational.
+False and never raises.  It requires H <= G, checks the rule's hypotheses
+on the recomputed groups, then compares the certificate, as JSON and type
+for type (``_same``), with its builder's output, which the decider and the
+pipeline emit; an ``inner`` certificate is checked by recursion.
 """
 
 from __future__ import annotations
@@ -161,8 +159,19 @@ def _nontrivial_left(desc: ProductVariety, ctx: EngineContext) -> bool:
     return is_trivial_variety(desc.left, ctx.fixtures) == NO
 
 
-# -- one builder per certificate or node without a witness: the decider and the
-# pipeline emit it, the verifier compares with it --------------------------------
+# -- one builder per certificate or node: the decider and the pipeline emit
+# it, the verifier compares with it -------------------------------------------
+
+
+def _same(a, b) -> bool:
+    """Equal as JSON, type for type: 5.0 is not 5 and true is not 1."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def _cover_failure_cert(G: PermutationGroup, H: PermutationGroup,
@@ -189,6 +198,20 @@ def _inner_failure_cert(desc: ProductVariety, verbal: PermutationGroup,
             "quotient_descriptor": str(desc.right),
             "verbal_order": verbal.order(), "trace_order": trace.order(),
             "inner": inner}
+
+
+def _pair_cert(G: PermutationGroup, H: PermutationGroup, C: PermutationGroup,
+               f: GroupHomomorphism, g: GroupHomomorphism,
+               budgets: Budgets) -> dict:
+    """f and g into C separate H in G at their first difference in G."""
+    witness = f.first_difference(g, budgets)
+    return {"kind": "separating-pair", "codomain": _group_json(C),
+            "f_images": [str(p) for p in f.generator_images],
+            "g_images": [str(p) for p in g.generator_images],
+            "subgroup_generators": [str(h) for h in H.generators],
+            "witness": str(witness),
+            "f_witness": str(f.apply(witness, budgets)),
+            "g_witness": str(g.apply(witness, budgets))}
 
 
 def _splitting_node(desc: ProductVariety, verbal: PermutationGroup,
@@ -381,22 +404,12 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
                                []).append(f)
         for f, g, *_ in (fs for fs in buckets.values() if len(fs) > 1):
             # distinct generator images are distinct maps: a witness exists
-            witness = f.first_difference(g, ctx.budgets)
-            certificate = {
-                "kind": "separating-pair",
-                "codomain": _group_json(C),
-                "f_images": [str(p) for p in f.generator_images],
-                "g_images": [str(p) for p in g.generator_images],
-                "subgroup_generators": [str(h) for h in H.generators],
-                "witness": str(witness),
-                "f_witness": str(f.apply(witness, ctx.budgets)),
-                "g_witness": str(g.apply(witness, ctx.budgets)),
-            }
+            certificate = _pair_cert(G, H, C, f, g, ctx.budgets)
             return _verdict(ctx, NOT_EPI, [
                 f"maps into {C.name or 'catalog group'} agree on the "
                 f"subgroup generators",
-                f"they differ at {witness}: the subgroup is not "
-                f"epimorphically embedded",
+                f"they differ at {certificate['witness']}: the subgroup is "
+                f"not epimorphically embedded",
             ], notes, certificate)
     return None
 
@@ -509,12 +522,13 @@ def verify_certificate(G: PermutationGroup, H: PermutationGroup,
     An epi verdict needs an epi-derivation, a not_epi verdict any other kind.
     """
     cert = verdict.certificate
-    if verdict.outcome == UNKNOWN:
-        return cert is None
-    if verdict.outcome != _certified_outcome(cert):
-        return False
     try:
-        return _verify_cert(G, H, desc, cert, ctx)
+        if not H.is_subgroup_of(G):
+            return False
+        if verdict.outcome == UNKNOWN:
+            return cert is None
+        return (verdict.outcome == _certified_outcome(cert)
+                and _verify_cert(G, H, desc, cert, ctx))
     except (GroupError, KeyError, BudgetExceeded):
         return False
 
@@ -535,7 +549,7 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
                 and is_normal(G, radical) and is_solvable(radical)
                 and product_covers(G, H, radical, ctx.budgets)
                 and H.order() < G.order()
-                and cert == _neumann_cert(G, H, radical))
+                and _same(cert, _neumann_cert(G, H, radical)))
     if kind == "separating-pair":
         codomain = _group_from_json(cert["codomain"])
         C = _catalog_entry(codomain, ctx)
@@ -549,26 +563,22 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
         g_images = _perms_from_json(cert["g_images"], C.degree)
         f = GroupHomomorphism(G, C, f_images, budgets=ctx.budgets)
         g = GroupHomomorphism(G, C, g_images, budgets=ctx.budgets)
-        if not f.agrees_on(g, H, ctx.budgets):
-            return False
-        witness, = _perms_from_json([cert["witness"]], G.degree)
-        if not G.contains(witness):
-            return False
-        return (f.apply(witness, ctx.budgets)
-                != g.apply(witness, ctx.budgets))
+        return (f.agrees_on(g, H, ctx.budgets) and f_images != g_images
+                and _same(cert, _pair_cert(G, H, C, f, g, ctx.budgets)))
     if kind == "verbal-cover-failure" and isinstance(desc, ProductVariety):
         if not _nontrivial_left(desc, ctx):
             return False
         verbal, trace, covers = _product_step(G, H, desc, ctx)
-        return (not covers
-                and cert == _cover_failure_cert(G, H, desc, verbal, trace))
+        return (not covers and _same(
+            cert, _cover_failure_cert(G, H, desc, verbal, trace)))
     if kind == "inner-dominion-failure" and isinstance(desc, ProductVariety):
         verbal, trace, covers = _product_step(G, H, desc, ctx)
         inner = cert.get("inner")
         return (covers
                 and member_of_variety(verbal, desc.left, ctx.budgets,
                                       ctx.fixtures) is True
-                and cert == _inner_failure_cert(desc, verbal, trace, inner)
+                and _same(cert, _inner_failure_cert(desc, verbal, trace,
+                                                    inner))
                 and _certified_outcome(inner) == NOT_EPI
                 and _verify_cert(verbal, trace, desc.left, inner, ctx))
     if kind == "epi-derivation":
@@ -581,14 +591,14 @@ def _verify_epi_node(G, H, desc, node, ctx) -> bool:
         return False
     rule = node.get("rule")
     if rule == "whole-group":
-        return node == _whole_group_node() and H.order() == G.order()
+        return _same(node, _whole_group_node()) and H.order() == G.order()
     if rule == "fixture":
         fx = find_epi_fixture(ctx.fixtures, G, H, desc)
-        return fx is not None and node == _fixture_node(fx)
+        return fx is not None and _same(node, _fixture_node(fx))
     if rule == "product-splitting" and isinstance(desc, ProductVariety):
         verbal, trace, covers = _product_step(G, H, desc, ctx)
         inner = node.get("inner")
-        return (covers and node == _splitting_node(desc, verbal, inner)
+        return (covers and _same(node, _splitting_node(desc, verbal, inner))
                 and _verify_epi_node(verbal, trace, desc.left, inner, ctx))
     if rule == "direct-power-fixture":
         return _verify_power_node(G, H, desc, node, ctx)
@@ -605,13 +615,10 @@ def _verify_power_node(G, H, desc, node, ctx) -> bool:
         return False
     fx = next((fx for fx in ctx.fixtures
                if fx.kind == "known-epi" and fx.descriptor == desc
-               and node == _power_node(fx, copies)), None)
-    # a JSON true equals 1 in the comparison above, but is no point
-    if fx is None or not all(type(p) is int
-                             for block in node["blocks"] for p in block):
-        return False
-    return (all(G.contains(g)
-                for g in power_generators(fx.group, copies, G.degree))
+               and _same(node, _power_node(fx, copies))), None)
+    return (fx is not None
+            and all(G.contains(g)
+                    for g in power_generators(fx.group, copies, G.degree))
             and G.order() == fx.group.order() ** copies
             and G.subgroup(power_generators(fx.subgroup, copies, G.degree))
             .same_group_as(H))

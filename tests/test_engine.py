@@ -491,6 +491,23 @@ class TestCertificateSoundness:
             [], {})
         assert verify_certificate(a5, a4_in_a5, desc, forged, ctx) is False
 
+    def test_verifier_requires_a_subgroup(self, ctx):
+        # both have order 12 inside S5, and H is not a subgroup of G:
+        # epi_decide refuses the pair, and no certificate holds for it
+        G = PermutationGroup(5, [parse_permutation("(0 1 2)", 5),
+                                 parse_permutation("(1 2 3)", 5)])
+        H = PermutationGroup(5, [parse_permutation("(1 2 3)", 5),
+                                 parse_permutation("(2 3 4)", 5)])
+        assert G.order() == H.order() == 12 and not H.is_subgroup_of(G)
+        with pytest.raises(GroupError):
+            epi_decide(G, H, Abelian(), ctx)
+        whole = EpiVerdict(EPI, {"kind": "epi-derivation",
+                                 "node": {"rule": "whole-group"}}, [], {})
+        for text in ("A", "Sl:3", "laws:{x1^6}"):
+            desc = parse_descriptor(text)
+            assert verify_certificate(G, G, desc, whole, ctx) is True
+            assert verify_certificate(G, H, desc, whole, ctx) is False
+
     def test_inner_failure_needs_the_cover(self, ctx, s4):
         # HV is not G for H = <(0 1 2)> and V = Sl:2(S4) = V4, so the
         # decider answers verbal-cover-failure; the inner certificate for
@@ -528,8 +545,8 @@ class TestCertificateSoundness:
 
     def test_separating_pair_needs_its_codomain_in_the_variety(self, ctx):
         # f = id and g = conjugation by (0 1) agree on <(0 1)> and differ
-        # at (0 1 2), but S3 is not abelian: the pair separates nothing in
-        # A, where <(0 1)> is epimorphically embedded, as it covers
+        # first at (1 2), but S3 is not abelian: the pair separates nothing
+        # in A, where <(0 1)> is epimorphically embedded, as it covers
         # S3/S3' = C2
         s3 = symmetric_group(3)
         h = s3.subgroup([parse_permutation("(0 1)", 3)])
@@ -541,11 +558,11 @@ class TestCertificateSoundness:
             "f_images": [str(g) for g in s3.generators],
             "g_images": [str(g ** t) for g in s3.generators],
             "subgroup_generators": ["(0 1)"],
-            "witness": "(0 1 2)", "f_witness": "(0 1 2)",
-            "g_witness": "(0 2 1)"}, [], {})
+            "witness": "(1 2)", "f_witness": "(1 2)",
+            "g_witness": "(0 2)"}, [], {})
         assert verify_certificate(s3, h, Abelian(), forged, ctx) is False
-        # the codomain is rebuilt from its generators; its name and order
-        # are never read
+        # the codomain is rebuilt from its generators: a false name and
+        # order do not put it in A
         renamed = copy.deepcopy(forged)
         renamed.certificate["codomain"].update(name="C2", order=2)
         assert verify_certificate(s3, h, Abelian(), renamed, ctx) is False
@@ -559,6 +576,13 @@ class TestCertificateSoundness:
         # the same maps do separate in Sl:2, which contains S3
         metabelian = parse_descriptor("Sl:2")
         assert verify_certificate(s3, h, metabelian, forged, ctx) is True
+        # (0 1 2) separates them too, but the witness is the least element
+        # of S3 where they differ: another witness is a second certificate
+        # for the same fact
+        later = copy.deepcopy(forged)
+        later.certificate.update(witness="(0 1 2)", f_witness="(0 1 2)",
+                                 g_witness="(0 2 1)")
+        assert verify_certificate(s3, h, metabelian, later, ctx) is False
 
     def test_direct_power_blocks_must_be_disjoint(self, ctx, a5, a4_in_a5):
         # two copies of the A4 < A5 fixture on the same five points would
@@ -712,11 +736,8 @@ def test_verifier_never_raises_on_one_mutated_field(ctx, certified_verdicts,
 
 
 def _rebuilt_leaves(value, path=()):
-    """Paths to the scalar leaves outside separating pairs: the parts the
-    verifier rebuilds."""
+    """Paths to the scalar leaves: the verifier rebuilds every one."""
     if isinstance(value, dict):
-        if value.get("kind") == "separating-pair":
-            return
         for key, child in value.items():
             yield from _rebuilt_leaves(child, path + (key,))
     elif isinstance(value, list):
@@ -750,7 +771,36 @@ def test_every_one_leaf_edit_of_a_rebuilt_certificate_fails(
             assert verify_certificate(G, H, desc, mutated, ctx) is False, \
                 (str(desc), path)
             edits += 1
-    assert edits == 144
+    assert edits == 160
+
+
+def _retyped(value, old, new):
+    """value with every leaf of exact type old made new."""
+    if isinstance(value, dict):
+        return {key: _retyped(child, old, new)
+                for key, child in value.items()}
+    if isinstance(value, list):
+        return [_retyped(child, old, new) for child in value]
+    return new(value) if type(value) is old else value
+
+
+@pytest.mark.parametrize("old,new,count", [(int, float, 10), (bool, int, 7)],
+                         ids=["int-as-float", "bool-as-int"])
+def test_builder_comparisons_are_type_exact(ctx, certified_verdicts, old,
+                                            new, count):
+    # 5.0 == 5 and True == 1 in Python, but not in the certificate's JSON
+    retyped = 0
+    for G, H, desc, verdict in certified_verdicts:
+        if not any(type(value) is old
+                   for _, value in _rebuilt_leaves(verdict.certificate)):
+            continue
+        mutated = dataclasses.replace(
+            verdict, certificate=_retyped(verdict.certificate, old, new))
+        assert mutated.certificate == verdict.certificate
+        assert verify_certificate(G, H, desc, mutated, ctx) is False, \
+            str(desc)
+        retyped += 1
+    assert retyped == count
 
 
 def product_condition_on_normals(G: PermutationGroup, H: PermutationGroup,

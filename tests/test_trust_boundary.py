@@ -4,7 +4,9 @@ PermutationGroup.memo, only perm.py may build an element-position index
 (PermutationGroup.indexed), only perm.py may sift image tuples or read a
 chain level's inverse transversal, and only perm.py may read a subgroup's
 root ambient or its member positions.  The PermutationGroup docstring names
-every per-group memo key that src/vlab uses, and no other."""
+every per-group memo key that src/vlab uses, and no other.  engine.py
+compares a certificate with its builder only through the type-exact
+``_same``."""
 
 import ast
 from pathlib import Path
@@ -186,3 +188,35 @@ def test_memo_key_list_names_exactly_the_keys_in_use():
     used = set().union(*(memo_keys(p.read_text(encoding="utf-8"))
                          for p in SRC.glob("*.py")))
     assert documented_memo_keys() == used
+
+
+def _is_builder_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id.startswith("_")
+            and node.func.id.endswith(("_cert", "_node")))
+
+
+def builder_comparisons(source: str) -> list[int]:
+    """Lines of `==` or `!=` comparisons with a builder call, `_*_cert(...)`
+    or `_*_node(...)`, as an operand."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(map(_is_builder_call, [node.left, *node.comparators])))
+
+
+def test_detector_flags_builder_comparisons():
+    assert builder_comparisons(
+        "ok = cert == _neumann_cert(G, H, N)\n"
+        "ok = _same(node, _fixture_node(fx))\n"
+        "ok = _whole_group_node() != node and H.order() == G.order()\n"
+        "ok = node == make_node(fx) or node == _fixture_node\n"
+        "ok = (covers\n      and node == _splitting_node(d, v, i))\n"
+        ) == [1, 3, 6]
+
+
+def test_engine_compares_with_builders_only_through_same():
+    source = (SRC / "engine.py").read_text(encoding="utf-8")
+    assert name_uses(source, "_same")
+    assert builder_comparisons(source) == []
