@@ -365,11 +365,12 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
                            notes: list[str] | None = None):
     """Look for two maps into a catalog member agreeing on H, differing on G.
 
-    Homs are bucketed by their images of H's generators, read from their
-    tables at those generators' positions in ``G.indexed()``; the pair is
-    the first two homs of the first bucket, in the canonical hom order, that
-    holds two, so a pair with the inclusion map comes first when it is hom
-    0.  Each catalog member's membership is kept in
+    Homs are bucketed by the target positions of their images of H's
+    generators, read from their tables at those generators' positions in
+    ``G.indexed()``; all share C, so equal positions are equal images.  The
+    pair is the first two homs of the first bucket, in the canonical hom
+    order, that holds two, so a pair with the inclusion map comes first when
+    it is hom 0.  Each catalog member's membership is kept in
     ``ctx.memberships[str(desc)]``, so it is computed once per context, and
     its hom list on G, so that is computed once per G object.  Exhaustion
     returns None: it proves nothing positive.  Skipped catalog entries are
@@ -398,7 +399,7 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
         if positions is None:  # G is listed now
             _, index, _ = G.indexed(ctx.budgets.max_enumerate)
             positions = [index[h.images] for h in H.generators]
-        buckets: dict[tuple, list] = {}  # H-images -> homs, keyed in hom order
+        buckets: dict[tuple, list] = {}  # H-image positions -> homs, in order
         for f in homs:
             buckets.setdefault(f.table_at(positions, ctx.budgets),
                                []).append(f)

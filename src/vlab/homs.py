@@ -2,10 +2,11 @@
 
 Each source group G keeps one breadth-first walk of its Cayley graph in
 ``G.memo``: the edges (x, k, y) with y = x * generators[k], as positions
-in G's canonical element list (``G.indexed()``).  A factorization table
-lists the image of each position.  By von Dyck's theorem the generator
-images define a homomorphism exactly when every edge gives table[x] *
-image(k) == table[y], so no presentation of the source is ever needed.
+in G's canonical element list (``G.indexed()``).  A hom's table lists
+each image's position in the target's list.  By von Dyck's theorem the
+images define a homomorphism exactly when every edge gives table[y] ==
+col(image k)[table[x]] over the target's columns: ``_edge_table`` makes
+that one check, with no product, for checked and enumerated homs alike.
 
 G also keeps ``all_homomorphisms`` in ``G.memo("homs")``, one list per
 codomain object; the budgets are checked before the lookup.
@@ -43,13 +44,31 @@ def _cayley_walk(G: PermutationGroup, budgets: Budgets):
     return G.memo("cayley_walk", compute)
 
 
+def _edge_table(G: PermutationGroup, C: PermutationGroup, chosen,
+                budgets: Budgets) -> list[int] | None:
+    """The table, as positions in ``C.indexed()``, of the map sending G's
+    generator k to position chosen[k]; None if an edge fails."""
+    elements, _, edges = _cayley_walk(G, budgets)
+    _, _, col = C.indexed(budgets.max_enumerate)
+    cols = [col(c) for c in chosen]
+    table = [-1] * len(elements)
+    table[0] = 0  # the identity comes first in both lists
+    for x, k, y in edges:
+        fy = cols[k][table[x]]
+        if table[y] < 0:
+            table[y] = fy
+        elif table[y] != fy:
+            return None
+    return table
+
+
 class GroupHomomorphism:
     """A map source -> target determined by images of the source generators."""
 
     def __init__(self, source: PermutationGroup, target: PermutationGroup,
                  generator_images, check: bool = True,
                  budgets: Budgets = DEFAULT_BUDGETS):
-        """check=True builds the factorization table now, under budgets."""
+        """check=True builds the table (listing the target) under budgets."""
         generator_images = tuple(generator_images)
         if len(generator_images) != len(source.generators):
             raise GroupError("need one image per source generator")
@@ -59,7 +78,7 @@ class GroupHomomorphism:
         self.source = source
         self.target = target
         self.generator_images = generator_images
-        self._table: list[Permutation] | None = None
+        self._table: list[int] | None = None
         if check:
             self._factorization_table(budgets)
 
@@ -69,25 +88,18 @@ class GroupHomomorphism:
         return self._defect(budgets) is None
 
     def _defect(self, budgets: Budgets) -> str | None:
-        """Why the images define no homomorphism into the target, or None.
-
-        A walk that passes leaves the factorization table in place; a table
-        already in place (an enumerated hom's) is not checked again.
-        """
-        elements, _, edges = _cayley_walk(self.source, budgets)
+        """Why the images define no homomorphism into the target, or None;
+        a table in place (an enumerated hom's) is not checked again."""
+        _cayley_walk(self.source, budgets)  # checks |source| on every call
         if self._table is None:
-            images = self.generator_images
-            if not all(self.target.contains(img) for img in images):
+            _, index, _ = self.target.indexed(budgets.max_enumerate)
+            chosen = [index.get(img.images) for img in self.generator_images]
+            if None in chosen:
                 return "generator images must lie in the target"
-            table: list = [None] * len(elements)
-            table[0] = self.target.identity()
-            for x, k, y in edges:
-                fy = table[x] * images[k]
-                if table[y] is None:
-                    table[y] = fy
-                elif table[y] != fy:
-                    return ("generator images do not define a homomorphism "
-                            "(Cayley-graph edge check failed)")
+            table = _edge_table(self.source, self.target, chosen, budgets)
+            if table is None:
+                return ("generator images do not define a homomorphism "
+                        "(Cayley-graph edge check failed)")
             self._table = table
         return None
 
@@ -104,7 +116,7 @@ class GroupHomomorphism:
         i = index.get(p.images)
         if i is None:
             raise GroupError("element is not in the source group")
-        return table[i]
+        return self.target.indexed(budgets.max_enumerate)[0][table[i]]
 
     def image(self) -> PermutationGroup:
         return self.target.subgroup(self.generator_images)
@@ -119,15 +131,15 @@ class GroupHomomorphism:
         gens: list[Permutation] = []
         kernel = self.source.subgroup([self.source.identity()])
         for x, img in zip(elements, table):
-            if img.is_identity() and not kernel.contains(x):
+            if img == 0 and not kernel.contains(x):
                 gens.append(x)
                 kernel = self.source.subgroup(gens)
         return kernel
 
     def table_at(self, positions,
                  budgets: Budgets = DEFAULT_BUDGETS) -> tuple:
-        """The images of the source elements at these positions of
-        ``source.indexed()``, in the order given."""
+        """Target positions of the images of the elements at these
+        positions of ``source.indexed()``, in the order given."""
         _, table = self._factorization_table(budgets)
         return tuple(table[i] for i in positions)
 
@@ -138,12 +150,14 @@ class GroupHomomorphism:
 
     def first_difference(self, other: GroupHomomorphism,
                          budgets: Budgets = DEFAULT_BUDGETS):
-        """Least element of the shared source where the maps differ, or None
-        if they agree."""
+        """Least element of the shared source where the images differ as
+        elements (the targets may differ), or None if the maps agree."""
         (elements, _, _), mine = self._factorization_table(budgets)
         _, theirs = other._factorization_table(budgets)
-        return next((x for x, a, b in zip(elements, mine, theirs) if a != b),
-                    None)
+        ours, others = (h.target.indexed(budgets.max_enumerate)[0]
+                        for h in (self, other))
+        return next((x for x, a, b in zip(elements, mine, theirs)
+                     if ours[a] != others[b]), None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupHomomorphism):
@@ -179,12 +193,11 @@ def all_homomorphisms(G: PermutationGroup, C: PermutationGroup,
 
     Images are indices c into C's canonical element list, pruned by order
     divisibility (the image order must divide the generator order, and
-    likewise for pairwise products), then validated by the edge check along
-    G's Cayley walk with int lookups only, over the columns of C.indexed()
+    likewise for pairwise products), then validated by ``_edge_table``
     (C.memo also keeps the element orders).  An accepted hom keeps its
-    factorization table.  Enumeration order is the canonical element
-    order, except that when C contains G the inclusion map is listed
-    first: it is the natural reference morphism for certificates.
+    table.  Enumeration order is the canonical element order, except that
+    when C contains G the inclusion map is listed first: it is the natural
+    reference morphism for certificates.
 
     The homs are memoised in ``G.memo("homs")``, keyed by the codomain
     object, after max_hom_product and max_enumerate (on |C| and |G|) are
@@ -206,35 +219,20 @@ def _enumerate_homs(G: PermutationGroup, C: PermutationGroup,
     gens = G.generators
     targets, _, col = C.indexed(budgets.max_enumerate)
     orders = C.memo("element_orders", lambda: [t.order() for t in targets])
-    elements, _, edges = _cayley_walk(G, budgets)
 
     candidates = [[c for c, m in enumerate(orders) if n % m == 0]
                   for n in (g.order() for g in gens)]
     pair_orders = [[(gens[j] * g).order() for j in range(i)]
                    for i, g in enumerate(gens)]
-
-    def edge_table(chosen: list[int]):
-        """The table as indices into targets, or None if an edge fails."""
-        cols = [col(c) for c in chosen]
-        table = [-1] * len(elements)
-        table[0] = 0  # the identity comes first in both lists
-        for x, k, y in edges:
-            fy = cols[k][table[x]]
-            if table[y] < 0:
-                table[y] = fy
-            elif table[y] != fy:
-                return None
-        return table
-
     found: list[GroupHomomorphism] = []
 
     def backtrack(i: int, chosen: list[int]):
         if i == len(gens):
-            table = edge_table(chosen)
+            table = _edge_table(G, C, chosen, budgets)
             if table is not None:
                 hom = GroupHomomorphism(G, C, [targets[c] for c in chosen],
                                         check=False)
-                hom._table = [targets[t] for t in table]
+                hom._table = table
                 found.append(hom)
             return
         for c in candidates[i]:

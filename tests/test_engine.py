@@ -584,6 +584,31 @@ class TestCertificateSoundness:
                                  g_witness="(0 2 1)")
         assert verify_certificate(s3, h, metabelian, later, ctx) is False
 
+    def test_separating_pair_codomain_is_listed_under_max_enumerate(self,
+                                                                    ctx):
+        # f sends C2's generator to the fourth power of C8's, g to the
+        # identity: they agree on 1 and differ at (0 1).  Checking a hom
+        # lists its target, so a budget below |C8| refuses the pair, as it
+        # refuses the search over C8 that could have found it
+        c2 = cyclic_group(2)
+        one = c2.subgroup([c2.identity()])
+        c8 = resolve_group_name("C8")
+        half = parse_permutation("(0 4)(1 5)(2 6)(3 7)", 8)
+        pair = EpiVerdict(NOT_EPI, {
+            "kind": "separating-pair",
+            "codomain": {"name": "C8", "degree": 8, "order": 8,
+                         "generators": [str(c8.generators[0])]},
+            "f_images": [str(half)], "g_images": ["()"],
+            "subgroup_generators": ["()"],
+            "witness": "(0 1)", "f_witness": str(half),
+            "g_witness": "()"}, [], {})
+        assert verify_certificate(c2, one, Abelian(), pair, ctx) is True
+        tight = EngineContext(fixtures=ctx.fixtures, catalog=ctx.catalog,
+                              budgets=Budgets(max_enumerate=4))
+        assert verify_certificate(c2, one, Abelian(), pair, tight) is False
+        with pytest.raises(BudgetExceeded):
+            separating_pair_search(c2, one, [c8], Abelian(), tight)
+
     def test_direct_power_blocks_must_be_disjoint(self, ctx, a5, a4_in_a5):
         # two copies of the A4 < A5 fixture on the same five points would
         # claim A4 x 1 epi in A5 x A5, where the engine finds it is not

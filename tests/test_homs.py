@@ -169,6 +169,17 @@ class TestGroupHomomorphism:
         diff = ident.first_difference(inv)
         assert diff is not None and ident.apply(diff) != inv.apply(diff)
 
+    def test_first_difference_compares_images_across_targets(self):
+        # (1 2) in S3 and (0 1) in <(0 1)> both sit at position 1 of their
+        # own target's list: the tables are equal, the maps are not
+        S3 = symmetric_group(3)
+        t = parse_permutation("(0 1)", 3)
+        C2 = S3.subgroup([t])
+        f = GroupHomomorphism(C2, S3, [parse_permutation("(1 2)", 3)])
+        h = GroupHomomorphism(C2, C2, [t])
+        assert f.table_at([1]) == h.table_at([1]) == (1,)
+        assert f.first_difference(h) == h.first_difference(f) == t
+
 
 class TestAllHomomorphisms:
     @pytest.mark.parametrize("source,target,count", [
@@ -270,6 +281,34 @@ class TestIndexedSearch:
         assert [h.generator_images for h in again] == first
         all_homomorphisms(G, cyclic_group(3))
         assert products == []
+
+    def test_warm_check_makes_no_target_product(self, monkeypatch):
+        S4, C2 = symmetric_group(4), cyclic_group(2)
+        sign = (C2.generators[0], C2.generators[0])
+        GroupHomomorphism(S4, C2, sign)  # S4's walk, C2's list and columns
+        products = []
+        mul = Permutation.__mul__
+
+        def counting_mul(p, q):
+            if p.degree == C2.degree:
+                products.append((p, q))
+            return mul(p, q)
+
+        monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+        assert GroupHomomorphism(S4, C2, sign).kernel().order() == 12
+        assert products == []
+
+    def test_checked_and_enumerated_homs_share_one_table(self):
+        homs = 0
+        for G in bundled_catalog():
+            for C in bundled_catalog():
+                if G.order() * C.order() > ORACLE_MAX_PRODUCT:
+                    continue
+                for f in all_homomorphisms(G, C):
+                    checked = GroupHomomorphism(G, C, f.generator_images)
+                    assert checked._table == f._table, (G.name, C.name)
+                    homs += 1
+        assert homs > 1000
 
     def test_kernel_and_first_difference_match_brute_force(self):
         pairs = 0
