@@ -37,7 +37,8 @@ Validation happens only at the boundaries: ``Permutation(...)``,
 catalog, certificate JSON) check that the images form a permutation.
 Products, inverses and identities are permutations by construction, so
 they go through the unchecked ``Permutation._trusted``, which no other
-module may call.
+module may call.  A permutation computes its cycle string on the first
+``str()`` and keeps it; equality, hash and order read only ``images``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 
 from .errors import DegreeMismatch, GroupError, ParseError, check_budget
@@ -161,6 +162,10 @@ class Permutation:
         return n
 
     def __str__(self) -> str:
+        return self._cycle_string
+
+    @cached_property
+    def _cycle_string(self) -> str:
         cycles = self.cycles()
         if not cycles:
             return "()"

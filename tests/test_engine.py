@@ -16,8 +16,9 @@ from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext, EpiVerdict,
                          simpletimes_pipeline, verify_certificate,
                          verify_qofsimple)
 from vlab.errors import BudgetExceeded, GroupError
-from vlab.perm import (PermutationGroup, alternating_group, cyclic_group,
-                       pad_permutation, parse_permutation, symmetric_group)
+from vlab.perm import (Permutation, PermutationGroup, alternating_group,
+                       cyclic_group, pad_permutation, parse_permutation,
+                       symmetric_group)
 from vlab.structure import (all_subgroups, nilpotency_class,
                             normal_subgroups, product_covers, quotient,
                             subgroup_intersection)
@@ -71,6 +72,28 @@ class TestNeumannTest:
         monkeypatch.setattr("vlab.engine.parse_permutation", counting)
         assert verify_certificate(s4, s3_in_s4, SolvableLength(3), verdict,
                                   ctx)
+        assert calls == []
+
+    def test_a_warm_certificate_builds_no_cycle_string(self, ctx,
+                                                       monkeypatch):
+        # the radical's generators keep their strings from the first op,
+        # so a second subgroup of the same G stringifies nothing
+        s4, desc = symmetric_group(4), SolvableLength(3)
+        first = s4.subgroup([parse_permutation("(0 1)", 4)])
+        assert verify_certificate(s4, first, desc,
+                                  epi_decide(s4, first, desc, ctx), ctx)
+        calls = []
+        cycles = Permutation.cycles
+
+        def counting(p):
+            calls.append(p)
+            return cycles(p)
+
+        monkeypatch.setattr(Permutation, "cycles", counting)
+        second = s4.subgroup([parse_permutation("(0 1 2)", 4)])
+        verdict = epi_decide(s4, second, desc, ctx)
+        assert verdict.certificate["kind"] == "neumann-solvable-complement"
+        assert verify_certificate(s4, second, desc, verdict, ctx) is True
         assert calls == []
 
     def test_a_normal_subgroup_other_than_the_radical_is_rejected(

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import deque
 from types import SimpleNamespace
@@ -76,6 +78,41 @@ class TestPermutation:
     def test_parse_repeated_point_rejected(self):
         with pytest.raises(GroupError):
             parse_permutation("(0 1 0)", 3)
+
+
+def fresh_cycle_string(p):
+    cycles = p.cycles()
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()"
+
+
+class TestCycleStringKeptOnce:
+    @given(perm_strategy(6), perm_strategy(6))
+    def test_string_is_the_fresh_cycle_string(self, p, q):
+        kinds = [p, Permutation._trusted(q.images), Permutation.identity(6),
+                 p * q, p.inverse()]
+        for r in kinds:
+            for _ in range(2):
+                assert str(r) == fresh_cycle_string(r)
+                assert parse_permutation(str(r), 6) == r
+
+    @given(perm_strategy(5), perm_strategy(5))
+    def test_asking_for_the_string_changes_no_comparison(self, p, q):
+        asked = [p, q, p * q]
+        for r in asked:
+            str(r)
+        plain = [Permutation(r.images) for r in asked]
+        # compare before anything asks the plain copies for their strings
+        for r, v in zip(asked, plain):
+            assert r == v and hash(r) == hash(v)
+        assert sorted(asked) == sorted(plain)
+        assert ([r < s for r in asked for s in plain]
+                == [r < s for r in plain for s in plain])
+        assert len(set(asked) | set(plain)) == len(set(plain))
+        for r, v in zip(asked, plain):
+            for clone in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+                assert clone == v and hash(clone) == hash(v)
+                assert str(clone) == fresh_cycle_string(v)
+            assert repr(r) == repr(v)
 
 
 CATALOG_UP_TO_24 = [G for G in bundled_catalog() if G.order() <= 24]
