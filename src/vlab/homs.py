@@ -9,7 +9,9 @@ col(image k)[table[x]] over the target's columns: ``_edge_table`` makes
 that one check, with no product, for checked and enumerated homs alike.
 
 G also keeps ``all_homomorphisms`` in ``G.memo("homs")``, one list per
-codomain object; the budgets are checked before the lookup.
+codomain object; the budgets are checked before the lookup.  The orders
+of G's generators and of their pairwise products, which prune every
+enumeration from G, are kept in ``G.memo("generator_orders")``.
 """
 
 from __future__ import annotations
@@ -220,10 +222,12 @@ def _enumerate_homs(G: PermutationGroup, C: PermutationGroup,
     targets, _, col = C.indexed(budgets.max_enumerate)
     orders = C.memo("element_orders", lambda: [t.order() for t in targets])
 
+    gen_orders, pair_orders = G.memo("generator_orders", lambda: (
+        [g.order() for g in gens],
+        [[(gens[j] * g).order() for j in range(i)]
+         for i, g in enumerate(gens)]))
     candidates = [[c for c, m in enumerate(orders) if n % m == 0]
-                  for n in (g.order() for g in gens)]
-    pair_orders = [[(gens[j] * g).order() for j in range(i)]
-                   for i, g in enumerate(gens)]
+                  for n in gen_orders]
     found: list[GroupHomomorphism] = []
 
     def backtrack(i: int, chosen: list[int]):

@@ -15,8 +15,17 @@ same chain, the same transversals and the same element enumeration, which is
 what makes certificates reproducible.  The build and the sift work on image
 tuples, with the inverse of every transversal value kept beside it, and a
 Schreier generator already known to lie in the deeper chain is not sifted
-again; neither changes which generators are adjoined or in what order, so
-the chain is the one the plain algorithm builds (see ``StabilizerChain``).
+again.  A level rebuilt because a generator was adjoined to it redoes only
+what changed since its last rebuild: (a) a point reached from a kept parent
+by the same generator as last time keeps its tuples, since they are the same
+product; (b) a Schreier tuple of an older generator between two kept points
+is not made, since it is the last rebuild's tuple, which was the identity or
+known to lie in the deeper chain; (c) nor is a breadth-first tree edge's,
+which is the identity; (d) the transversal ``Permutation`` objects are made
+once, after the last generator is adjoined.  None of this changes which
+generators are adjoined or in what order, so the chain is the one the plain
+algorithm builds (see ``StabilizerChain``).  The elements are listed by
+composing transversal image tuples.
 
 A subgroup made by ``G.subgroup(gens)`` remembers its root ambient (G's own
 root, or G).  Once the root has listed its elements, the subgroup answers
@@ -49,6 +58,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
+from operator import attrgetter
 
 from .errors import DegreeMismatch, GroupError, ParseError, check_budget
 
@@ -228,15 +238,14 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
 class _Level:
     __slots__ = ("point", "gens", "transversal", "inverses")
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int):
         self.point = point
         # generators of this level's full stabilizer group (not a partition:
         # every element of the deeper group that surfaces here is appended)
         self.gens: list[Permutation] = []
-        identity = Permutation.identity(degree)
-        self.transversal: dict[int, Permutation] = {point: identity}
+        self.transversal: dict[int, Permutation] = {}
         # image tuple of the inverse of every transversal value
-        self.inverses: dict[int, tuple[int, ...]] = {point: identity.images}
+        self.inverses: dict[int, tuple[int, ...]] = {}
 
 
 class StabilizerChain:
@@ -257,16 +266,39 @@ class StabilizerChain:
     That group only grows and a sift has no side effect, so such a sift
     could only give the identity: the same generators are adjoined in the
     same order, and the chain is the one the plain algorithm builds.
+
+    A rebuild of a level (a generator was adjoined to it) redoes only what
+    changed since the level's last rebuild.  Each rule is exact:
+
+    (a) a point the breadth-first pass reaches from a kept parent by the
+        same generator index as last time keeps its tuple and its inverse,
+        as u_q = u_p s is then the same product; the base point is kept;
+    (b) the Schreier tuple of (p, s) is skipped when s is older than this
+        rebuild and u_p and u_s(p) are both kept: it is the tuple of the
+        last rebuild, which was the identity or already known to lie in
+        the deeper group (by induction, as every rebuild leaves every
+        tuple of its orbit one or the other);
+    (c) the Schreier tuple of a breadth-first tree edge is skipped: u_p s
+        is u_s(p) by construction, so the tuple is the identity;
+    (d) the transversal ``Permutation`` objects are built once, when the
+        last generator has been adjoined; until then only the inverse
+        tuples, which the sift reads, are kept on the level.
+
+    None of them changes a sift or its order, so the same generators are
+    adjoined in the same order and the same transversals are built.
     """
 
     def __init__(self, degree: int, generators):
         self.degree = degree
         self.levels: list[_Level] = []
         self._identity = _identity_images(degree)
-        build: list[tuple[list, set]] = []
+        build: list[tuple[list, set, dict, dict]] = []
         for g in generators:
             if not g.is_identity():
                 self._add_generator(0, g, build)
+        for lvl, (_, _, _, images) in zip(self.levels, build):
+            lvl.transversal = {q: Permutation._trusted(u)
+                               for q, u in images.items()}
 
     @property
     def base(self):
@@ -287,38 +319,52 @@ class StabilizerChain:
     def _add_generator(self, i: int, g: Permutation, build: list):
         """Adjoin g (not the identity) to level i and complete the chain
         from level i down.  While the chain is built, build[i] holds level
-        i's generators as (images, inverse images) and the Schreier tuples
-        of level i already known to lie in the group of level i + 1."""
+        i's generators as (images, inverse images), the Schreier tuples of
+        level i already known to lie in the group of level i + 1, and the
+        last rebuild's generator index into each orbit point (-1 at the
+        base point) and transversal tuples."""
         if i == len(self.levels):
-            self.levels.append(_Level(min(g.moved_points()), self.degree))
-            build.append(([], set()))
+            self.levels.append(_Level(min(g.moved_points())))
+            build.append(([], set(), {}, {}))
         lvl = self.levels[i]
         lvl.gens.append(g)
-        gens, seen = build[i]
+        gens, seen, last_via, last_images = build[i]
+        last_inverses = lvl.inverses
         gens.append((g.images, g.inverse().images))
+        new = len(gens) - 1
         # deterministic breadth-first orbit of the base point
         identity = self._identity
         images = {lvl.point: identity}
         inverses = {lvl.point: identity}
+        via = {lvl.point: -1}
+        kept = {lvl.point}
         queue = deque([lvl.point])
         while queue:
             p = queue.popleft()
             u, u_inv = images[p], inverses[p]
-            for s, s_inv in gens:
+            for k, (s, s_inv) in enumerate(gens):
                 q = s[p]
-                if q not in images:
+                if q in images:
+                    continue
+                via[q] = k
+                if p in kept and last_via.get(q) == k:  # rule (a)
+                    kept.add(q)
+                    images[q], inverses[q] = last_images[q], last_inverses[q]
+                else:
                     images[q] = tuple(map(s.__getitem__, u))
                     inverses[q] = tuple(map(u_inv.__getitem__, s_inv))
-                    queue.append(q)
-        lvl.transversal = {q: Permutation._trusted(u)
-                           for q, u in images.items()}
+                queue.append(q)
         lvl.inverses = inverses
+        build[i] = (gens, seen, via, images)
         # every Schreier generator lies in the stabilizer; those that do not
         # sift through the deeper chain become generators one level down
         for p in sorted(images):
             u = images[p]
-            for s, _ in gens:
-                schreier = tuple(map(inverses[s[p]].__getitem__,
+            for k, (s, _) in enumerate(gens):
+                q = s[p]
+                if via[q] == k or (k < new and p in kept and q in kept):
+                    continue  # rules (c) and (b)
+                schreier = tuple(map(inverses[q].__getitem__,
                                      map(s.__getitem__, u)))
                 if schreier == identity or schreier in seen:
                     continue
@@ -341,19 +387,16 @@ class StabilizerChain:
         return p
 
     def iter_elements(self):
-        """Yield all elements (unsorted, but in a deterministic order)."""
-
-        def rec(i):
-            if i == len(self.levels):
-                yield Permutation.identity(self.degree)
-                return
-            lvl = self.levels[i]
-            cosets = [lvl.transversal[p] for p in sorted(lvl.transversal)]
-            for h in rec(i + 1):
-                for u in cosets:
-                    yield h * u
-
-        return rec(0)
+        """Yield all elements (unsorted, but in a deterministic order): each
+        product h u, for h over the deeper levels' elements and u over this
+        level's transversal in point order, composed as image tuples."""
+        products = [self._identity]
+        for lvl in reversed(self.levels):
+            cosets = [lvl.transversal[p].images
+                      for p in sorted(lvl.transversal)]
+            products = [tuple(map(u.__getitem__, h))
+                        for h in products for u in cosets]
+        return map(Permutation._trusted, products)
 
 
 class PermutationGroup:
@@ -368,7 +411,8 @@ class PermutationGroup:
     alone: ``indexed`` (shared by the lattice, the hom search and the
     regular wreath), the conjugation columns, ``solvable_radical``,
     ``derived_series``, ``is_solvable``, ``class_representatives`` and
-    ``exponent``, a source's Cayley walk, its ``all_homomorphisms`` lists
+    ``exponent``, a source's Cayley walk, its generator and pair-product
+    orders (``"generator_orders"``), its ``all_homomorphisms`` lists
     (``"homs"``, one per codomain object), a codomain's element orders, its
     verbal subgroups (``"q_verbal"``, by descriptor and budgets) and, for
     the group generating a ``var:`` variety, the membership screen
@@ -377,8 +421,8 @@ class PermutationGroup:
     ``elements`` does.
 
     Memo keys: cayley_walk class_representatives conj derived_series
-    element_orders exponent homs indexed is_solvable members q_verbal
-    screen_families solvable_radical
+    element_orders exponent generator_orders homs indexed is_solvable
+    members q_verbal screen_families solvable_radical
 
     A group made by ``subgroup()`` keeps its root ambient in ``_ambient``.
     Exactly while that root is listed (``root._elements is not None``),
@@ -477,7 +521,8 @@ class PermutationGroup:
         if self._elements is None:
             members = self._members()
             if members is None:
-                self._elements = tuple(sorted(self.chain().iter_elements()))
+                self._elements = tuple(sorted(self.chain().iter_elements(),
+                                              key=attrgetter("images")))
             else:
                 listed = self._ambient._elements
                 self._elements = tuple(listed[i] for i in sorted(members))

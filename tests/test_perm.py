@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import mulclose
+from vlab import perm
 from vlab.catalog import bundled_catalog
 from vlab.constructions import regular_wreath
 from vlab.errors import DegreeMismatch, GroupError, ParseError
@@ -300,7 +301,27 @@ def oracle_cases():
     small = [G for G in catalog if 1 < G.order() <= 6]
     cases += [(f"{A.name}wr{B.name}", lambda A=A, B=B: regular_wreath(
         A, B).product) for A in small for B in small if B.order() <= 4]
+    # the groups whose rebuilds change the transversals most, on shuffled
+    # points so that the base is not 0, 1, 2, ...
+    named = {G.name: G for G in catalog}
+    large = [(f"S{n}", lambda n=n: symmetric_group(n)) for n in (11, 12)]
+    large += [(f"A{n}", lambda n=n: alternating_group(n)) for n in (11, 12)]
+    large += [(f"{a}wr{b}", lambda a=a, b=b: regular_wreath(
+        named[a], named[b]).product) for a, b in LARGE_WREATHS]
+    cases += [(f"{name}-relabelled", lambda name=name, build=build: relabelled(
+        build(), random.Random(name))) for name, build in large]
     return cases
+
+
+# regular wreaths of degree 12 to 24 from the constructions pool, and C2 wr D4
+LARGE_WREATHS = [("S3", "C4"), ("S3", "S3"), ("D4", "S3"), ("A4", "S3"),
+                 ("C2", "D4"), ("C4", "C4"), ("C2^2", "S3"), ("C5", "C4")]
+
+
+def relabelled(G, rng):
+    """G with its points renamed by a seeded random permutation."""
+    sigma = Permutation(tuple(rng.sample(range(G.degree), G.degree)))
+    return PermutationGroup(G.degree, [g ** sigma for g in G.generators])
 
 
 ORACLE_CASES = oracle_cases()
@@ -338,6 +359,47 @@ class TestChainMatchesTheReference:
         chain = StabilizerChain(8, S8.generators)
         assert chain.order() == 40320
         assert 0 < calls < reference_sifts
+
+    @pytest.mark.parametrize("build,sifts,tuples", [
+        (lambda: symmetric_group(8), 25, 168),
+        (lambda: regular_wreath(named_group("S3"), named_group("S3")).product,
+         66, 342)], ids=["S8", "S3wrS3"])
+    def test_a_rebuild_redoes_only_what_changed(self, monkeypatch, build,
+                                                sifts, tuples):
+        # remaking every tuple of a level on each rebuild makes 347 and
+        # 1,130 image tuples and wraps 123 and 343, with the same sifts
+        G = build()
+        counts = {"sift": 0, "tuple": 0, "trusted": 0}
+        sift_from = StabilizerChain._sift_from
+        trusted = Permutation._trusted
+
+        def counting_sift(self, start, p):
+            counts["sift"] += 1
+            return sift_from(self, start, p)
+
+        def counting_tuple(*args):
+            counts["tuple"] += 1
+            return tuple(*args)
+
+        def counting_trusted(images):
+            counts["trusted"] += 1
+            return trusted(images)
+
+        monkeypatch.setattr(StabilizerChain, "_sift_from", counting_sift)
+        monkeypatch.setattr(Permutation, "_trusted",
+                            staticmethod(counting_trusted))
+        # every image tuple perm.py makes goes through its global `tuple`
+        monkeypatch.setattr(perm, "tuple", counting_tuple, raising=False)
+        chain = StabilizerChain(G.degree, G.generators)
+        monkeypatch.undo()
+        assert chain.order() == G.order()
+        assert counts["sift"] == sifts and counts["tuple"] == tuples
+        # one wrap per transversal value, one per generator's inverse and
+        # one per residue adjoined below level 0
+        gens = [len(lvl.gens) for lvl in chain.levels]
+        assert counts["trusted"] == (
+            sum(len(lvl.transversal) for lvl in chain.levels)
+            + sum(gens) + sum(gens[1:]))
 
 
 class TestNamedConstructors:
