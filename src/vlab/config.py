@@ -17,8 +17,7 @@ from dataclasses import dataclass, fields
 @dataclass(frozen=True)
 class Budgets:
     # Cap on explicit element enumeration (elements(), conjugacy classes,
-    # intersection filtering, quotient coset keys, homomorphism tables and
-    # checks).
+    # intersection filtering, quotients, homomorphism tables and checks).
     max_enumerate: int = 100_000
     # Cap on |G| for normal-subgroup enumeration (solvable radical) and for
     # the full subgroup lattice.

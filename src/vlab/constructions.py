@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import DegreeMismatch, GroupError, check_budget
 from .perm import Permutation, PermutationGroup, pad_permutation
-from .structure import is_normal, quotient
+from .structure import quotient
 from .homs import GroupHomomorphism
 
 # Fixed cap on the degree of a constructed power or wreath product.  It is
@@ -194,12 +194,9 @@ def kaloujnine_krasner(E: PermutationGroup, A: PermutationGroup,
     With projection pi and the minimal-representative transversal t, the map
     sends e to the pair (pi(e), f_e) with f_e(b) = t(b) * e * t(b*pi(e))^-1,
     which lands in A and is a homomorphism for the wreath convention above.
-    Returns (hom, wreath context, quotient result).
+    quotient checks that A is a normal subgroup of E.  Returns (hom, wreath
+    context, quotient result).
     """
-    if not A.is_subgroup_of(E):
-        raise GroupError("A must be a subgroup of E")
-    if not is_normal(E, A):
-        raise GroupError("Kaloujnine-Krasner needs A normal in E")
     q = quotient(E, A, budgets)
     ctx = regular_wreath(A, q.group, budgets)
     proj = q.projection

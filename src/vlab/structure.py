@@ -238,42 +238,34 @@ def quotient(G: PermutationGroup, N: PermutationGroup,
              budgets: Budgets = DEFAULT_BUDGETS) -> QuotientResult:
     """Permutation action of G on the right cosets of N, plus the projection.
 
-    Cosets are labeled by their minimal element (canonical ordering), sorted,
-    so the identity coset is point 0 and the construction is reproducible.
+    Checks that N is a subgroup of G and normal in it.  The coset Ng = gN is
+    the orbit of g's position in G's list under the columns of N's
+    generators; one pass in position order numbers the cosets by their least
+    element, so the identity coset is point 0.
     """
     from .homs import GroupHomomorphism
 
+    elements, index, col = G.indexed(budgets.max_enumerate)
+    positions = [index.get(n.images) for n in N.generators]
+    if None in positions:
+        raise GroupError("quotient requires a subgroup of G")
     if not is_normal(G, N):
         raise GroupError("quotient requires a normal subgroup")
-    n_elements = N.elements(budgets.max_enumerate)
-
-    def coset_key(g: Permutation) -> tuple[int, ...]:
-        return min((x * g).images for x in n_elements)
-
-    identity = G.identity()
-    keys = {coset_key(identity): identity}
-    frontier = deque([identity])
-    while frontier:
-        rep = frontier.popleft()
-        for g in G.generators:
-            cand = rep * g
-            key = coset_key(cand)
-            if key not in keys:
-                keys[key] = Permutation(key)
-                frontier.append(Permutation(key))
-    ordered_keys = sorted(keys)
-    index_of = {key: i for i, key in enumerate(ordered_keys)}
-    reps = [Permutation(key) for key in ordered_keys]
-
-    gen_images = []
-    for g in G.generators:
-        images = tuple(index_of[coset_key(reps[i] * g)]
-                       for i in range(len(reps)))
-        gen_images.append(Permutation(images))
+    cols = [col(j) for j in positions if j]
+    label: list[int | None] = [None] * len(elements)
+    reps: list[int] = []
+    for x in range(len(elements)):
+        if label[x] is None:
+            for y in walk(set(), [x], cols):
+                label[y] = len(reps)
+            reps.append(x)
+    gen_images = [Permutation(tuple(label[c[r]] for r in reps))
+                  for c in (col(index[g.images]) for g in G.generators)]
     Q = PermutationGroup(len(reps), gen_images,
                          name=f"{G.name}/{N.name}" if G.name and N.name else None)
     proj = GroupHomomorphism(G, Q, tuple(gen_images), budgets=budgets)
-    return QuotientResult(group=Q, projection=proj, coset_reps=reps)
+    return QuotientResult(group=Q, projection=proj,
+                          coset_reps=[elements[x] for x in reps])
 
 
 def element_normal_closures(G: PermutationGroup,

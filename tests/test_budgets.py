@@ -10,9 +10,10 @@ from vlab.config import DEFAULT_BUDGETS, Budgets
 from vlab.constructions import direct_power, regular_wreath
 from vlab.errors import BudgetExceeded, check_budget
 from vlab.homs import all_homomorphisms, identity_endomorphism
-from vlab.perm import all_tuples, cyclic_group, symmetric_group
+from vlab.perm import (all_tuples, cyclic_group, parse_permutation,
+                       symmetric_group)
 from vlab.structure import (all_subgroups, normal_subgroups, normalizer,
-                            solvable_radical)
+                            quotient, solvable_radical)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vlab"
 
@@ -49,6 +50,8 @@ def test_check_budget_message_and_fields():
 
 
 S4 = symmetric_group(4)
+V4 = S4.subgroup([parse_permutation("(0 1)(2 3)", 4),
+                  parse_permutation("(0 2)(1 3)", 4)])
 TIGHT = Budgets(max_enumerate=10, max_normal_enumeration=10,
                 max_normalizer=10, max_hom_product=100)
 
@@ -65,6 +68,7 @@ ENTRY_POINTS = {
                          lambda: solvable_radical(S4, TIGHT)),
     "all_subgroups": ("max_normal_enumeration",
                       lambda: all_subgroups(S4, TIGHT)),
+    "quotient": ("max_enumerate", lambda: quotient(S4, V4, TIGHT)),
     "hom_table": ("max_enumerate",
                   lambda: identity_endomorphism(S4).kernel(TIGHT)),
     "all_homomorphisms": ("max_hom_product",

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import random
 
 import pytest
@@ -713,6 +714,26 @@ class TestVerifierTotality:
         verdict = EpiVerdict(outcome, certificate, [], {})
         assert verify_certificate(s4, s3_in_s4, Abelian(), verdict,
                                   ctx) is False
+
+    @pytest.mark.parametrize("kind", ["inner-dominion-failure",
+                                      "product-splitting"])
+    def test_deeply_nested_inner_is_false(self, ctx, s4, s3_in_s4, a5,
+                                          a4_in_a5, kind):
+        # the builder echoes the certificate's own inner, so a comparison
+        # that walked it would need two frames per level; the hypothesis
+        # certificates below never nest this deep
+        G, H, desc = ((s4, s3_in_s4, "prod(Sl:2,A)")
+                      if kind == "inner-dominion-failure"
+                      else (a5, a4_in_a5, "prod(var:A5,A)"))
+        desc = parse_descriptor(desc)
+        verdict = epi_decide(G, H, desc, ctx)
+        certificate = json.loads(json.dumps(verdict.certificate))
+        holder = certificate.get("node", certificate)
+        assert kind in (holder.get("kind"), holder.get("rule"))
+        holder["inner"] = json.loads('{"inner": ' * 450 + "null"
+                                     + "}" * 450)
+        forged = dataclasses.replace(verdict, certificate=certificate)
+        assert verify_certificate(G, H, desc, forged, ctx) is False
 
 
 @pytest.fixture(scope="module")

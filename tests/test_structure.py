@@ -30,6 +30,22 @@ def brute_subgroup_elements(G, seed):
     return set(mulclose(list(seed)))
 
 
+def brute_coset_action(G, N):
+    """Independent oracle for quotient: the cosets Ng labelled by their least
+    image tuples in sorted order, and each generator's action on them."""
+    def compose(a, b):  # a, then b
+        return tuple(b[x] for x in a)
+
+    n_elements = [n.images for n in mulclose(list(N.generators))]
+    coset = {g.images: min(compose(n, g.images) for n in n_elements)
+             for g in mulclose(list(G.generators))}
+    reps = sorted(set(coset.values()))
+    label = {r: i for i, r in enumerate(reps)}
+    images = [tuple(label[coset[compose(r, g.images)]] for r in reps)
+              for g in G.generators]
+    return reps, images
+
+
 class TestNormalClosure:
     def test_s3_three_cycle(self):
         s3 = symmetric_group(3)
@@ -194,6 +210,55 @@ class TestQuotient:
         s4 = symmetric_group(4)
         with pytest.raises(GroupError):
             quotient(s4, s4.subgroup([parse_permutation("(0 1)", 4)]))
+
+    def test_rejects_a_non_subgroup(self):
+        # <(2 3)> is normalised by (0 1), but it is not a subgroup of <(0 1)>
+        s4 = symmetric_group(4)
+        with pytest.raises(GroupError, match="subgroup of G"):
+            quotient(s4.subgroup([parse_permutation("(0 1)", 4)]),
+                     s4.subgroup([parse_permutation("(2 3)", 4)]))
+
+    def test_makes_no_product_and_validates_one_image_per_generator(
+            self, monkeypatch):
+        s4 = symmetric_group(4)
+        v4 = s4.subgroup([parse_permutation("(0 1)(2 3)", 4),
+                          parse_permutation("(0 2)(1 3)", 4)])
+        counts = {"products": 0, "validated": 0}
+        mul, post_init = Permutation.__mul__, Permutation.__post_init__
+
+        def counting_mul(a, b):
+            counts["products"] += 1
+            return mul(a, b)
+
+        def counting_post_init(p):
+            counts["validated"] += 1
+            post_init(p)
+
+        monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+        monkeypatch.setattr(Permutation, "__post_init__", counting_post_init)
+        quotient(s4, v4)
+        assert counts == {"products": 0, "validated": len(s4.generators)}
+
+    def test_matches_the_brute_force_coset_action(self):
+        # every catalog group of order <= 24 and one seeded relabelling of
+        # each, over every normal subgroup
+        pairs = 0
+        for G in bundled_catalog():
+            if G.order() > 24:
+                continue
+            rng = random.Random(G.name)
+            sigma = Permutation(tuple(rng.sample(range(G.degree), G.degree)))
+            moved = PermutationGroup(G.degree,
+                                     [g ** sigma for g in G.generators])
+            for group in (G, moved):
+                for N in normal_subgroups(group):
+                    q = quotient(group, N)
+                    reps, images = brute_coset_action(group, N)
+                    assert [r.images for r in q.coset_reps] == reps, G.name
+                    assert [p.images for p in
+                            q.projection.generator_images] == images, G.name
+                    pairs += 1
+        assert pairs == 1272
 
     def test_projection_is_verified_homomorphism(self):
         # pointwise multiplicativity oracle on a small instance
