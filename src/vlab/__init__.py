@@ -21,10 +21,9 @@ from .varieties import (Abelian, Fixture, Laws, NilpotentClass,
                         verbal_subgroup)
 from .constructions import (direct_power, direct_product, kaloujnine_krasner,
                             regular_wreath)
-from .wreath_z import (TailConstantFn, WreathZElement, componentwise_commutator,
-                       depth2_witness, solve_commutator,
-                       verify_commutator_solution, wz_commutator, wz_inverse,
-                       wz_multiply)
+from .wreath_z import (TailConstantFn, WreathZElement, depth2_witness,
+                       solve_commutator, verify_commutator_solution,
+                       wz_commutator, wz_inverse, wz_multiply)
 from .power_series import (SeriesParams, TruncatedSeries, law_failure_witness,
                            magnus_image)
 from .engine import (DominionBounds, EngineContext, EpiVerdict, EPI, NOT_EPI,

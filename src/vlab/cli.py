@@ -190,7 +190,7 @@ def run_command(args) -> int:
     if args.command == "verbal":
         G = resolve_group(args.group, ctx.catalog)
         desc = parse_descriptor(args.descriptor)
-        V = q_verbal(G, desc, ctx.budgets, ctx.fixtures)
+        V = q_verbal(G, desc, ctx.budgets)
         emit({"schema": 1, "command": "verbal", "group": args.group,
               "descriptor": str(desc), "order": V.order(),
               "generators": [str(g) for g in V.generators],

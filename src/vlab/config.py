@@ -37,3 +37,7 @@ class Budgets:
 
 
 DEFAULT_BUDGETS = Budgets()
+
+# Fixed cap on the degree of a named, constructed or loaded group.  It is
+# not a Budgets field: reports echo every field, and this cap never varies.
+MAX_DEGREE = 10_000

@@ -17,15 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import DEFAULT_BUDGETS, Budgets
+from .config import DEFAULT_BUDGETS, MAX_DEGREE, Budgets
 from .errors import DegreeMismatch, GroupError, check_budget
 from .perm import Permutation, PermutationGroup, pad_permutation
 from .structure import quotient
 from .homs import GroupHomomorphism
-
-# Fixed cap on the degree of a constructed power or wreath product.  It is
-# not a Budgets field: reports echo every field, and this cap never varies.
-MAX_DEGREE = 10_000
 
 
 # -- direct products and powers -------------------------------------------------

@@ -148,7 +148,7 @@ def _product_step(G: PermutationGroup, H: PermutationGroup,
     V is normal, so HV = G exactly when |H||V| = |G||H intersect V|.  V is
     q_verbal's one object per (G, desc.right), so its hom lists stay warm.
     """
-    verbal = q_verbal(G, desc.right, ctx.budgets, ctx.fixtures)
+    verbal = q_verbal(G, desc.right, ctx.budgets)
     trace = subgroup_intersection(G, H, verbal, ctx.budgets)
     covers = H.order() * verbal.order() == G.order() * trace.order()
     return verbal, trace, covers
@@ -258,11 +258,6 @@ class DominionBounds:
         """The pinch test: the bounds meet, so both equal the dominion."""
         return self.lower.order() == self.upper.order()
 
-    def sandwich_ok(self, G: PermutationGroup, H: PermutationGroup) -> bool:
-        return (H.is_subgroup_of(self.lower)
-                and self.lower.is_subgroup_of(self.upper)
-                and self.upper.is_subgroup_of(G))
-
 
 def mckay_bound(G: PermutationGroup, H: PermutationGroup,
                 qdesc: Descriptor, ctx: EngineContext) -> PermutationGroup:
@@ -272,7 +267,7 @@ def mckay_bound(G: PermutationGroup, H: PermutationGroup,
     the formula itself is computed unconditionally (callers own the
     hypothesis).
     """
-    verbal = q_verbal(G, qdesc, ctx.budgets, ctx.fixtures)
+    verbal = q_verbal(G, qdesc, ctx.budgets)
     return product_subgroup(G, verbal, H)
 
 
@@ -662,7 +657,7 @@ def verify_qofsimple(S: PermutationGroup, B: PermutationGroup,
     if not is_simple_nonabelian(S, ctx):
         raise GroupError("the bottom group must be simple and nonabelian")
     wreath = regular_wreath(S, B, ctx.budgets)
-    verbal = q_verbal(wreath.product, qdesc, ctx.budgets, ctx.fixtures)
+    verbal = q_verbal(wreath.product, qdesc, ctx.budgets)
     base = wreath.base_subgroup()
     if verbal.same_group_as(base):
         branch = "base"

@@ -84,11 +84,6 @@ class GroupHomomorphism:
         if check:
             self._factorization_table(budgets)
 
-    def is_well_defined(self, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
-        """Whether the images lie in the target and define a homomorphism,
-        by the edge check."""
-        return self._defect(budgets) is None
-
     def _defect(self, budgets: Budgets) -> str | None:
         """Why the images define no homomorphism into the target, or None;
         a table in place (an enumerated hom's) is not checked again."""

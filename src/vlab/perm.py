@@ -12,20 +12,10 @@ The stabilizer chain is built by a plain deterministic Schreier-Sims: base
 points are the smallest moved points, orbits are explored breadth-first with
 generators in list order.  Two runs over the same generator list produce the
 same chain, the same transversals and the same element enumeration, which is
-what makes certificates reproducible.  The build and the sift work on image
-tuples, with the inverse of every transversal value kept beside it, and a
-Schreier generator already known to lie in the deeper chain is not sifted
-again.  A level rebuilt because a generator was adjoined to it redoes only
-what changed since its last rebuild: (a) a point reached from a kept parent
-by the same generator as last time keeps its tuples, since they are the same
-product; (b) a Schreier tuple of an older generator between two kept points
-is not made, since it is the last rebuild's tuple, which was the identity or
-known to lie in the deeper chain; (c) nor is a breadth-first tree edge's,
-which is the identity; (d) the transversal ``Permutation`` objects are made
-once, after the last generator is adjoined.  None of this changes which
-generators are adjoined or in what order, so the chain is the one the plain
-algorithm builds (see ``StabilizerChain``).  The elements are listed by
-composing transversal image tuples.
+what makes certificates reproducible.  The chain holds image tuples only,
+and its rebuilds skip only what cannot change a sift (see
+``StabilizerChain``); the elements and random draws are composed as tuples
+and wrapped once.
 
 A subgroup made by ``G.subgroup(gens)`` remembers its root ambient (G's own
 root, or G).  Once the root has listed its elements, the subgroup answers
@@ -58,8 +48,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
-from operator import attrgetter
 
+from .config import MAX_DEGREE
 from .errors import DegreeMismatch, GroupError, ParseError, check_budget
 
 
@@ -115,10 +105,7 @@ class Permutation:
             tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> Permutation:
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._trusted(tuple(inv))
+        return Permutation._trusted(_inverse_images(self.images))
 
     def __pow__(self, g):
         # integer power; for a Permutation exponent this is conjugation
@@ -195,6 +182,14 @@ def _identity_images(degree: int) -> tuple[int, ...]:
     return tuple(range(degree))
 
 
+def _inverse_images(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of the inverse permutation."""
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
+
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -240,11 +235,13 @@ class _Level:
 
     def __init__(self, point: int):
         self.point = point
-        # generators of this level's full stabilizer group (not a partition:
-        # every element of the deeper group that surfaces here is appended)
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
-        # image tuple of the inverse of every transversal value
+        # (images, inverse images) of the generators of this level's full
+        # stabilizer group (not a partition: every element of the deeper
+        # group that surfaces here is appended)
+        self.gens: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        # image tuple of the transversal value at each orbit point, and of
+        # its inverse
+        self.transversal: dict[int, tuple[int, ...]] = {}
         self.inverses: dict[int, tuple[int, ...]] = {}
 
 
@@ -256,16 +253,17 @@ class StabilizerChain:
     explored breadth-first with generators in list order, and every Schreier
     generator that fails to sift is adjoined to the next level.
 
-    The build and the sift work on image tuples: each level keeps the
-    inverse of every transversal value, built in the same breadth-first
-    pass (u_q = u_p s gives u_q^-1 = s^-1 u_p^-1), so a sift step and a
-    Schreier generator u_p s u_q^-1 are one tuple each.  While the chain is
-    built, each level remembers the Schreier generators already known to lie
-    in the deeper chain's group (they sifted to the identity, or their
-    residue was adjoined) and does not sift them again when it is rebuilt.
-    That group only grows and a sift has no side effect, so such a sift
-    could only give the identity: the same generators are adjoined in the
-    same order, and the chain is the one the plain algorithm builds.
+    The chain holds image tuples only: each level keeps its generators
+    with their inverses, and the transversal with the inverse of every
+    value, built in the same breadth-first pass (u_q = u_p s gives
+    u_q^-1 = s^-1 u_p^-1), so a sift step and a Schreier generator
+    u_p s u_q^-1 are one tuple each.  While the chain is built, each level
+    remembers the Schreier generators already known to lie in the deeper
+    chain's group (they sifted to the identity, or their residue was
+    adjoined) and does not sift them again when it is rebuilt.  That group
+    only grows and a sift has no side effect, so such a sift could only
+    give the identity: the same generators are adjoined in the same order,
+    and the chain is the one the plain algorithm builds.
 
     A rebuild of a level (a generator was adjoined to it) redoes only what
     changed since the level's last rebuild.  Each rule is exact:
@@ -279,10 +277,7 @@ class StabilizerChain:
         the deeper group (by induction, as every rebuild leaves every
         tuple of its orbit one or the other);
     (c) the Schreier tuple of a breadth-first tree edge is skipped: u_p s
-        is u_s(p) by construction, so the tuple is the identity;
-    (d) the transversal ``Permutation`` objects are built once, when the
-        last generator has been adjoined; until then only the inverse
-        tuples, which the sift reads, are kept on the level.
+        is u_s(p) by construction, so the tuple is the identity.
 
     None of them changes a sift or its order, so the same generators are
     adjoined in the same order and the same transversals are built.
@@ -292,13 +287,10 @@ class StabilizerChain:
         self.degree = degree
         self.levels: list[_Level] = []
         self._identity = _identity_images(degree)
-        build: list[tuple[list, set, dict, dict]] = []
+        build: list[tuple[set, dict]] = []
         for g in generators:
             if not g.is_identity():
-                self._add_generator(0, g, build)
-        for lvl, (_, _, _, images) in zip(self.levels, build):
-            lvl.transversal = {q: Permutation._trusted(u)
-                               for q, u in images.items()}
+                self._add_generator(0, g.images, build)
 
     @property
     def base(self):
@@ -316,22 +308,22 @@ class StabilizerChain:
                 f"element degree {p.degree} vs group degree {self.degree}")
         return self._sift_from(0, p.images) == self._identity
 
-    def _add_generator(self, i: int, g: Permutation, build: list):
-        """Adjoin g (not the identity) to level i and complete the chain
-        from level i down.  While the chain is built, build[i] holds level
-        i's generators as (images, inverse images), the Schreier tuples of
-        level i already known to lie in the group of level i + 1, and the
-        last rebuild's generator index into each orbit point (-1 at the
-        base point) and transversal tuples."""
+    def _add_generator(self, i: int, g: tuple[int, ...], build: list):
+        """Adjoin the image tuple g (not the identity) to level i and
+        complete the chain from level i down.  While the chain is built,
+        build[i] holds the Schreier tuples of level i already known to lie
+        in the group of level i + 1 and the last rebuild's generator index
+        into each orbit point (-1 at the base point)."""
         if i == len(self.levels):
-            self.levels.append(_Level(min(g.moved_points())))
-            build.append(([], set(), {}, {}))
+            self.levels.append(_Level(next(
+                x for x, y in enumerate(g) if x != y)))
+            build.append((set(), {}))
         lvl = self.levels[i]
-        lvl.gens.append(g)
-        gens, seen, last_via, last_images = build[i]
-        last_inverses = lvl.inverses
-        gens.append((g.images, g.inverse().images))
+        gens = lvl.gens
+        gens.append((g, _inverse_images(g)))
         new = len(gens) - 1
+        seen, last_via = build[i]
+        last_images, last_inverses = lvl.transversal, lvl.inverses
         # deterministic breadth-first orbit of the base point
         identity = self._identity
         images = {lvl.point: identity}
@@ -354,8 +346,8 @@ class StabilizerChain:
                     images[q] = tuple(map(s.__getitem__, u))
                     inverses[q] = tuple(map(u_inv.__getitem__, s_inv))
                 queue.append(q)
-        lvl.inverses = inverses
-        build[i] = (gens, seen, via, images)
+        lvl.transversal, lvl.inverses = images, inverses
+        build[i] = (seen, via)
         # every Schreier generator lies in the stabilizer; those that do not
         # sift through the deeper chain become generators one level down
         for p in sorted(images):
@@ -370,8 +362,7 @@ class StabilizerChain:
                     continue
                 residue = self._sift_from(i + 1, schreier)
                 if residue != identity:
-                    self._add_generator(i + 1, Permutation._trusted(residue),
-                                        build)
+                    self._add_generator(i + 1, residue, build)
                 seen.add(schreier)
 
     def _sift_from(self, start: int, p: tuple[int, ...]) -> tuple[int, ...]:
@@ -386,17 +377,17 @@ class StabilizerChain:
             p = tuple(map(u_inv.__getitem__, p))
         return p
 
-    def iter_elements(self):
-        """Yield all elements (unsorted, but in a deterministic order): each
-        product h u, for h over the deeper levels' elements and u over this
-        level's transversal in point order, composed as image tuples."""
+    def iter_elements(self) -> list[tuple[int, ...]]:
+        """The image tuples of all elements (unsorted, but in a
+        deterministic order): each product h u, for h over the deeper
+        levels' elements and u over this level's transversal in point
+        order."""
         products = [self._identity]
         for lvl in reversed(self.levels):
-            cosets = [lvl.transversal[p].images
-                      for p in sorted(lvl.transversal)]
+            cosets = [lvl.transversal[p] for p in sorted(lvl.transversal)]
             products = [tuple(map(u.__getitem__, h))
                         for h in products for u in cosets]
-        return map(Permutation._trusted, products)
+        return products
 
 
 class PermutationGroup:
@@ -521,8 +512,8 @@ class PermutationGroup:
         if self._elements is None:
             members = self._members()
             if members is None:
-                self._elements = tuple(sorted(self.chain().iter_elements(),
-                                              key=attrgetter("images")))
+                self._elements = tuple(map(
+                    Permutation._trusted, sorted(self.chain().iter_elements())))
             else:
                 listed = self._ambient._elements
                 self._elements = tuple(listed[i] for i in sorted(members))
@@ -559,7 +550,7 @@ class PermutationGroup:
         columns = self.memo("conj", dict)
         if g.images not in columns:
             elements, index, _ = self._indexed()
-            h, h_inv = g.images, g.inverse().images
+            h, h_inv = g.images, _inverse_images(g.images)
             # (p ** g)[y] = g(p(g^-1(y)))
             columns[g.images] = [
                 index[tuple(map(h.__getitem__,
@@ -625,11 +616,11 @@ class PermutationGroup:
 
     def random_element(self, rng) -> Permutation:
         """Uniform random element via the chain transversals."""
-        g = Permutation.identity(self.degree)
+        g = _identity_images(self.degree)
         for lvl in self.chain().levels:
-            points = sorted(lvl.transversal)
-            g = g * lvl.transversal[rng.choice(points)]
-        return g
+            u = lvl.transversal[rng.choice(sorted(lvl.transversal))]
+            g = tuple(map(u.__getitem__, g))
+        return Permutation._trusted(g)
 
     def __repr__(self) -> str:
         label = self.name or f"degree {self.degree}"
@@ -732,6 +723,7 @@ def named_group(name: str) -> PermutationGroup:
     if not match:
         raise ParseError(f"unknown group name {name!r}")
     kind, n = match.group(1), int(match.group(2))
+    check_budget("max_degree", MAX_DEGREE, n)
     if kind == "C":
         return cyclic_group(n)
     if kind == "S":

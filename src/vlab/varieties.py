@@ -316,8 +316,7 @@ def satisfies_laws(G: PermutationGroup, laws,
 
 
 def q_verbal(G: PermutationGroup, desc: Descriptor,
-             budgets: Budgets = DEFAULT_BUDGETS,
-             fixtures=()) -> PermutationGroup:
+             budgets: Budgets = DEFAULT_BUDGETS) -> PermutationGroup:
     """The verbal subgroup of G for desc: the least normal N with G/N in desc.
 
     Kept in ``G.memo("q_verbal")`` by (desc, budgets), so a tighter budget
@@ -371,7 +370,7 @@ def member_of_variety(G: PermutationGroup, desc: Descriptor,
                    if not w.is_identity())
     if isinstance(desc, ProductVariety):
         # G lies in prod(N, Q) exactly when Q(G) lies in N
-        inner = q_verbal(G, desc.right, budgets, fixtures)
+        inner = q_verbal(G, desc.right, budgets)
         return member_of_variety(inner, desc.left, budgets, fixtures)
     if isinstance(desc, VarOfGroup):
         fx = find_member_fixture(fixtures, G, desc)

@@ -184,10 +184,6 @@ def wz_commutator(a: WreathZElement, b: WreathZElement) -> WreathZElement:
                        wz_multiply(a, b))
 
 
-def wz_conjugate(a: WreathZElement, g: WreathZElement) -> WreathZElement:
-    return wz_multiply(wz_multiply(wz_inverse(g), a), g)
-
-
 def solve_commutator(phi: TailConstantFn,
                      seed: Permutation | None = None) -> TailConstantFn:
     """Find psi with [psi, x] = phi, for finitely supported phi.
@@ -227,12 +223,6 @@ def verify_commutator_solution(phi: TailConstantFn,
     x = WreathZElement.shift_power(phi.group, 1)
     got = wz_commutator(WreathZElement.base(psi), x)
     return got.shift == 0 and got.fn == phi
-
-
-def componentwise_commutator(pairs):
-    """[(a_i), (b_i)] = ([a_i, b_i]): a tuple of commutators is the
-    commutator of the tuples, computed per component."""
-    return [wz_commutator(a, b) for a, b in pairs]
 
 
 @dataclass

@@ -7,7 +7,7 @@ from vlab.catalog import (bundled_catalog, bundled_fixtures, dicyclic,
                           resolve_group_name, serialize_catalog,
                           serialize_fixtures)
 from vlab.constructions import MAX_DEGREE
-from vlab.errors import GroupError, ParseError
+from vlab.errors import BudgetExceeded, GroupError, ParseError
 from vlab.structure import derived_subgroup, quotient
 
 from tests.conftest import element_order_profile
@@ -98,6 +98,14 @@ class TestNameResolution:
     def test_unknown(self):
         with pytest.raises(ParseError):
             resolve_group_name("nonsense")
+
+    @pytest.mark.parametrize("kind", "ACDSV")
+    def test_named_groups_keep_the_degree_cap(self, kind):
+        assert resolve_group_name(f"{kind}{MAX_DEGREE}").degree == MAX_DEGREE
+        with pytest.raises(BudgetExceeded) as exc:
+            resolve_group_name(f"{kind}{MAX_DEGREE + 1}")
+        assert exc.value.budget_name == "max_degree"
+        assert exc.value.requested == MAX_DEGREE + 1
 
 
 class TestCatalogFiles:

@@ -6,6 +6,7 @@ import pytest
 
 from vlab.cli import build_parser, main
 from vlab.catalog import bundled_catalog, serialize_catalog
+from vlab.config import MAX_DEGREE
 
 
 def run_cli(capsys, *argv):
@@ -201,11 +202,19 @@ class TestFormatsAndFiles:
         ("magnus", "--word", "x1", "-p", "0"),
         ("magnus", "--word", "x1", "-p", "4"),
         ("verbal", "--group", "S3", "--descriptor", "Nc:x"),
-        ("verbal", "--group", "S3", "--descriptor", "Sl:")])
+        ("verbal", "--group", "S3", "--descriptor", "Sl:"),
+        ("order", f"C{MAX_DEGREE + 1}")])
     def test_bad_input_exits_1_without_a_traceback(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and not out
         assert err.strip() and "Traceback" not in err
+
+    def test_a_variety_named_past_the_degree_cap_is_unknown(self, capsys):
+        code, report = run_json(capsys, "epi", "--group", "A5", "--sub", "A4",
+                                "--variety", f"var:S{MAX_DEGREE + 1}")
+        assert code == 2 and report["outcome"] == "unknown"
+        assert any(note.startswith("stopped: max_degree")
+                   for note in report["notes"])
 
     def test_budget_flags_echoed(self, capsys):
         code, report = run_json(capsys, "--max-wreath-top", "6", "wreath",

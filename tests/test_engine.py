@@ -236,7 +236,10 @@ class TestDominionBounds:
                             for _ in range(k)])
             desc = descs[rng.randrange(len(descs))]
             bounds = dominion_bounds(G, H, desc, ctx)
-            assert bounds.sandwich_ok(G, H), (G.name, str(desc))
+            assert H.is_subgroup_of(bounds.lower), (G.name, str(desc))
+            assert bounds.lower.is_subgroup_of(bounds.upper), (G.name,
+                                                               str(desc))
+            assert bounds.upper.is_subgroup_of(G), (G.name, str(desc))
 
     def test_solvable_class_pinches_only_normal_subgroups(self, ctx, s4,
                                                           s3_in_s4):
@@ -540,8 +543,7 @@ class TestCertificateSoundness:
         H = s4.subgroup([parse_permutation("(0 1 2)", 4)])
         assert (epi_decide(s4, H, desc, ctx).certificate["kind"]
                 == "verbal-cover-failure")
-        verbal = varieties.q_verbal(s4, desc.right, ctx.budgets,
-                                    ctx.fixtures)
+        verbal = varieties.q_verbal(s4, desc.right, ctx.budgets)
         trace = subgroup_intersection(s4, H, verbal, ctx.budgets)
         inner = epi_decide(verbal, trace, desc.left, ctx)
         assert inner.certificate["kind"] == "neumann-solvable-complement"

@@ -1,4 +1,6 @@
-"""Every import in src/vlab, tests/ and scripts/ is used.
+"""Every import in src/vlab, tests/ and scripts/ is used, every private
+helper in src/vlab is referred to, and every public name there that nothing
+in src/vlab refers to is listed with its reason.
 
 `__init__.py` files only re-export, so they are skipped.
 """
@@ -62,11 +64,10 @@ def private_definitions(tree: ast.Module) -> list[str]:
     return names
 
 
-def dead_helpers(sources: dict[str, str]) -> list[str]:
-    """Private definitions that no name, attribute or import refers to."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def referenced_names(trees) -> set[str]:
+    """Every name, attribute and imported name in the trees."""
     used = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -74,6 +75,13 @@ def dead_helpers(sources: dict[str, str]) -> list[str]:
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
+    return used
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """Private definitions that no name, attribute or import refers to."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = referenced_names(trees.values())
     return [f"{name}: {helper}" for name, tree in trees.items()
             for helper in private_definitions(tree) if helper not in used]
 
@@ -91,3 +99,86 @@ def test_no_dead_private_helpers_in_src():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted(SRC.glob("*.py"))}
     assert dead_helpers(sources) == []
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Public module-level functions and classes, and the public methods of
+    module-level classes as ``Class.method``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, defs)
+                      and not item.name.startswith("_")]
+    return names
+
+
+def unreferenced_public(sources: dict[str, str]) -> list[str]:
+    """Public definitions that no name, attribute or import refers to."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = referenced_names(trees.values())
+    return [f"{name}: {public}" for name, tree in trees.items()
+            for public in public_definitions(tree)
+            if public.rsplit(".", 1)[-1] not in used]
+
+
+def test_detector_flags_an_unreferenced_public_name():
+    source = ("def used():\n    pass\n\ndef unused():\n    pass\n\n"
+              "class K:\n    def method(self):\n        pass\n"
+              "    def __init__(self):\n        used()\n"
+              "    def _private(self):\n        pass\n")
+    assert unreferenced_public({"m.py": source}) == [
+        "m.py: unused", "m.py: K", "m.py: K.method"]
+    assert unreferenced_public({"m.py": "def f():\n    pass\n",
+                                "n.py": "from .m import f\n"}) == []
+    assert unreferenced_public({"m.py": "class K:\n    def f(self):\n"
+                                "        pass\n\nK().f()\n"}) == []
+
+
+TRACED = "on perfbench/tracer.py's list"
+ENTRY = "an entry point of perfbench/ and scripts/"
+API = "library API kept on purpose"
+
+# Public names in src/vlab that nothing there refers to (``__init__.py``,
+# which only re-exports, aside), each with the reason it stays.
+UNREFERENCED_PUBLIC = {
+    "catalog.py: serialize_catalog": API,
+    "catalog.py: serialize_fixtures": API,
+    "constructions.py: DirectPowerContext.component": API,
+    "constructions.py: DirectPowerContext.power_subgroup": API,
+    "constructions.py: WreathContext.decompose": API,
+    "constructions.py: direct_power": TRACED,
+    "engine.py: EngineContext.bundled": ENTRY,
+    "homs.py: identity_endomorphism": TRACED,
+    "homs.py: inclusion_hom": TRACED,
+    "perm.py: Permutation.moved_points": API,
+    "structure.py: normal_subgroups": TRACED,
+    "structure.py: normalizer": TRACED,
+    "varieties.py: descriptor_laws": TRACED,
+    "varieties.py: eval_word": TRACED,
+    "varieties.py: satisfies_laws": TRACED,
+    "words.py: Word.length": API,
+    "wreath_z.py: depth2_witness": TRACED,
+}
+
+
+def test_every_unreferenced_public_name_in_src_is_listed():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    assert sorted(unreferenced_public(sources)) == sorted(UNREFERENCED_PUBLIC)
+
+
+def test_the_traced_and_entry_point_reasons_hold():
+    tracer = (ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8")
+    callers = [" ".join(p.read_text(encoding="utf-8")
+                        for p in (ROOT / d).glob("*.py"))
+               for d in ("perfbench", "scripts")]
+    for entry, reason in UNREFERENCED_PUBLIC.items():
+        name = entry.split(": ")[1]
+        if reason == TRACED:
+            assert f'"{name}"' in tracer, entry
+        if reason == ENTRY:
+            assert all(f"{name}(" in text for text in callers), entry

@@ -2,7 +2,7 @@
 perm.py may touch the per-group memo other than through
 PermutationGroup.memo, only perm.py may build an element-position index
 (PermutationGroup.indexed), only perm.py may sift image tuples or read a
-chain level's inverse transversal, and only perm.py may read a subgroup's
+chain level's transversal or its inverses (bare image tuples), and only perm.py may read a subgroup's
 root ambient or its member positions.  The PermutationGroup docstring names
 every per-group memo key that src/vlab uses, and no other.  engine.py
 compares a certificate with its builder only through the type-exact
@@ -109,11 +109,11 @@ def test_no_module_outside_perm_builds_an_element_index(path):
 
 def chain_internal_uses(source: str) -> list[int]:
     """Lines that name the tuple sift `_sift_from` or read a level's
-    `inverses` as an attribute."""
+    `transversal` or `inverses` as an attribute."""
     return sorted(
         node.lineno for node in ast.walk(ast.parse(source))
         if (isinstance(node, ast.Attribute)
-            and node.attr in ("_sift_from", "inverses"))
+            and node.attr in ("_sift_from", "transversal", "inverses"))
         or (isinstance(node, ast.Name) and node.id == "_sift_from"))
 
 
@@ -121,7 +121,8 @@ def test_detector_flags_the_chain_internals():
     assert chain_internal_uses(
         "G.contains(p)\nchain._sift_from(0, p.images)\n"
         "inv = level.inverses[x]\ninverses = {}\nsift = _sift_from\n"
-        ) == [2, 3, 5]
+        "u = level.transversal[x]\ntransversal = {}\n"
+        ) == [2, 3, 5, 6]
 
 
 def test_perm_module_holds_the_chain_internals():

@@ -4,11 +4,9 @@ import pytest
 
 from vlab.errors import GroupError
 from vlab.perm import alternating_group, parse_permutation, symmetric_group
-from vlab.wreath_z import (TailConstantFn, WreathZElement,
-                           componentwise_commutator, depth2_witness,
-                           solve_commutator,
-                           verify_commutator_solution, wz_commutator,
-                           wz_conjugate, wz_inverse, wz_multiply)
+from vlab.wreath_z import (TailConstantFn, WreathZElement, depth2_witness,
+                           solve_commutator, verify_commutator_solution,
+                           wz_commutator, wz_inverse, wz_multiply)
 
 S3 = symmetric_group(3)
 
@@ -114,7 +112,8 @@ class TestGroupStructure:
         x = WreathZElement.shift_power(S3, 1)
         for _ in range(50):
             fn = random_fn(rng, S3)
-            conj = wz_conjugate(WreathZElement.base(fn), x)
+            conj = wz_multiply(wz_multiply(wz_inverse(x),
+                                           WreathZElement.base(fn)), x)
             assert conj.shift == 0
             for n in range(-8, 8):
                 assert conj.fn.value(n) == fn.value(n - 1)
@@ -183,28 +182,15 @@ class TestSolveCommutator:
             solve_commutator(step)
 
 
-class TestComponentwise:
-    def test_single_pair_is_plain_commutator(self):
-        rng = random.Random(13)
-        a, b = random_element(rng, S3), random_element(rng, S3)
-        assert componentwise_commutator([(a, b)]) == [wz_commutator(a, b)]
-
-    def test_equal_pairs_give_equal_components(self):
-        rng = random.Random(14)
-        a, b = random_element(rng, S3), random_element(rng, S3)
-        out = componentwise_commutator([(a, b), (a, b)])
-        assert out[0] == out[1]
-
-    def test_three_random_pairs_match_independent_computation(self):
+class TestCommutator:
+    def test_three_random_pairs_match_the_defining_product(self):
+        # [a, b] = a^-1 b^-1 a b
         rng = random.Random(15)
-        pairs = [(random_element(rng, S3), random_element(rng, S3))
-                 for _ in range(3)]
-        out = componentwise_commutator(pairs)
-        for (a, b), got in zip(pairs, out):
+        for _ in range(3):
+            a, b = random_element(rng, S3), random_element(rng, S3)
             manual = wz_multiply(
-                wz_multiply(wz_inverse(a), wz_inverse(b)),
-                wz_multiply(a, b))
-            assert got == manual
+                wz_multiply(wz_multiply(wz_inverse(a), wz_inverse(b)), a), b)
+            assert wz_commutator(a, b) == manual
 
 
 class TestDepth2Witness:
