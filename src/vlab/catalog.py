@@ -20,8 +20,8 @@ import re
 from .config import Budgets
 from .errors import GroupError, ParseError
 from .perm import (Permutation, PermutationGroup, alternating_group,
-                   cyclic_group, dihedral_group, named_group, parse_permutation,
-                   symmetric_group, trivial_group)
+                   cyclic_group, dihedral_group, named_group, pad_permutation,
+                   parse_permutation, symmetric_group, trivial_group)
 from .constructions import MAX_DEGREE, direct_product, regular_wreath
 from .structure import quotient
 from .varieties import Fixture, parse_descriptor
@@ -115,7 +115,6 @@ def central_product_d4_c4() -> PermutationGroup:
     big = direct_product(q8, c4, name="Q8xC4")
     a2 = q8.generators[0] ** 2          # the central involution of Q8
     c2 = c4.generators[0] ** 2
-    from .perm import pad_permutation
     z = pad_permutation(a2, big.degree, 0) * pad_permutation(c2, big.degree,
                                                              q8.degree)
     center = big.subgroup([z])
@@ -127,7 +126,6 @@ def central_product_d4_c4() -> PermutationGroup:
 def c3_by_d4() -> PermutationGroup:
     """C3 : D4 with the order-4 element inverting: the fiber product of
     S3 and D4 over C2 (sign against the quotient-by-(r^2, s) map)."""
-    from .perm import pad_permutation
     deg = 7
     rot3 = pad_permutation(parse_permutation("(0 1 2)", 3), deg, 0)
     diag = (pad_permutation(parse_permutation("(0 1)", 3), deg, 0)
@@ -250,6 +248,20 @@ def resolve_group_name(name: str) -> PermutationGroup:
 # -- catalog files -------------------------------------------------------------
 
 
+def _records(text: str, shape: str):
+    """(line number, fields) for each record of a catalog or fixture file,
+    skipping blank and ``#`` lines; shape names the ``|``-separated fields."""
+    width = shape.count("|") + 1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [part.strip() for part in line.split("|")]
+        if len(fields) != width:
+            raise ParseError(f"line {lineno}: expected '{shape}'")
+        yield lineno, fields
+
+
 def serialize_catalog(groups) -> str:
     lines = ["# name | degree | generator image tuples separated by ';'"]
     for g in groups:
@@ -261,14 +273,8 @@ def serialize_catalog(groups) -> str:
 
 def parse_catalog(text: str) -> list[PermutationGroup]:
     groups = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 'name | degree | gens'")
-        name, degree_text, gens_text = parts
+    for lineno, (name, degree_text, gens_text) in _records(
+            text, "name | degree | gens"):
         try:
             degree = int(degree_text)
         except ValueError:
@@ -341,24 +347,16 @@ def serialize_fixtures(fixtures) -> str:
 
 def parse_fixtures(text: str) -> list[Fixture]:
     fixtures = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 5:
-            raise ParseError(
-                f"line {lineno}: expected 'kind | group | subgroup | "
-                f"descriptor | provenance'")
-        kind, group_name, sub_text, desc_text, provenance = parts
+    for lineno, (kind, group_name, sub, desc_text, provenance) in _records(
+            text, "kind | group | subgroup | descriptor | provenance"):
         try:
             group = resolve_group_name(group_name)
         except (ParseError, GroupError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         subgroup = None
-        if sub_text and sub_text != "-":
+        if sub and sub != "-":
             gens = [parse_permutation(chunk.strip(), group.degree)
-                    for chunk in sub_text.split(";")]
+                    for chunk in sub.split(";")]
             subgroup = group.subgroup(gens)
             for g in subgroup.generators:
                 if not group.contains(g):

@@ -4,6 +4,10 @@ Subcommands: order, verbal, wreath, kk-embed, epi, bounds, magnus, escape,
 pipeline, scenario.  Reports go to stdout as JSON (default) or aligned text;
 exit code 0 on success, 2 when the outcome is unknown, 1 on error.  Each
 --max-* option overrides the resource budget of the same name (vlab.config).
+
+Each subcommand builds one report and one exit code, which run_command
+emits in one place; flat reports share one envelope (schema, command, the
+fields, then the budgets).
 """
 
 from __future__ import annotations
@@ -149,15 +153,13 @@ def emit(report: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        for line in _text_lines(report, indent=0):
-            print(line)
+        print(*_text_lines(report, indent=0), sep="\n")
 
 
 def _text_lines(value, indent: int):
     pad = "  " * indent
     if isinstance(value, dict):
-        for key in value:
-            item = value[key]
+        for key, item in value.items():
             if isinstance(item, (dict, list)):
                 yield f"{pad}{key}:"
                 yield from _text_lines(item, indent + 1)
@@ -173,147 +175,113 @@ def _text_lines(value, indent: int):
         yield f"{pad}{value}"
 
 
-def _outcome_exit(outcome: str) -> int:
-    return EXIT_UNKNOWN if outcome == UNKNOWN else EXIT_OK
+def _envelope(args, ctx: EngineContext, **fields) -> dict:
+    """The envelope of a flat report: schema, command, fields, budgets."""
+    return {"schema": 1, "command": args.command, **fields,
+            "budgets": ctx.budgets.as_dict()}
 
 
 def run_command(args) -> int:
+    """Build the command's report and exit code, then emit the report."""
     ctx = make_context(args)
-    fmt = args.format
-
+    code = EXIT_OK
     if args.command == "order":
         G = resolve_group(args.group, ctx.catalog)
-        emit({"schema": 1, "command": "order", "group": args.group,
-              "order": G.order(), "budgets": ctx.budgets.as_dict()}, fmt)
-        return EXIT_OK
-
-    if args.command == "verbal":
+        report = _envelope(args, ctx, group=args.group, order=G.order())
+    elif args.command == "verbal":
         G = resolve_group(args.group, ctx.catalog)
         desc = parse_descriptor(args.descriptor)
         V = q_verbal(G, desc, ctx.budgets)
-        emit({"schema": 1, "command": "verbal", "group": args.group,
-              "descriptor": str(desc), "order": V.order(),
-              "generators": [str(g) for g in V.generators],
-              "budgets": ctx.budgets.as_dict()}, fmt)
-        return EXIT_OK
-
-    if args.command == "wreath":
+        report = _envelope(args, ctx, group=args.group, descriptor=str(desc),
+                           order=V.order(),
+                           generators=[str(g) for g in V.generators])
+    elif args.command == "wreath":
         A = resolve_group(args.bottom, ctx.catalog)
         B = resolve_group(args.top, ctx.catalog)
         w = regular_wreath(A, B, ctx.budgets)
-        emit({"schema": 1, "command": "wreath",
-              "bottom": args.bottom, "top": args.top,
-              "degree": w.product.degree, "order": w.product.order(),
-              "base_order": w.base_subgroup().order(),
-              "blocks": w.block_count,
-              "budgets": ctx.budgets.as_dict()}, fmt)
-        return EXIT_OK
-
-    if args.command == "kk-embed":
+        report = _envelope(args, ctx, bottom=args.bottom, top=args.top,
+                           degree=w.product.degree, order=w.product.order(),
+                           base_order=w.base_subgroup().order(),
+                           blocks=w.block_count)
+    elif args.command == "kk-embed":
         E = resolve_group(args.group, ctx.catalog)
         A = resolve_subgroup(args.normal, E)
         hom, wreath, q = kaloujnine_krasner(E, A, ctx.budgets)
-        emit({"schema": 1, "command": "kk-embed", "group": args.group,
-              "normal_order": A.order(),
-              "quotient_order": q.group.order(),
-              "wreath_degree": wreath.product.degree,
-              "wreath_order": wreath.product.order(),
-              "image_order": hom.image().order(),
-              "injective": hom.is_injective(),
-              "generator_images": [str(p) for p in hom.generator_images],
-              "budgets": ctx.budgets.as_dict()}, fmt)
-        return EXIT_OK
-
-    if args.command == "epi":
+        report = _envelope(
+            args, ctx, group=args.group, normal_order=A.order(),
+            quotient_order=q.group.order(),
+            wreath_degree=wreath.product.degree,
+            wreath_order=wreath.product.order(),
+            image_order=hom.image().order(), injective=hom.is_injective(),
+            generator_images=[str(p) for p in hom.generator_images])
+    elif args.command == "epi":
         G = resolve_group(args.group, ctx.catalog)
         H = resolve_subgroup(args.sub, G)
         desc = parse_descriptor(args.variety)
         verdict = epi_decide(G, H, desc, ctx)
-        report = verdict.to_json()
-        report.update({"command": "epi", "group": args.group,
-                       "sub": args.sub, "variety": str(desc)})
+        report = {**verdict.to_json(), "command": "epi", "group": args.group,
+                  "sub": args.sub, "variety": str(desc)}
         if args.verify and verdict.outcome != UNKNOWN:
             report["certificate_reverified"] = verify_certificate(
                 G, H, desc, verdict, ctx)
-        emit(report, fmt)
-        return _outcome_exit(verdict.outcome)
-
-    if args.command == "bounds":
+        code = EXIT_UNKNOWN if verdict.outcome == UNKNOWN else EXIT_OK
+    elif args.command == "bounds":
         G = resolve_group(args.group, ctx.catalog)
         H = resolve_subgroup(args.sub, G)
         desc = parse_descriptor(args.variety)
         bounds = dominion_bounds(G, H, desc, ctx)
-        emit({"schema": 1, "command": "bounds", "group": args.group,
-              "sub": args.sub, "variety": str(desc),
-              "lower_order": bounds.lower.order(),
-              "upper_order": bounds.upper.order(),
-              "exact": bounds.exact,
-              "derivation": bounds.derivation,
-              "budgets": ctx.budgets.as_dict()}, fmt)
-        return EXIT_OK
-
-    if args.command == "magnus":
+        report = _envelope(args, ctx, group=args.group, sub=args.sub,
+                           variety=str(desc), lower_order=bounds.lower.order(),
+                           upper_order=bounds.upper.order(),
+                           exact=bounds.exact, derivation=bounds.derivation)
+    elif args.command == "magnus":
         word = parse_word(args.word)
-        report = law_failure_witness(word, args.prime)
-        emit({"schema": 1, "command": "magnus", "word": str(word),
-              "p": args.prime, "truncation_degree": report.truncation,
-              "witness_monomial": "".join(f"y{v}" for v in report.monomial),
-              "predicted_coefficient": report.predicted_coefficient,
-              "extracted_coefficient": report.extracted_coefficient,
-              "image_is_one": report.image_is_one,
-              "consistent": report.consistent,
-              "assignment": "each variable x_i maps to 1 + y_i in the "
-                            "unit group of the truncated series ring",
-              "budgets": ctx.budgets.as_dict()}, fmt)
-        return EXIT_OK if report.consistent else EXIT_ERROR
-
-    if args.command == "escape":
+        witness = law_failure_witness(word, args.prime)
+        report = _envelope(
+            args, ctx, word=str(word), p=args.prime,
+            truncation_degree=witness.truncation,
+            witness_monomial="".join(f"y{v}" for v in witness.monomial),
+            predicted_coefficient=witness.predicted_coefficient,
+            extracted_coefficient=witness.extracted_coefficient,
+            image_is_one=witness.image_is_one, consistent=witness.consistent,
+            assignment="each variable x_i maps to 1 + y_i in the unit "
+                       "group of the truncated series ring")
+        code = EXIT_OK if witness.consistent else EXIT_ERROR
+    elif args.command == "escape":
         A = resolve_group(args.base, ctx.catalog)
         desc = parse_descriptor(args.variety)
         try:
             result = find_wreath_escape(A, desc, ctx)
         except EscapeExhausted as exc:
-            emit({"schema": 1, "command": "escape", "outcome": UNKNOWN,
-                  "reason": str(exc),
-                  "budgets": ctx.budgets.as_dict()}, fmt)
-            return EXIT_UNKNOWN
-        report = result.to_json()
-        report.update({"command": "escape", "base": args.base,
-                       "variety": str(desc), "outcome": "found",
-                       "budgets": ctx.budgets.as_dict()})
-        emit(report, fmt)
-        return EXIT_OK
-
-    if args.command == "pipeline":
+            report = _envelope(args, ctx, outcome=UNKNOWN, reason=str(exc))
+            code = EXIT_UNKNOWN
+        else:
+            report = {**result.to_json(), "command": "escape",
+                      "base": args.base, "variety": str(desc),
+                      "outcome": "found", "budgets": ctx.budgets.as_dict()}
+    elif args.command == "pipeline":
         S = resolve_group(args.simple, ctx.catalog)
         H = resolve_subgroup(args.sub, S)
         left = parse_descriptor(args.left)
         right = parse_descriptor(args.right)
-        report = simpletimes_pipeline(S, H, left, right, ctx)
-        data = report.to_json()
-        data.update({"command": "pipeline"})
-        emit(data, fmt)
-        return _outcome_exit(report.verdict.outcome)
-
-    if args.command == "scenario":
+        result = simpletimes_pipeline(S, H, left, right, ctx)
+        report = {**result.to_json(), "command": "pipeline"}
+        code = EXIT_UNKNOWN if result.verdict.outcome == UNKNOWN else EXIT_OK
+    else:  # scenario, the last of the subparsers' choices
         if args.list or (not args.name and not args.all):
-            emit({"schema": 1, "command": "scenario",
-                  "scenarios": [{"name": s.name, "description": s.description}
-                                for s in SCENARIOS]}, fmt)
-            return EXIT_OK
-        chosen = SCENARIOS if args.all else [find_scenario(args.name)]
-        all_ok = True
-        results = []
-        for s in chosen:
-            outcome = s.run(ctx)
-            all_ok = all_ok and outcome.get("ok", False)
-            results.append({"name": s.name, "ok": outcome.get("ok", False),
-                            "report": outcome})
-        emit({"schema": 1, "command": "scenario", "ok": all_ok,
-              "results": results, "budgets": ctx.budgets.as_dict()}, fmt)
-        return EXIT_OK if all_ok else EXIT_ERROR
-
-    raise GroupError(f"unhandled command {args.command!r}")
+            report = {"schema": 1, "command": "scenario", "scenarios": [
+                {"name": s.name, "description": s.description}
+                for s in SCENARIOS]}
+        else:
+            chosen = SCENARIOS if args.all else [find_scenario(args.name)]
+            outcomes = [(s.name, s.run(ctx)) for s in chosen]
+            results = [{"name": name, "ok": out.get("ok", False),
+                        "report": out} for name, out in outcomes]
+            all_ok = all(r["ok"] for r in results)
+            report = _envelope(args, ctx, ok=all_ok, results=results)
+            code = EXIT_OK if all_ok else EXIT_ERROR
+    emit(report, args.format)
+    return code
 
 
 def main(argv=None) -> int:
@@ -324,11 +292,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return run_command(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except GroupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        label = "parse error" if isinstance(exc, ParseError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -64,9 +64,9 @@ from .structure import (class_representatives, is_normal, is_solvable,
                         normal_closure, product_covers, product_subgroup,
                         solvable_radical, subgroup_intersection)
 from .homs import GroupHomomorphism, all_homomorphisms
-from .varieties import (NO, YES, Descriptor, ProductVariety,
-                        find_epi_fixture, is_solvable_variety,
-                        is_trivial_variety, member_of_variety, q_verbal)
+from .varieties import (Descriptor, ProductVariety, find_epi_fixture,
+                        is_solvable_variety, is_trivial_variety,
+                        member_of_variety, q_verbal)
 from .constructions import (MAX_DEGREE, WreathContext, power_generators,
                             regular_wreath)
 
@@ -156,7 +156,7 @@ def _product_step(G: PermutationGroup, H: PermutationGroup,
 
 def _nontrivial_left(desc: ProductVariety, ctx: EngineContext) -> bool:
     """The hypothesis of the product upper bound: the dominion lies in Q(G)H."""
-    return is_trivial_variety(desc.left, ctx.fixtures) == NO
+    return is_trivial_variety(desc.left, ctx.fixtures) is False
 
 
 # -- one builder per certificate or node: the decider and the pipeline emit
@@ -307,7 +307,7 @@ def dominion_bounds(G: PermutationGroup, H: PermutationGroup,
         return DominionBounds(lower=lower, upper=upper, derivation=steps)
     # with H normal, G/H lies in the variety and H is the equalizer of
     # G -> G/H and the trivial map
-    if (is_solvable_variety(desc, ctx.fixtures) == YES
+    if (is_solvable_variety(desc, ctx.fixtures) is True
             and member_of_variety(G, desc, ctx.budgets, ctx.fixtures) is True
             and is_normal(G, H)):
         return DominionBounds(

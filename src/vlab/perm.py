@@ -722,7 +722,11 @@ def named_group(name: str) -> PermutationGroup:
     match = _NAME_RE.match(name.strip())
     if not match:
         raise ParseError(f"unknown group name {name!r}")
-    kind, n = match.group(1), int(match.group(2))
+    kind, digits = match.groups()
+    try:
+        n = int(digits)
+    except ValueError:  # past int()'s limit on decimal digits
+        raise ParseError(f"group size too long in {name[:8]!r}...") from None
     check_budget("max_degree", MAX_DEGREE, n)
     if kind == "C":
         return cyclic_group(n)

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GroupError
+from .config import MAX_DEGREE
+from .errors import GroupError, check_budget
 from .words import Word
 
 Monomial = tuple[int, ...]  # sequence over variable indices 1..k
@@ -246,6 +247,7 @@ def law_failure_witness(word: Word, p: int) -> WitnessReport:
         raise GroupError(f"p must be a prime >= 2, got {p}")
     splits = [p_adic_split(exp, p) for _, exp in word.letters]
     degree_sum = sum(p ** k for _, k in splits)
+    check_budget("max_degree", MAX_DEGREE, degree_sum)  # the monomial's length
     d = degree_sum + 1
     monomial: list[int] = []
     coeff = 1

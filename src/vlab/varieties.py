@@ -30,11 +30,6 @@ from .structure import (class_representatives, derived_length,
 from .words import (Word, as_derived_law, as_nilpotency_law, as_power_law,
                     derived_law, nilpotency_law, parse_word)
 
-YES = "yes"
-NO = "no"
-UNKNOWN = "unknown"
-
-
 # -- descriptors ---------------------------------------------------------------
 
 
@@ -422,15 +417,13 @@ def _screen_families(S: PermutationGroup, budgets: Budgets):
     return S.memo("screen_families", compute)
 
 
-def _both(left: str, right: str) -> str:
+def _both(left, right):
     """Three-valued: a product has the property iff both factors have it."""
-    if left == YES and right == YES:
-        return YES
-    return NO if NO in (left, right) else UNKNOWN
+    return False if False in (left, right) else left and right
 
 
-def is_trivial_variety(desc: Descriptor, fixtures=()) -> str:
-    """Whether desc is the variety of trivial groups: yes/no/unknown.
+def is_trivial_variety(desc: Descriptor, fixtures=()) -> bool | None:
+    """Whether desc is the variety of trivial groups: True, False or None.
 
     A nontrivial variety contains some C_p, and C_p satisfies a word iff p
     divides each of its per-variable exponent sums; so a law set is trivial
@@ -439,22 +432,20 @@ def is_trivial_variety(desc: Descriptor, fixtures=()) -> str:
     if isinstance(desc, Laws):
         sums = [sum(e for v, e in w.letters if v == var)
                 for w in desc.words for var in range(1, w.arity + 1)]
-        return YES if gcd(*sums) == 1 else NO
+        return gcd(*sums) == 1
     if isinstance(desc, ProductVariety):
         return _both(is_trivial_variety(desc.left, fixtures),
                      is_trivial_variety(desc.right, fixtures))
     if isinstance(desc, VarOfGroup):
         generator = _resolve_variety_group(desc, fixtures)
-        if generator is None:
-            return UNKNOWN
-        return YES if generator.order() == 1 else NO
-    return NO
+        return None if generator is None else generator.order() == 1
+    return False
 
 
-def is_solvable_variety(desc: Descriptor, fixtures=()) -> str:
-    """Structural yes/no/unknown; never guesses from raw law sets."""
+def is_solvable_variety(desc: Descriptor, fixtures=()) -> bool | None:
+    """Structural True, False or None; never guesses from raw law sets."""
     if isinstance(desc, (Abelian, NilpotentClass, SolvableLength)):
-        return YES
+        return True
     if isinstance(desc, ProductVariety):
         return _both(is_solvable_variety(desc.left, fixtures),
                      is_solvable_variety(desc.right, fixtures))
@@ -462,6 +453,5 @@ def is_solvable_variety(desc: Descriptor, fixtures=()) -> str:
         generator = _resolve_variety_group(desc, fixtures)
         if generator is not None and generator.order() > 1:
             if derived_subgroup(generator).order() == generator.order():
-                return NO  # a perfect generator is a nonsolvable member
-        return UNKNOWN
-    return UNKNOWN
+                return False  # a perfect generator is a nonsolvable member
+    return None

@@ -76,13 +76,16 @@ class Word:
         return Word(tuple((var, -exp) for var, exp in reversed(self.letters)))
 
     def __pow__(self, n: int) -> Word:
-        if n == 0:
-            return Word.identity()
+        """Repeated squaring: about 2 log2(n) products, not n."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = Word.identity()
-        for _ in range(n):
-            result = result * self
+        result, square = Word.identity(), self
+        while n:
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     def evaluate(self, values) -> Permutation:
@@ -173,6 +176,13 @@ def _tokenize(text: str):
     return tokens
 
 
+def _int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past int()'s limit on decimal digits
+        raise ParseError("number too long", position=pos) from None
+
+
 class _WordParser:
     def __init__(self, text: str):
         self.text = text
@@ -206,7 +216,7 @@ class _WordParser:
     def parse_term(self) -> Word:
         tok, pos = self.next()
         if tok.startswith("x"):
-            atom = Word.variable(int(tok[1:]))
+            atom = Word.variable(_int(tok[1:], pos))
         elif tok == "(":
             atom = self.parse_product(stop={")"})
             self._expect(")")
@@ -224,8 +234,8 @@ class _WordParser:
             raise ParseError(f"unexpected {tok!r} in word {self.text!r}",
                              position=pos)
         if self.peek() is not None and self.peek().startswith("^"):
-            exp_tok, _ = self.next()
-            atom = atom ** int(exp_tok[1:])
+            exp_tok, exp_pos = self.next()
+            atom = atom ** _int(exp_tok[1:], exp_pos)
         return atom
 
     def _expect(self, tok: str):

@@ -203,11 +203,20 @@ class TestFormatsAndFiles:
         ("magnus", "--word", "x1", "-p", "4"),
         ("verbal", "--group", "S3", "--descriptor", "Nc:x"),
         ("verbal", "--group", "S3", "--descriptor", "Sl:"),
-        ("order", f"C{MAX_DEGREE + 1}")])
+        ("order", f"C{MAX_DEGREE + 1}"),
+        ("magnus", "--word", "x1^" + "9" * 5000, "-p", "2"),
+        ("magnus", "--word", "x" + "9" * 5000, "-p", "2"),
+        ("order", "C" + "9" * 5000)])
     def test_bad_input_exits_1_without_a_traceback(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and not out
         assert err.strip() and "Traceback" not in err
+
+    def test_magnus_refuses_a_witness_past_the_degree_cap(self, capsys):
+        code, out, err = run_cli(capsys, "magnus", "--word", "x1^1073741824",
+                                 "-p", "2")
+        assert code == 1 and not out
+        assert "max_degree" in err and "Traceback" not in err
 
     def test_a_variety_named_past_the_degree_cap_is_unknown(self, capsys):
         code, report = run_json(capsys, "epi", "--group", "A5", "--sub", "A4",

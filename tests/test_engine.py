@@ -9,20 +9,20 @@ from hypothesis import given, settings, strategies as st
 from vlab import homs, varieties
 from vlab.catalog import resolve_group_name
 from vlab.config import Budgets
-from vlab.constructions import MAX_DEGREE
+from vlab.constructions import MAX_DEGREE, regular_wreath
 from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext, EpiVerdict,
-                         EscapeExhausted, dominion_bounds, epi_decide,
-                         find_wreath_escape, is_simple_nonabelian, mckay_bound,
-                         neumann_not_epi_test, separating_pair_search,
-                         simpletimes_pipeline, verify_certificate,
-                         verify_qofsimple)
+                         EscapeExhausted, _neumann_cert, dominion_bounds,
+                         epi_decide, find_wreath_escape, is_simple_nonabelian,
+                         mckay_bound, neumann_not_epi_test,
+                         separating_pair_search, simpletimes_pipeline,
+                         verify_certificate, verify_qofsimple)
 from vlab.errors import BudgetExceeded, GroupError
 from vlab.perm import (Permutation, PermutationGroup, alternating_group,
                        cyclic_group, pad_permutation, parse_permutation,
                        symmetric_group)
 from vlab.structure import (all_subgroups, nilpotency_class,
                             normal_subgroups, product_covers, quotient,
-                            subgroup_intersection)
+                            solvable_radical, subgroup_intersection)
 from vlab.varieties import (Abelian, ProductVariety, SolvableLength,
                             VarOfGroup, member_of_variety, parse_descriptor)
 
@@ -675,6 +675,63 @@ class TestCertificateSoundness:
         huge = copy.deepcopy(verdict)
         huge.certificate["codomain"]["degree"] = MAX_DEGREE + 1
         assert verify_certificate(c4, one, desc, huge, ctx) is False
+
+    def test_neumann_certificate_needs_a_proper_subgroup(self, ctx, s4):
+        # S4 lies in Sl:3 and is its own solvable radical, which is normal
+        # and covers with H = S4: every hypothesis holds but H < G, and S4
+        # is epimorphically embedded in itself
+        desc = parse_descriptor("Sl:3")
+        forged = EpiVerdict(NOT_EPI, {
+            "kind": "neumann-solvable-complement",
+            "normal": {"name": None, "degree": 4, "order": 24,
+                       "generators": ["(2 3)", "(0 3)", "(0 1)"]},
+            "normal_is_solvable": True, "product_covers": True,
+            "subgroup_order": 24, "group_order": 24}, [], {})
+        radical = solvable_radical(s4, ctx.budgets)
+        assert forged.certificate == _neumann_cert(s4, s4, radical)
+        assert verify_certificate(s4, s4, desc, forged, ctx) is False
+        assert epi_decide(s4, s4, desc, ctx).outcome == EPI
+
+    def test_inner_failure_needs_the_verbal_subgroup_in_the_left_factor(
+            self, ctx, s4, monkeypatch):
+        # H = <(0 1)> covers S4 with the A-verbal subgroup A4, and the
+        # trace 1 is not epimorphically embedded in A4 within A (two maps
+        # onto C3 separate it), but A4 is not abelian, so that failure
+        # says nothing about H in S4 within prod(A,A)
+        desc = parse_descriptor("prod(A,A)")
+        H = s4.subgroup([parse_permutation("(0 1)", 4)])
+        forged = EpiVerdict(NOT_EPI, {
+            "kind": "inner-dominion-failure", "quotient_descriptor": "A",
+            "verbal_order": 12, "trace_order": 1,
+            "inner": {"kind": "separating-pair",
+                      "codomain": {"name": "C3", "degree": 3, "order": 3,
+                                   "generators": ["(0 1 2)"]},
+                      "f_images": ["()", "()"],
+                      "g_images": ["(0 1 2)", "(0 2 1)"],
+                      "subgroup_generators": ["()"], "witness": "(1 2 3)",
+                      "f_witness": "()", "g_witness": "(0 2 1)"}}, [], {})
+        assert verify_certificate(s4, H, desc, forged, ctx) is False
+        # every other hypothesis holds: only the membership rejects it
+        monkeypatch.setattr("vlab.engine.member_of_variety",
+                            lambda *args: True)
+        assert verify_certificate(s4, H, desc, forged, ctx) is True
+
+    def test_power_node_needs_the_group_to_be_the_whole_power(self, ctx, a5,
+                                                              a4_in_a5):
+        # A5 wr C2 holds the base A5 x A5 on the two consecutive blocks,
+        # and A4 x A4 is the fixture subgroup's power there, but the group
+        # has order 7,200, not 60^2: the fixture's power is a proper
+        # subgroup, and the power rule says nothing about A5 wr C2
+        desc = VarOfGroup("A5")
+        G = regular_wreath(a5, cyclic_group(2)).product
+        H = G.subgroup([pad_permutation(g, 10, offset)
+                        for offset in (0, 5) for g in a4_in_a5.generators])
+        fixture = epi_decide(a5, a4_in_a5, desc, ctx).certificate["node"]
+        forged = EpiVerdict(EPI, {"kind": "epi-derivation", "node": {
+            **fixture, "rule": "direct-power-fixture", "copies": 2,
+            "blocks": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]}}, [], {})
+        assert G.order() == 7200 and H.order() == 144
+        assert verify_certificate(G, H, desc, forged, ctx) is False
 
     def test_solvable_class_rule_is_no_certificate_kind(self, ctx, c4,
                                                         c2_in_c4):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from vlab.errors import GroupError
+from vlab.config import MAX_DEGREE
+from vlab.errors import BudgetExceeded, GroupError
 from vlab.power_series import (SeriesParams, TruncatedSeries,
                                law_failure_witness, magnus_image,
                                p_adic_split)
@@ -189,6 +190,15 @@ class TestLawFailureWitness:
             law_failure_witness(Word.variable(1), p)
         with pytest.raises(GroupError):
             SeriesParams(p, 1, 2)
+
+    def test_the_witness_monomial_is_bounded_before_it_is_built(self):
+        # x1^(2^k) at p = 2 asks for a monomial of 2^k letters
+        assert len(law_failure_witness(Word.variable(1, 8192), 2)
+                   .monomial) == 8192
+        with pytest.raises(BudgetExceeded) as info:
+            law_failure_witness(Word.variable(1, 2 ** 30), 2)
+        assert info.value.budget_name == "max_degree"
+        assert info.value.limit == MAX_DEGREE
 
     def test_large_prime_is_accepted_at_once(self):
         p = 2 ** 61 - 1

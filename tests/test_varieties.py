@@ -10,8 +10,7 @@ from vlab.perm import cyclic_group, parse_permutation, symmetric_group
 from vlab.structure import normal_subgroups, quotient
 from vlab.varieties import (Abelian, Fixture, Laws, NilpotentClass,
                             ProductVariety, SolvableLength, VarOfGroup,
-                            YES, NO, UNKNOWN, eval_word, is_solvable_variety,
-                            is_trivial_variety,
+                            eval_word, is_solvable_variety, is_trivial_variety,
                             member_of_variety, parse_descriptor, q_verbal,
                             satisfies_laws, verbal_subgroup)
 from vlab.words import COMMUTATOR, Word, derived_law, nilpotency_law, parse_word
@@ -250,19 +249,23 @@ class TestMemberOfVariety:
 
 class TestSolvableVarietyRule:
     def test_structural_yes(self):
-        assert is_solvable_variety(Abelian()) == YES
+        assert is_solvable_variety(Abelian()) is True
         assert is_solvable_variety(
-            ProductVariety(Abelian(), NilpotentClass(2))) == YES
-        assert is_solvable_variety(SolvableLength(3)) == YES
+            ProductVariety(Abelian(), NilpotentClass(2))) is True
+        assert is_solvable_variety(SolvableLength(3)) is True
 
     def test_law_sets_stay_unknown(self):
-        assert is_solvable_variety(Laws((parse_word("x1^5"),))) == UNKNOWN
+        assert is_solvable_variety(Laws((parse_word("x1^5"),))) is None
 
     def test_perfect_generator_gives_no(self, ctx):
-        assert is_solvable_variety(VarOfGroup("A5"), ctx.fixtures) == NO
+        assert is_solvable_variety(VarOfGroup("A5"), ctx.fixtures) is False
         assert is_solvable_variety(
-            ProductVariety(VarOfGroup("A5"), Abelian()), ctx.fixtures) == NO
+            ProductVariety(VarOfGroup("A5"), Abelian()), ctx.fixtures) is False
 
+
+# the test ids name the three answers of a structural question
+YES, NO, UNKNOWN = "yes", "no", "unknown"
+ANSWER = {YES: True, NO: False, UNKNOWN: None}
 
 # one descriptor per answer of each structural question
 TRIVIAL = {YES: "laws:{x1}", NO: "A", UNKNOWN: "var:NoSuchGroup"}
@@ -276,12 +279,12 @@ SOLVABLE = {YES: "A", NO: "var:A5", UNKNOWN: "laws:{x1^2}"}
     ids=["trivial", "solvable"])
 def test_a_product_has_the_property_iff_both_factors_do(question, examples,
                                                         left, right):
-    assert question(parse_descriptor(examples[left])) == left
-    assert question(parse_descriptor(examples[right])) == right
+    assert question(parse_descriptor(examples[left])) is ANSWER[left]
+    assert question(parse_descriptor(examples[right])) is ANSWER[right]
     product = parse_descriptor(f"prod({examples[left]},{examples[right]})")
     expected = (YES if left == right == YES
                 else NO if NO in (left, right) else UNKNOWN)
-    assert question(product) == expected
+    assert question(product) is ANSWER[expected]
 
 
 class TestTrivialVariety:
@@ -295,7 +298,7 @@ class TestTrivialVariety:
         ("prod(laws:{x1},A)", NO), ("prod(var:NoSuchGroup,laws:{x1})", UNKNOWN),
     ])
     def test_cases(self, text, expected):
-        assert is_trivial_variety(parse_descriptor(text)) == expected
+        assert is_trivial_variety(parse_descriptor(text)) is ANSWER[expected]
 
     @pytest.mark.parametrize("text", [
         "laws:{x1}", "laws:{x1^2;x1^3}", "laws:{[x1,x2]}", "laws:{x1^6;x1^4}",
@@ -306,7 +309,7 @@ class TestTrivialVariety:
         desc = parse_descriptor(text)
         has_cp = any(satisfies_laws(cyclic_group(p), desc.words).holds
                      for p in (2, 3, 5, 7))
-        assert is_trivial_variety(desc) == (NO if has_cp else YES)
+        assert is_trivial_variety(desc) is (not has_cp)
 
 
 class TestFixtures:

@@ -58,6 +58,39 @@ class TestParser:
         with pytest.raises((ParseError, GroupError)):
             parse_word(bad)
 
+    @pytest.mark.parametrize("bad", ["x1^" + "9" * 5000, "x" + "9" * 5000])
+    def test_a_number_past_the_digit_limit_is_a_parse_error(self, bad):
+        # int() refuses more than 4,300 digits with a ValueError
+        with pytest.raises(ParseError, match="number too long"):
+            parse_word(bad)
+
+    def test_a_large_power_takes_logarithmically_many_products(
+            self, monkeypatch):
+        calls = []
+        multiply = Word.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return multiply(a, b)
+
+        monkeypatch.setattr(Word, "__mul__", counting)
+        assert parse_word("x1^4194304") == Word.variable(1, 2 ** 22)
+        # repeated squaring: at most two products per bit, not 2^22
+        assert len(calls) <= 2 * (2 ** 22).bit_length()
+
+
+class TestPower:
+    @pytest.mark.parametrize("text", [
+        "x1", "x2^-3", "x1 x2", "[x1,x2]", "x1^2 x2^-1 x1", "[x1,x2,x3] x2"])
+    def test_power_is_the_repeated_product(self, text):
+        w = parse_word(text)
+        for n in range(-9, 20):
+            factor = w if n >= 0 else w.inverse()
+            product = Word.identity()
+            for _ in range(abs(n)):
+                product = product * factor
+            assert w ** n == product, n
+
 
 class TestEvaluation:
     def test_single_variable(self):
