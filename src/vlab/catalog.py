@@ -17,12 +17,12 @@ from __future__ import annotations
 import functools
 import re
 
-from .config import Budgets
+from .config import MAX_DEGREE, Budgets
 from .errors import GroupError, ParseError
 from .perm import (Permutation, PermutationGroup, alternating_group,
                    cyclic_group, dihedral_group, named_group, pad_permutation,
                    parse_permutation, symmetric_group, trivial_group)
-from .constructions import MAX_DEGREE, direct_product, regular_wreath
+from .constructions import direct_product, regular_wreath
 from .structure import quotient
 from .varieties import Fixture, parse_descriptor
 
@@ -143,10 +143,6 @@ def _abelian(name: str, *orders: int) -> PermutationGroup:
     return G
 
 
-def _product(name: str, A: PermutationGroup, B: PermutationGroup):
-    return direct_product(A, B, name=name)
-
-
 def _wreath(name: str, A: PermutationGroup,
             B: PermutationGroup) -> PermutationGroup:
     """A wr B by name; named wreaths may have tops of up to 130 elements."""
@@ -184,14 +180,15 @@ def build_catalog() -> list[PermutationGroup]:
         dihedral_group(8), dicyclic(4, "Q16"),
         regular_semidirect(8, 2, 3, "SD16"),
         regular_semidirect(8, 2, 5, "M16"),
-        _product("D4xC2", d4, cyclic_group(2)),
-        _product("Q8xC2", q8, cyclic_group(2)),
+        direct_product(d4, cyclic_group(2), "D4xC2"),
+        direct_product(q8, cyclic_group(2), "Q8xC2"),
         regular_semidirect(4, 4, 3, "C4:C4"),
         klein_by_c4(), central_product_d4_c4(),
         cyclic_group(17),
         # order 18
         cyclic_group(18), _abelian("C3xC6", 3, 6), dihedral_group(9),
-        _product("C3xS3", cyclic_group(3), s3), generalized_dihedral_3x3(),
+        direct_product(cyclic_group(3), s3, "C3xS3"),
+        generalized_dihedral_3x3(),
         cyclic_group(19),
         # order 20
         cyclic_group(20), _abelian("C10xC2", 10, 2), dihedral_group(10),
@@ -202,15 +199,15 @@ def build_catalog() -> list[PermutationGroup]:
         # order 24: three abelian, twelve nonabelian
         _abelian("C24", 8, 3), _abelian("C12xC2", 12, 2),
         _abelian("C6xC2^2", 6, 2, 2),
-        symmetric_group(4), _product("A4xC2", a4, cyclic_group(2)),
+        symmetric_group(4), direct_product(a4, cyclic_group(2), "A4xC2"),
         special_linear_2_3(), dihedral_group(12), dicyclic(6, "Dic6"),
         regular_semidirect(3, 8, 2, "C3:C8"),
-        _product("C3xD4", cyclic_group(3), d4),
-        _product("C3xQ8", cyclic_group(3), q8),
-        _product("S3xC4", s3, cyclic_group(4)),
-        _product("S3xC2^2", _product("S3xC2", s3, cyclic_group(2)),
-                 cyclic_group(2)),
-        _product("C2xDic3", cyclic_group(2), dic3),
+        direct_product(cyclic_group(3), d4, "C3xD4"),
+        direct_product(cyclic_group(3), q8, "C3xQ8"),
+        direct_product(s3, cyclic_group(4), "S3xC4"),
+        direct_product(direct_product(s3, cyclic_group(2), "S3xC2"),
+                       cyclic_group(2), "S3xC2^2"),
+        direct_product(cyclic_group(2), dic3, "C2xDic3"),
         c3_by_d4(),
         # beyond order 24
         alternating_group(5), symmetric_group(5),

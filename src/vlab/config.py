@@ -38,6 +38,9 @@ class Budgets:
 
 DEFAULT_BUDGETS = Budgets()
 
-# Fixed cap on the degree of a named, constructed or loaded group.  It is
-# not a Budgets field: reports echo every field, and this cap never varies.
+# Fixed caps, not Budgets fields: reports echo every field, and these never
+# vary.  MAX_DEGREE bounds the degree of a named, constructed or loaded
+# group; MAX_CHAIN_WORK bounds one stabilizer-chain build (orbit size x level
+# generators x degree, summed over level rebuilds: S60 takes about 6 * 10**7).
 MAX_DEGREE = 10_000
+MAX_CHAIN_WORK = 100_000_000

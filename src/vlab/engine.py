@@ -56,7 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .config import DEFAULT_BUDGETS, Budgets
+from .catalog import bundled_catalog, bundled_fixtures, resolve_group_name
+from .config import DEFAULT_BUDGETS, MAX_DEGREE, Budgets
 from .errors import BudgetExceeded, FixtureGap, GroupError
 from .perm import (Permutation, PermutationGroup, parse_permutation,
                    trivial_group)
@@ -67,8 +68,7 @@ from .homs import GroupHomomorphism, all_homomorphisms
 from .varieties import (Descriptor, ProductVariety, find_epi_fixture,
                         is_solvable_variety, is_trivial_variety,
                         member_of_variety, q_verbal)
-from .constructions import (MAX_DEGREE, WreathContext, power_generators,
-                            regular_wreath)
+from .constructions import WreathContext, power_generators, regular_wreath
 
 EPI = "epi"
 NOT_EPI = "not_epi"
@@ -88,8 +88,7 @@ class EngineContext:
                               compare=False)
 
     @staticmethod
-    def bundled(budgets: Budgets = DEFAULT_BUDGETS) -> "EngineContext":
-        from .catalog import bundled_catalog, bundled_fixtures
+    def bundled(budgets: Budgets = DEFAULT_BUDGETS) -> EngineContext:
         return EngineContext(fixtures=bundled_fixtures(),
                              catalog=bundled_catalog(), budgets=budgets)
 
@@ -707,7 +706,6 @@ def escape_ladder(A: PermutationGroup):
     """The fixed candidate ladder: the trivial group, cyclic groups up to
     C12, then iterated wreath powers - restricted to orders built from the
     primes of |A| (the p-group mechanism behind the escape theorem)."""
-    from .catalog import resolve_group_name
     allowed = _prime_divisors(A.order())
     names = [f"C{n}" for n in range(2, 13)]
     names += ["C2wrC2", "C2wrC2wrC2", "C3wrC3"]

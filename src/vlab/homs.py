@@ -84,28 +84,23 @@ class GroupHomomorphism:
         if check:
             self._factorization_table(budgets)
 
-    def _defect(self, budgets: Budgets) -> str | None:
-        """Why the images define no homomorphism into the target, or None;
-        a table in place (an enumerated hom's) is not checked again."""
-        _cayley_walk(self.source, budgets)  # checks |source| on every call
+    def _factorization_table(self, budgets: Budgets = DEFAULT_BUDGETS):
+        """The source walk and the table indexed by its positions; raises
+        GroupError when the images define no homomorphism into the target.
+        A table in place (an enumerated hom's) is not checked again."""
+        cayley = _cayley_walk(self.source, budgets)  # checks |source| always
         if self._table is None:
             _, index, _ = self.target.indexed(budgets.max_enumerate)
             chosen = [index.get(img.images) for img in self.generator_images]
             if None in chosen:
-                return "generator images must lie in the target"
+                raise GroupError("generator images must lie in the target")
             table = _edge_table(self.source, self.target, chosen, budgets)
             if table is None:
-                return ("generator images do not define a homomorphism "
-                        "(Cayley-graph edge check failed)")
+                raise GroupError("generator images do not define a "
+                                 "homomorphism (Cayley-graph edge check "
+                                 "failed)")
             self._table = table
-        return None
-
-    def _factorization_table(self, budgets: Budgets = DEFAULT_BUDGETS):
-        """The source walk and the table indexed by its positions."""
-        defect = self._defect(budgets)
-        if defect is not None:
-            raise GroupError(defect)
-        return _cayley_walk(self.source, budgets), self._table
+        return cayley, self._table
 
     def apply(self, p: Permutation,
               budgets: Budgets = DEFAULT_BUDGETS) -> Permutation:
@@ -155,16 +150,6 @@ class GroupHomomorphism:
                         for h in (self, other))
         return next((x for x, a, b in zip(elements, mine, theirs)
                      if ours[a] != others[b]), None)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupHomomorphism):
-            return NotImplemented
-        return (self.source is other.source
-                and self.target is other.target
-                and self.generator_images == other.generator_images)
-
-    def __hash__(self):
-        return hash(self.generator_images)
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{g} -> {img}"

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
 
-from .config import MAX_DEGREE
+from .config import MAX_CHAIN_WORK, MAX_DEGREE
 from .errors import DegreeMismatch, GroupError, ParseError, check_budget
 
 
@@ -118,17 +118,9 @@ class Permutation:
             for x, y in zip(h, map(h.__getitem__, p)):
                 out[x] = y
             return Permutation._trusted(tuple(out))
-        n = g
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Permutation.identity(len(self.images))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if g < 0:
+            return self.inverse() ** (-g)
+        return power(self, g, Permutation.identity(len(self.images)))
 
     def is_identity(self) -> bool:
         return self.images == _identity_images(len(self.images))
@@ -188,6 +180,19 @@ def _inverse_images(images: tuple[int, ...]) -> tuple[int, ...]:
     for i, j in enumerate(images):
         inv[j] = i
     return tuple(inv)
+
+
+def power(x, n: int, one):
+    """x ** n for n >= 0 by repeated squaring, with one as x ** 0: about
+    2 log2(n) products, and no squaring after the last bit."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -281,11 +286,15 @@ class StabilizerChain:
 
     None of them changes a sift or its order, so the same generators are
     adjoined in the same order and the same transversals are built.
+
+    ``work`` sums orbit size x level generators x degree over the level
+    rebuilds; past ``MAX_CHAIN_WORK`` the build raises BudgetExceeded.
     """
 
     def __init__(self, degree: int, generators):
         self.degree = degree
         self.levels: list[_Level] = []
+        self.work = 0
         self._identity = _identity_images(degree)
         build: list[tuple[set, dict]] = []
         for g in generators:
@@ -348,6 +357,8 @@ class StabilizerChain:
                 queue.append(q)
         lvl.transversal, lvl.inverses = images, inverses
         build[i] = (seen, via)
+        self.work += len(images) * len(gens) * self.degree
+        check_budget("max_chain_work", MAX_CHAIN_WORK, self.work)
         # every Schreier generator lies in the stabilizer; those that do not
         # sift through the deeper chain become generators one level down
         for p in sorted(images):
@@ -497,9 +508,6 @@ class PermutationGroup:
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
-
-    def __len__(self) -> int:
-        return self.order()
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -676,9 +684,8 @@ def symmetric_group(n: int) -> PermutationGroup:
         raise GroupError("symmetric_group needs n >= 1")
     if n == 1:
         return trivial_group(1)
-    gens = [Permutation.from_cycles(n, [list(range(n))])]
-    if n >= 2:
-        gens.append(Permutation.from_cycles(n, [[0, 1]]))
+    gens = [Permutation.from_cycles(n, [list(range(n))]),
+            Permutation.from_cycles(n, [[0, 1]])]
     return PermutationGroup(n, gens, name=f"S{n}")
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .config import MAX_DEGREE
 from .errors import GroupError, check_budget
+from .perm import power
 from .words import Word
 
 Monomial = tuple[int, ...]  # sequence over variable indices 1..k
@@ -104,13 +105,6 @@ class TruncatedSeries:
             terms[mono] = terms.get(mono, 0) + coeff
         return TruncatedSeries(self.params, terms)
 
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, 0) - coeff
-        return TruncatedSeries(self.params, terms)
-
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check(other)
         d = self.params.truncation
@@ -148,25 +142,18 @@ class TruncatedSeries:
             raise GroupError("unit_inverse needs constant term 1")
         u = self.augmentation_part()
         result = TruncatedSeries.one(self.params)
-        power = TruncatedSeries.one(self.params)
+        term = TruncatedSeries.one(self.params)
         for j in range(1, self.params.truncation):
-            power = power * u
-            if not power.terms:
+            term = term * u
+            if not term.terms:
                 break
-            result = result + power.scale((-1) ** j)
+            result = result + term.scale((-1) ** j)
         return result
 
     def __pow__(self, n: int) -> TruncatedSeries:
         if n < 0:
             return self.unit_inverse() ** (-n)
-        result = TruncatedSeries.one(self.params)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, TruncatedSeries.one(self.params))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

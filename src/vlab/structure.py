@@ -13,6 +13,7 @@ from math import gcd, isqrt, lcm
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import GroupError, check_budget
+from .homs import GroupHomomorphism
 from .perm import Permutation, PermutationGroup, walk, walk_capped
 
 
@@ -22,10 +23,7 @@ def commutator(a: Permutation, b: Permutation) -> Permutation:
 
 def generated_subgroup(G: PermutationGroup, elems) -> PermutationGroup:
     """Subgroup of G's symmetric group generated by elems (maybe empty)."""
-    elems = [e for e in elems if not e.is_identity()]
-    if not elems:
-        return G.subgroup([G.identity()])
-    return G.subgroup(elems)
+    return G.subgroup([e for e in elems if not e.is_identity()])
 
 
 def normal_closure(G: PermutationGroup, seed) -> PermutationGroup:
@@ -230,7 +228,7 @@ def normalizer(G: PermutationGroup, D: PermutationGroup,
 @dataclass
 class QuotientResult:
     group: PermutationGroup
-    projection: "GroupHomomorphism"
+    projection: GroupHomomorphism
     coset_reps: list[Permutation]  # minimal representatives, identity first
 
 
@@ -243,8 +241,6 @@ def quotient(G: PermutationGroup, N: PermutationGroup,
     generators; one pass in position order numbers the cosets by their least
     element, so the identity coset is point 0.
     """
-    from .homs import GroupHomomorphism
-
     elements, index, col = G.indexed(budgets.max_enumerate)
     positions = [index.get(n.images) for n in N.generators]
     if None in positions:

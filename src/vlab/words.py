@@ -11,8 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import GroupError, ParseError
-from .perm import Permutation
+from .config import MAX_DEGREE
+from .errors import GroupError, ParseError, check_budget
+from .perm import Permutation, power
 
 
 def _reduce(letters):
@@ -76,17 +77,16 @@ class Word:
         return Word(tuple((var, -exp) for var, exp in reversed(self.letters)))
 
     def __pow__(self, n: int) -> Word:
-        """Repeated squaring: about 2 log2(n) products, not n."""
+        """Repeated squaring, once the power's syllable count is checked."""
         if n < 0:
             return self.inverse() ** (-n)
-        result, square = Word.identity(), self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        if n > 1:
+            # each of the n - 1 joins of w^n reduces away what w w does
+            syllables = len(self.letters)
+            lost = 2 * syllables - len((self * self).letters)
+            check_budget("max_degree", MAX_DEGREE,
+                         n * syllables - (n - 1) * lost)
+        return power(self, n, Word.identity())
 
     def evaluate(self, values) -> Permutation:
         """Substitute values[i-1] for x_i and multiply left to right."""
@@ -200,12 +200,8 @@ class _WordParser:
         return tok
 
     def parse(self) -> Word:
-        word = self.parse_product(stop={None})
-        if self.peek() is not None:
-            tok, pos = self.tokens[self.index]
-            raise ParseError(f"unexpected {tok!r} in word {self.text!r}",
-                             position=pos)
-        return word
+        # only the end stops the outer product: parse_term reports a stray ')'
+        return self.parse_product(stop=())
 
     def parse_product(self, stop) -> Word:
         result = Word.identity()
@@ -248,8 +244,7 @@ class _WordParser:
 
 
 def parse_word(text: str) -> Word:
-    word = _WordParser(text).parse()
-    return word
+    return _WordParser(text).parse()
 
 
 # -- structural classification (drives evaluation strategies) -----------------

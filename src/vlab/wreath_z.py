@@ -75,9 +75,7 @@ class TailConstantFn:
         return self.window[n - self.lo]
 
     def is_identity(self) -> bool:
-        identity = self.group.identity()
-        return (self.left_tail == identity and self.right_tail == identity
-                and not self.window)
+        return self.has_identity_tails() and not self.window
 
     def has_identity_tails(self) -> bool:
         identity = self.group.identity()
@@ -106,12 +104,7 @@ class TailConstantFn:
         return TailConstantFn.make(self.group, values, left, right)
 
     def inverted(self) -> TailConstantFn:
-        values = {n: self.value(n).inverse() for n in range(self.lo, self.hi + 1)}
-        if not values and self.left_tail != self.right_tail:
-            values = {self.lo: self.value(self.lo).inverse()}
-        return TailConstantFn.make(self.group, values,
-                                   self.left_tail.inverse(),
-                                   self.right_tail.inverse())
+        return self.pointwise(self, lambda u, _: u.inverse())
 
     def __str__(self) -> str:
         inner = ", ".join(f"{n}:{self.value(n)}"

@@ -142,6 +142,14 @@ class TestCatalogFiles:
             parse_catalog("bad | 4 | 1 0\n")
         assert "line 1" in str(exc.value)
 
+    @pytest.mark.parametrize("text,message", [
+        ("bad | 2 | 1 x\n", "line 1: bad image value in '1 x'"),
+        ("none | 2 | ;\n", "line 1: no generators")])
+    def test_bad_generators_rejected_with_line_number(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_catalog(text)
+        assert str(exc.value) == message
+
     def test_malformed_tokens(self):
         with pytest.raises(ParseError):
             parse_catalog("bad | x | 0 1\n")
@@ -180,6 +188,11 @@ class TestFixtureFiles:
             parse_fixtures(
                 "known-epi | A5 | (0 1) | var:A5 | test provenance\n")
         assert "line 1" in str(exc.value)
+
+    def test_bad_descriptor_rejected_with_line_number(self):
+        with pytest.raises(ParseError) as exc:
+            parse_fixtures("known-member | A5 | - | nonsense | prov\n")
+        assert str(exc.value) == "line 1: unknown descriptor 'nonsense'"
 
     def test_unknown_group_name_rejected(self):
         with pytest.raises(ParseError):

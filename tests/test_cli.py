@@ -218,6 +218,14 @@ class TestFormatsAndFiles:
         assert code == 1 and not out
         assert "max_degree" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,cap", [
+        (("magnus", "--word", "(x1 x2)^1000000000", "-p", "2"), "max_degree"),
+        (("order", "S200"), "max_chain_work")])
+    def test_a_word_or_chain_past_its_cap_exits_1(self, capsys, argv, cap):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert cap in err and "Traceback" not in err
+
     def test_a_variety_named_past_the_degree_cap_is_unknown(self, capsys):
         code, report = run_json(capsys, "epi", "--group", "A5", "--sub", "A4",
                                 "--variety", f"var:S{MAX_DEGREE + 1}")

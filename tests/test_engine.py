@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vlab import homs, varieties
 from vlab.catalog import resolve_group_name
-from vlab.config import Budgets
+from vlab.config import MAX_CHAIN_WORK, Budgets
 from vlab.constructions import MAX_DEGREE, regular_wreath
 from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext, EpiVerdict,
                          EscapeExhausted, _neumann_cert, dominion_bounds,
@@ -17,9 +17,9 @@ from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext, EpiVerdict,
                          separating_pair_search, simpletimes_pipeline,
                          verify_certificate, verify_qofsimple)
 from vlab.errors import BudgetExceeded, GroupError
-from vlab.perm import (Permutation, PermutationGroup, alternating_group,
-                       cyclic_group, pad_permutation, parse_permutation,
-                       symmetric_group)
+from vlab.perm import (Permutation, PermutationGroup, StabilizerChain,
+                       alternating_group, cyclic_group, pad_permutation,
+                       parse_permutation, symmetric_group)
 from vlab.structure import (all_subgroups, nilpotency_class,
                             normal_subgroups, product_covers, quotient,
                             solvable_radical, subgroup_intersection)
@@ -675,6 +675,45 @@ class TestCertificateSoundness:
         huge = copy.deepcopy(verdict)
         huge.certificate["codomain"]["degree"] = MAX_DEGREE + 1
         assert verify_certificate(c4, one, desc, huge, ctx) is False
+
+    def test_a_pair_needs_one_image_per_generator(self, ctx):
+        G = resolve_group_name("C4xC2")
+        one = G.subgroup([G.identity()])
+        desc = parse_descriptor("laws:{x1^6}")
+        verdict = epi_decide(G, one, desc, ctx)
+        assert verdict.certificate["kind"] == "separating-pair"
+        assert verify_certificate(G, one, desc, verdict, ctx)
+        short = copy.deepcopy(verdict)
+        del short.certificate["f_images"][-1]
+        assert verify_certificate(G, one, desc, short, ctx) is False
+
+    def test_a_codomain_past_the_chain_work_cap_is_refused(self, ctx, c4,
+                                                          c2_in_c4,
+                                                          monkeypatch):
+        # <(0 1), (0 1 ... 79)> is S80, not in Sl:3; one chain build of it
+        # passes MAX_CHAIN_WORK, so the check stops instead of running on
+        works = []
+        build = StabilizerChain.__init__
+
+        def counting(chain, *args):
+            try:
+                build(chain, *args)
+            finally:
+                works.append(chain.work)
+
+        monkeypatch.setattr(StabilizerChain, "__init__", counting)
+        forged = EpiVerdict(NOT_EPI, {
+            "kind": "separating-pair",
+            "codomain": {"name": "S80", "degree": 80, "order": 80,
+                         "generators": ["(0 1)", "(" + " ".join(
+                             map(str, range(80))) + ")"]},
+            "f_images": ["(0 1)"], "g_images": ["()"],
+            "subgroup_generators": [str(c2_in_c4.generators[0])],
+            "witness": str(c4.generators[0]), "f_witness": "(0 1)",
+            "g_witness": "()"}, [], {})
+        desc = parse_descriptor("Sl:3")
+        assert verify_certificate(c4, c2_in_c4, desc, forged, ctx) is False
+        assert MAX_CHAIN_WORK < max(works) <= sum(works) < 2 * MAX_CHAIN_WORK
 
     def test_neumann_certificate_needs_a_proper_subgroup(self, ctx, s4):
         # S4 lies in Sl:3 and is its own solvable radical, which is normal

@@ -11,7 +11,8 @@ from tests.conftest import mulclose
 from vlab import perm
 from vlab.catalog import bundled_catalog
 from vlab.constructions import regular_wreath
-from vlab.errors import DegreeMismatch, GroupError, ParseError
+from vlab.errors import (BudgetExceeded, DegreeMismatch, GroupError,
+                         ParseError)
 from vlab.perm import (Permutation, PermutationGroup, StabilizerChain,
                        alternating_group, cyclic_group, dihedral_group,
                        named_group, parse_permutation, symmetric_group,
@@ -53,6 +54,23 @@ class TestPermutation:
         for _ in range(abs(n)):
             expected = expected * step
         assert p ** n == expected
+
+    @pytest.mark.parametrize("n", range(70))
+    def test_power_squares_only_while_bits_remain(self, n):
+        # a product that adds: x ** n is n * x, and the products are counted
+        products = []
+
+        class Tally:
+            def __init__(self, value):
+                self.value = value
+
+            def __mul__(self, other):
+                products.append(1)
+                return Tally(self.value + other.value)
+
+        assert perm.power(Tally(3), n, Tally(0)).value == 3 * n
+        squarings = max(n.bit_length() - 1, 0)
+        assert len(products) == squarings + bin(n).count("1")
 
     def test_order_from_cycle_type(self):
         assert parse_permutation("(0 1 2)(3 4)", 5).order() == 6
@@ -181,6 +199,16 @@ class TestStabilizerChain:
         assert g1.chain().base == g2.chain().base
         assert [sorted(l.transversal) for l in g1.chain().levels] == \
                [sorted(l.transversal) for l in g2.chain().levels]
+
+    def test_a_build_stops_once_its_work_passes_the_cap(self, monkeypatch):
+        # work sums orbit size x level generators x degree over rebuilds
+        gens = symmetric_group(8).generators
+        work = StabilizerChain(8, gens).work
+        monkeypatch.setattr(perm, "MAX_CHAIN_WORK", work)
+        assert StabilizerChain(8, gens).order() == 40320
+        monkeypatch.setattr(perm, "MAX_CHAIN_WORK", work - 1)
+        with pytest.raises(BudgetExceeded, match="max_chain_work"):
+            StabilizerChain(8, gens)
 
     def test_random_element_is_member(self, a5):
         import random

@@ -5,14 +5,15 @@ import pytest
 from tests.conftest import mulclose
 from vlab.catalog import resolve_group_name
 from vlab.config import DEFAULT_BUDGETS, Budgets
-from vlab.errors import FixtureGap, ParseError
+from vlab.errors import FixtureGap, GroupError, ParseError
 from vlab.perm import cyclic_group, parse_permutation, symmetric_group
 from vlab.structure import normal_subgroups, quotient
 from vlab.varieties import (Abelian, Fixture, Laws, NilpotentClass,
                             ProductVariety, SolvableLength, VarOfGroup,
-                            eval_word, is_solvable_variety, is_trivial_variety,
-                            member_of_variety, parse_descriptor, q_verbal,
-                            satisfies_laws, verbal_subgroup)
+                            descriptor_laws, eval_word, is_solvable_variety,
+                            is_trivial_variety, member_of_variety,
+                            parse_descriptor, q_verbal, satisfies_laws,
+                            verbal_subgroup)
 from vlab.words import COMMUTATOR, Word, derived_law, nilpotency_law, parse_word
 
 
@@ -71,6 +72,21 @@ class TestDescriptorParsing:
         # no semantic normalization across descriptor forms
         assert parse_descriptor("A") != parse_descriptor("Nc:1")
         assert parse_descriptor("laws:{[x1,x2]}") != parse_descriptor("A")
+
+
+class TestDescriptorLaws:
+    @pytest.mark.parametrize("text,laws", [
+        ("laws:{x1^2;[x1,x2]}", (parse_word("x1^2"), COMMUTATOR)),
+        ("A", (COMMUTATOR,)),
+        ("Nc:2", (nilpotency_law(2),)),
+        ("Sl:2", (derived_law(2),))])
+    def test_named_families_give_their_defining_law(self, text, laws):
+        assert descriptor_laws(parse_descriptor(text)) == laws
+
+    @pytest.mark.parametrize("text", ["var:A5", "prod(A,A)"])
+    def test_other_descriptors_have_no_law_basis(self, text):
+        with pytest.raises(GroupError, match="no explicit finite law basis"):
+            descriptor_laws(parse_descriptor(text))
 
 
 class TestEvalWord:
@@ -146,6 +162,16 @@ class TestSatisfiesLaws:
 
 
 class TestQVerbal:
+    @pytest.mark.parametrize("name,order", [
+        ("S3", 3), ("D4", 1), ("Q8", 1), ("A4", 4), ("S4", 12)])
+    def test_a_word_of_no_named_shape_closes_all_its_values(self, name,
+                                                            order):
+        # [x1^2,x2] is neither a power nor an Nc/Sl law: every pair is tried
+        G = resolve_group_name(name)
+        V = q_verbal(G, parse_descriptor("laws:{[x1^2,x2]}"))
+        assert V.order() == order
+        assert set(V.elements()) == brute_verbal(G, [parse_word("[x1^2,x2]")])
+
     def test_wreath_abelian_verbal_is_base(self, a5):
         from vlab.constructions import regular_wreath
         w = regular_wreath(a5, cyclic_group(2))

@@ -1,6 +1,7 @@
 import pytest
 
-from vlab.errors import GroupError, ParseError
+from vlab.config import MAX_DEGREE
+from vlab.errors import BudgetExceeded, GroupError, ParseError
 from vlab.perm import parse_permutation, symmetric_group
 from vlab.words import (COMMUTATOR, Word, as_derived_law, as_nilpotency_law,
                         as_power_law, commutator_word, derived_law,
@@ -58,6 +59,14 @@ class TestParser:
         with pytest.raises((ParseError, GroupError)):
             parse_word(bad)
 
+    @pytest.mark.parametrize("bad,position", [
+        ("x1 )", 3), (")", 0), ("x1,x2", 2), ("x1 ]", 3)])
+    def test_a_stray_closing_token_is_reported_where_it_stands(self, bad,
+                                                               position):
+        with pytest.raises(ParseError, match="unexpected") as exc:
+            parse_word(bad)
+        assert exc.value.position == position
+
     @pytest.mark.parametrize("bad", ["x1^" + "9" * 5000, "x" + "9" * 5000])
     def test_a_number_past_the_digit_limit_is_a_parse_error(self, bad):
         # int() refuses more than 4,300 digits with a ValueError
@@ -90,6 +99,28 @@ class TestPower:
             for _ in range(abs(n)):
                 product = product * factor
             assert w ** n == product, n
+
+
+    def test_a_power_past_the_syllable_cap_is_refused_before_it_is_built(
+            self, monkeypatch):
+        # (x1 x2)^n has 2n syllables; x1 x2 x1^-1 keeps 3 at every power
+        assert len(parse_word("(x1 x2)^5000").letters) == MAX_DEGREE
+        calls = []
+        multiply = Word.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return multiply(a, b)
+
+        monkeypatch.setattr(Word, "__mul__", counting)
+        with pytest.raises(BudgetExceeded, match="max_degree: 10002"):
+            parse_word("(x1 x2)^5001")
+        # the two products that build x1 x2, then w w: no power is built
+        assert len(calls) == 3
+        calls.clear()
+        word = parse_word("(x1 x2 x1^-1)^1000000000")
+        assert word.letters == ((1, 1), (2, 10 ** 9), (1, -1))
+        assert len(calls) <= 2 * (10 ** 9).bit_length() + 3
 
 
 class TestEvaluation:
