@@ -418,11 +418,14 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
 
 def epi_decide(G: PermutationGroup, H: PermutationGroup, desc: Descriptor,
                ctx: EngineContext) -> EpiVerdict:
-    """Decide whether H is epimorphically embedded in G in the variety."""
-    if not H.is_subgroup_of(G):
-        raise GroupError("H must be a subgroup of G")
+    """Decide whether H is epimorphically embedded in G in the variety.
+
+    A budget stop answers ``unknown``, also one in the check that H <= G;
+    an H outside G raises GroupError."""
     notes: list[str] = []
     try:
+        if not H.is_subgroup_of(G):
+            raise GroupError("H must be a subgroup of G")
         return _decide(G, H, desc, ctx, notes)
     except (BudgetExceeded, FixtureGap) as exc:
         notes.append(f"stopped: {exc}")

@@ -2,7 +2,8 @@
 
 Each source group G keeps one breadth-first walk of its Cayley graph in
 ``G.memo``: the edges (x, k, y) with y = x * generators[k], as positions
-in G's canonical element list (``G.indexed()``).  A hom's table lists
+in G's canonical element list (``G.indexed()``), in the queue order of
+the tree that G's columns are composed along.  A hom's table lists
 each image's position in the target's list.  By von Dyck's theorem the
 images define a homomorphism exactly when every edge gives table[y] ==
 col(image k)[table[x]] over the target's columns: ``_edge_table`` makes
@@ -24,24 +25,17 @@ from .perm import Permutation, PermutationGroup
 def _cayley_walk(G: PermutationGroup, budgets: Budgets):
     """G's indexed elements and index, and its Cayley BFS walk's edges.
 
-    The walk starts at the identity, position 0; each edge (x, k, y) has
-    elements[y] = elements[x] * generators[k].  max_enumerate is checked
-    on every call.
+    The walk is the queue of the columns' breadth-first tree from the
+    identity, position 0; each edge (x, k, y) has elements[y] =
+    elements[x] * generators[k].  max_enumerate is checked on every call.
     """
     check_budget("max_enumerate", budgets.max_enumerate, G.order())
 
     def compute():
-        elements, index, col = G.indexed(budgets.max_enumerate)
-        cols = [col(index[g.images]) for g in G.generators]
-        queue, seen, edges = [0], {0}, []
-        for x in queue:  # queue grows as the walk runs
-            for k, c in enumerate(cols):
-                y = c[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-                edges.append((x, k, y))
-        return elements, index, edges
+        elements, index, _ = G.indexed(budgets.max_enumerate)
+        queue, _, _, cols = G.cayley_tree()
+        return elements, index, [(x, k, c[x]) for x in queue
+                                 for k, c in enumerate(cols)]
 
     return G.memo("cayley_walk", compute)
 

@@ -31,6 +31,13 @@ listed, a subgroup with a generator outside its root, a group not made by
 itself, and from its stabilizer chain before; ``random_element`` and
 ``chain()`` always use the chain.
 
+A listed group's multiplication columns are made along a breadth-first
+tree of its generators from the identity: only the generators' columns
+are built from image tuples, and every other column is composed from the
+nearest built column above it in the tree, one pass over a list of ints
+per tree edge, unless that path is longer than the degree (see
+``_Columns``).
+
 Validation happens only at the boundaries: ``Permutation(...)``,
 ``from_cycles``, ``parse_permutation`` and everything built on them (the
 catalog, certificate JSON) check that the images form a permutation.
@@ -401,6 +408,80 @@ class StabilizerChain:
         return products
 
 
+class _Columns(dict):
+    """The multiplication columns of a listed group by multiplier position,
+    each built on its first lookup: ``indexed()``'s col is this dict's
+    ``__getitem__``, and col(j)[x] is the position of elements[x] *
+    elements[j].
+
+    The first lookup builds the generators' columns from image tuples,
+    and with them the breadth-first tree from the identity (queue order,
+    generators in list order, first visit wins), so a tree edge x -k-> y
+    has elements[y] = elements[x] * generators[k].  Every other column is
+    composed down the tree from the nearest built column above it: z * e_y
+    = (z * e_x) * g_k, so col(y) is gen_col[k] read at col(x), one pass
+    over a list of ints per edge.  A path of more than ``degree`` steps
+    would cost more passes than one build from image tuples (a
+    degree-length tuple and a hash per entry), so that column is built
+    from tuples instead.  Only the requested column is kept, not the
+    path's, so one lookup adds at most one column.
+    """
+
+    __slots__ = ("elements", "index", "generators", "_tree")
+
+    def __init__(self, elements, index, generators):
+        super().__init__()
+        self.elements, self.index, self.generators = elements, index, generators
+        self._tree = None
+
+    def __missing__(self, j: int) -> list[int]:
+        column = self[j] = self._compose(j)
+        return column
+
+    def tree(self):
+        """(queue, parent, via, gen_cols): the breadth-first queue from the
+        identity, each position's tree parent and generator index (the
+        identity is its own parent), and the generators' columns."""
+        if self._tree is None:
+            n = len(self.elements)
+            positions = [self.index[g.images] for g in self.generators]
+            gen_cols = [self._from_tuples(j) for j in positions]
+            self.update(zip(positions, gen_cols))
+            parent, via = [-1] * n, [0] * n
+            parent[0] = 0
+            queue = [0]
+            for x in queue:  # queue grows as the walk runs
+                for k, c in enumerate(gen_cols):
+                    y = c[x]
+                    if parent[y] < 0:
+                        parent[y], via[y] = x, k
+                        queue.append(y)
+            self._tree = queue, parent, via, gen_cols
+        return self._tree
+
+    def _compose(self, j: int) -> list[int]:
+        """Column j, composed down the tree or built from image tuples."""
+        _, parent, via, gen_cols = self.tree()
+        if j in self:  # a generator's, built with the tree
+            return self[j]
+        degree = len(self.elements[0].images)
+        path, x = [], j
+        while x not in self and x and len(path) <= degree:
+            path.append(via[x])
+            x = parent[x]
+        if len(path) > degree:
+            return self._from_tuples(j)
+        column = self[x] if x in self else list(range(len(self.elements)))
+        for k in reversed(path):
+            column = list(map(gen_cols[k].__getitem__, column))
+        return column
+
+    def _from_tuples(self, j: int) -> list[int]:
+        e, index = self.elements[j].images, self.index
+        return [index[tuple(map(e.__getitem__, x.images))]
+                for x in self.elements]
+
+
 class PermutationGroup:
     """A finite permutation group given by generators.
 
@@ -434,6 +515,12 @@ class PermutationGroup:
     outside the root and the chain answers.  ``subgroup_at`` fills the
     entry from positions its caller already walked.  Any other listed group
     answers ``contains`` from its own index.
+
+    A listed group's ``indexed()`` columns are built on first use: the
+    generators' from image tuples, with the breadth-first tree from the
+    identity that ``homs`` also reads as the Cayley walk, and every other
+    column composed down that tree from the nearest built column (see
+    ``_Columns``).
 
     A listed group keeps a conjugation column ``conj(g)`` per g, built on
     first use: ``conj(g)[x]`` is the position of ``elements[x] ** g``.
@@ -530,7 +617,7 @@ class PermutationGroup:
     def indexed(self, max_enumerate: int = 100_000):
         """(elements, index, col) on the canonical list, memoised: index maps
         image tuples to positions, col(j)[x] is the position of elements[x] *
-        elements[j] and is built on first use."""
+        elements[j] and is built on first use (see ``_Columns``)."""
         self.elements(max_enumerate)
         return self._indexed()
 
@@ -540,17 +627,15 @@ class PermutationGroup:
 
         def compute():
             index = {g.images: i for i, g in enumerate(elements)}
-            columns: dict[int, list[int]] = {}
-
-            def col(j: int) -> list[int]:
-                if j not in columns:
-                    e = elements[j].images
-                    columns[j] = [index[tuple(map(e.__getitem__, x.images))]
-                                  for x in elements]
-                return columns[j]
-            return elements, index, col
+            return elements, index, _Columns(
+                elements, index, self.generators).__getitem__
 
         return self.memo("indexed", compute)
+
+    def cayley_tree(self):
+        """(queue, parent, via, gen_cols) of the breadth-first tree that this
+        listed group's columns are composed along (see ``_Columns``)."""
+        return self._indexed()[2].__self__.tree()
 
     def conj(self, g: Permutation) -> list[int]:
         """conj(g)[x] is the position of elements[x] ** g, for g in this

@@ -225,7 +225,12 @@ class _WordParser:
             if len(entries) < 2:
                 raise ParseError("commutator needs at least two entries",
                                  position=pos)
-            atom = left_normed_commutator(entries)
+            atom = entries[0]
+            for entry in entries[1:]:
+                # [a, b] = a^-1 b^-1 a b has at most 2(|a| + |b|) syllables
+                check_budget("max_degree", MAX_DEGREE,
+                             2 * (len(atom.letters) + len(entry.letters)))
+                atom = commutator_word(atom, entry)
         else:
             raise ParseError(f"unexpected {tok!r} in word {self.text!r}",
                              position=pos)

@@ -1,9 +1,12 @@
-"""The benchmark's first pass at seed 5 gives the same verdicts, by digest.
+"""The benchmark's passes at seed 5 give the same verdicts, by digest.
 
-``perfbench/worker.py WORKLOAD 5 0 0`` runs one pass and hashes every op's
-answer into ``verdict_sha256``.  A change that moves no verdict, no
-certificate and no construction result keeps all four digests.  The test
-runs the worker as it stands and writes nothing under ``perfbench/``.
+``perfbench/worker.py WORKLOAD 5 PASS 0`` runs one pass and hashes every
+op's answer into ``verdict_sha256``.  A change that moves no verdict, no
+certificate and no construction result keeps every digest.  Each
+workload's first pass is pinned, and so are lattice passes 1 and 2, which
+relabel every group differently from pass 0 and so list its elements, and
+build its columns, in other orders.  The test runs the worker as it stands
+and writes nothing under ``perfbench/``.
 """
 
 import json
@@ -27,15 +30,30 @@ DIGESTS = {
         "958e84744fc4bef78e89bc25837f2382e8cd18f2e7ce5582dafd6e064d03190b",
 }
 
+LATER_LATTICE_DIGESTS = {
+    1: "dd16fef9c155839be6f0251333a7e250c8bb1f2c5af810d69dde77c961de7565",
+    2: "c4e391cb32f197759dec73ddc8c2b742b79ea711532fa1c43a092ba1baa9b1f7",
+}
 
-@pytest.mark.parametrize("workload", list(DIGESTS))
-def test_first_pass_verdicts_keep_their_digest(workload):
+
+def worker_digest(workload: str, pass_index: int) -> str:
     env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py"), workload,
-         "5", "0", "0"], cwd=ROOT, env=env, capture_output=True, text=True,
-        check=True, timeout=300)
+         "5", str(pass_index), "0"], cwd=ROOT, env=env, capture_output=True,
+        text=True, check=True, timeout=300)
     out = json.loads(proc.stdout)
     assert out["failed"] == 0, out["errors"]
-    assert out["verdict_sha256"] == DIGESTS[workload]
+    return out["verdict_sha256"]
+
+
+@pytest.mark.parametrize("workload", list(DIGESTS))
+def test_first_pass_verdicts_keep_their_digest(workload):
+    assert worker_digest(workload, 0) == DIGESTS[workload]
+
+
+@pytest.mark.parametrize("pass_index", list(LATER_LATTICE_DIGESTS))
+def test_later_lattice_passes_keep_their_digest(pass_index):
+    assert worker_digest("lattice", pass_index) == \
+        LATER_LATTICE_DIGESTS[pass_index]

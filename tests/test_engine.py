@@ -464,6 +464,29 @@ class TestEpiDecide:
         with pytest.raises(GroupError):
             epi_decide(a5, symmetric_group(5), Abelian(), ctx)
 
+    def test_a_chain_work_stop_on_the_subgroup_check_is_unknown(
+            self, ctx, monkeypatch):
+        # checking <(0 1)> <= S200 builds S200's chain, which passes
+        # MAX_CHAIN_WORK: the stop is a verdict, not an exception
+        works = []
+        build = StabilizerChain.__init__
+
+        def counting(chain, *args):
+            try:
+                build(chain, *args)
+            finally:
+                works.append(chain.work)
+
+        monkeypatch.setattr(StabilizerChain, "__init__", counting)
+        G = resolve_group_name("S200")
+        H = G.subgroup([parse_permutation("(0 1)", 200)])
+        verdict = epi_decide(G, H, Abelian(), ctx)
+        assert verdict.outcome == UNKNOWN
+        assert any(note.startswith("stopped: max_chain_work")
+                   for note in verdict.notes)
+        assert works and MAX_CHAIN_WORK < max(works) <= sum(works) \
+            < 2 * MAX_CHAIN_WORK
+
 
 def _decided_corpus():
     s4 = symmetric_group(4)

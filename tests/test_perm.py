@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import mulclose
-from vlab import perm
+from vlab import homs, perm
 from vlab.catalog import bundled_catalog
+from vlab.config import DEFAULT_BUDGETS
 from vlab.constructions import regular_wreath
 from vlab.errors import (BudgetExceeded, DegreeMismatch, GroupError,
                          ParseError)
@@ -494,3 +495,93 @@ class TestValidationAtTheBoundary:
         assert sorted(results) == sorted(rebuilt)
         assert sorted(results, reverse=True) == sorted(rebuilt, reverse=True)
         assert (p * q).images == tuple(q.images[i] for i in p.images)
+
+
+def fresh(G):
+    """A copy of G with no listing and no columns yet."""
+    return PermutationGroup(G.degree, G.generators, name=G.name)
+
+
+def column_cases():
+    """(id, build) for every catalog group and three seeded relabellings
+    of S4, A5 and C2wrC2wrC2, each a fresh copy."""
+    named = {G.name: G for G in bundled_catalog()}
+    cases = [(name, lambda G=G: fresh(G)) for name, G in named.items()]
+    cases += [(f"{name}-relabelled{k}",
+               lambda name=name, k=k: relabelled(named[name], random.Random(
+                   f"{name}-{k}")))
+              for name in ("S4", "A5", "C2wrC2wrC2") for k in range(3)]
+    return cases
+
+
+COLUMN_CASES = column_cases()
+
+
+class TestMultiplicationColumns:
+    # the columns are composed along a breadth-first tree; the oracle
+    # multiplies the permutations
+
+    @pytest.mark.parametrize("build", [b for _, b in COLUMN_CASES],
+                             ids=[name for name, _ in COLUMN_CASES])
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_every_column_is_the_product_column(self, build, ascending):
+        G = build()
+        elements, index, col = G.indexed()
+        n = len(elements)
+        for j in (range(n) if ascending else reversed(range(n))):
+            assert col(j) == [index[(elements[x] * elements[j]).images]
+                              for x in range(n)]
+
+    def test_a_deep_column_is_built_from_tuples(self, monkeypatch):
+        # S5's tree on two generators is deeper than its degree 5: a column
+        # more than 5 steps below every built one is built from tuples, the
+        # others are composed
+        built = []
+        from_tuples = perm._Columns._from_tuples
+
+        def counting(columns, j):
+            built.append(j)
+            return from_tuples(columns, j)
+
+        monkeypatch.setattr(perm._Columns, "_from_tuples", counting)
+        G = fresh(symmetric_group(5))
+        _, _, col = G.indexed()
+        for j in reversed(range(120)):
+            col(j)
+        assert len(G.generators) < len(built) < 120
+        assert len(col.__self__) == 120
+
+    def test_a_call_adds_at_most_one_column(self):
+        G = fresh(next(G for G in bundled_catalog()
+                       if G.name == "C2wrC2wrC2"))  # of order 128
+        elements, _, col = G.indexed()
+        order = list(range(len(elements)))
+        random.Random(3).shuffle(order)
+        col(order[0])  # builds the tree and the generators' columns
+        assert len(col.__self__) <= len(G.generators) + 1
+        for j in order[1:]:
+            before = len(col.__self__)
+            col(j)
+            assert len(col.__self__) - before <= 1
+
+    def test_a_tree_deeper_than_the_recursion_limit_composes_in_a_loop(self):
+        # C1500's tree is a path: its last position is 1,499 steps deep
+        G = cyclic_group(1500)
+        _, _, col = G.indexed()
+        assert col(1499) == [(x + 1499) % 1500 for x in range(1500)]
+        assert sorted(col.__self__) == [1, 1499]
+
+    @pytest.mark.parametrize("G", bundled_catalog(), ids=lambda G: G.name)
+    def test_the_cayley_walk_is_the_breadth_first_walk(self, G):
+        G = fresh(G)
+        _, index, col = G.indexed()
+        cols = [col(index[g.images]) for g in G.generators]
+        queue, seen, edges = [0], {0}, []
+        for x in queue:
+            for k, c in enumerate(cols):
+                y = c[x]
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+                edges.append((x, k, y))
+        assert homs._cayley_walk(G, DEFAULT_BUDGETS)[2] == edges

@@ -122,6 +122,36 @@ class TestPower:
         assert word.letters == ((1, 1), (2, 10 ** 9), (1, -1))
         assert len(calls) <= 2 * (10 ** 9).bit_length() + 3
 
+    def test_a_bracket_past_the_syllable_cap_is_refused_step_by_step(
+            self, monkeypatch):
+        # each entry of [x1, x2, x2, ...] about doubles the word: 13 entries
+        # make 8,193 syllables, and the 18-entry bracket would make 524,289
+        assert len(parse_word("[x1" + ",x2" * 12 + "]").letters) == 8193
+        products = []
+        multiply = Word.__mul__
+
+        def counting(a, b):
+            products.append(multiply(a, b))
+            return products[-1]
+
+        monkeypatch.setattr(Word, "__mul__", counting)
+        with pytest.raises(BudgetExceeded, match="max_degree: 16388"):
+            parse_word("[x1" + ",x2" * 17 + "]")
+        # one product per parsed entry, then three per commutator step up
+        # to the 8,193-syllable word; nothing past the cap is built
+        assert len(products) == 18 + 3 * 12
+        assert max(len(w.letters) for w in products) == 8193
+
+    def test_the_bracket_cap_leaves_the_built_in_laws_alone(self):
+        # the laws are composed without the parser's cap: derived_law(7)
+        # has 16,384 syllables
+        assert [len(nilpotency_law(c).letters) for c in range(1, 13)] == [
+            4, 10, 22, 46, 94, 190, 382, 766, 1534, 3070, 6142, 12286]
+        assert len(derived_law(7).letters) == 16384
+        assert parse_word(
+            "[" + ",".join(f"x{i}" for i in range(1, 13)) + "]"
+        ) == nilpotency_law(11)
+
 
 class TestEvaluation:
     def test_single_variable(self):
