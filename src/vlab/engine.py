@@ -555,16 +555,18 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
     if kind == "separating-pair":
         codomain = _group_from_json(cert["codomain"])
         C = _catalog_entry(codomain, ctx)
+        # building f and g lists C under max_enumerate, one chain build,
+        # before membership runs structure on C
+        f_images = _perms_from_json(cert["f_images"], C.degree)
+        g_images = _perms_from_json(cert["g_images"], C.degree)
+        f = GroupHomomorphism(G, C, f_images, budgets=ctx.budgets)
+        g = GroupHomomorphism(G, C, g_images, budgets=ctx.budgets)
         # a pair separates in the variety only if its codomain lies in it;
         # the context keeps the answers of catalog members only
         answers = ({} if C is codomain
                    else ctx.memberships.setdefault(str(desc), {}))
         if _catalog_membership(C, desc, ctx, answers) is not True:
             return False
-        f_images = _perms_from_json(cert["f_images"], C.degree)
-        g_images = _perms_from_json(cert["g_images"], C.degree)
-        f = GroupHomomorphism(G, C, f_images, budgets=ctx.budgets)
-        g = GroupHomomorphism(G, C, g_images, budgets=ctx.budgets)
         return (f.agrees_on(g, H, ctx.budgets) and f_images != g_images
                 and _same(cert, _pair_cert(G, H, C, f, g, ctx.budgets)))
     if kind == "verbal-cover-failure" and isinstance(desc, ProductVariety):

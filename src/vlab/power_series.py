@@ -7,20 +7,23 @@ which is how a single reduced word is defeated: mapping x_i to 1 + y_i sends
 a nontrivial word to a series with a predictable nonzero monomial, so the law
 fails in that unit group.
 
-For a reduced word with syllable exponents a_i = b_i * p^{k_i} (p not
-dividing b_i), the image has a unique monomial of total degree
-p^{k_1} + ... + p^{k_s}, namely y_{r_1}^{p^{k_1}} ... y_{r_s}^{p^{k_s}} with
-coefficient b_1 * ... * b_s mod p, so truncating one degree above that sum
-leaves the image visibly different from 1.
+Each syllable x_i^e maps to the binomial series sum_j C(e, j) y_i^j, where
+C(e, j) = (-1)^j C(j - e - 1, j) for e < 0, and Lucas's theorem gives C(n, k)
+mod p as the product of C(n_t, k_t) over the base-p digits.  So for
+e = b * p^k (p not dividing b), C(e, j) = 0 mod p for 0 < j < p^k and
+C(e, p^k) = b mod p: the image of a reduced word with exponents b_i * p^{k_i}
+has the unique monomial y_{r_1}^{p^{k_1}} ... y_{r_s}^{p^{k_s}} of degree
+p^{k_1} + ... + p^{k_s}, with coefficient b_1 ... b_s mod p, and truncating
+one degree above that sum leaves the image visibly different from 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .config import MAX_DEGREE
 from .errors import GroupError, check_budget
-from .perm import power
 from .words import Word
 
 Monomial = tuple[int, ...]  # sequence over variable indices 1..k
@@ -88,25 +91,11 @@ class TruncatedSeries:
     def variable(params: SeriesParams, i: int) -> TruncatedSeries:
         return TruncatedSeries(params, {(i,): 1})
 
-    @staticmethod
-    def one_plus_variable(params: SeriesParams, i: int) -> TruncatedSeries:
-        return TruncatedSeries(params, {(): 1, (i,): 1})
-
     # -- ring operations -------------------------------------------------------
 
-    def _check(self, other: TruncatedSeries):
+    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         if self.params != other.params:
             raise GroupError("mixed series parameters")
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + coeff
-        return TruncatedSeries(self.params, terms)
-
-    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check(other)
         d = self.params.truncation
         terms: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
@@ -117,43 +106,11 @@ class TruncatedSeries:
                 terms[mono] = terms.get(mono, 0) + c1 * c2
         return TruncatedSeries(self.params, terms)
 
-    def scale(self, c: int) -> TruncatedSeries:
-        return TruncatedSeries(self.params,
-                               {m: c * v for m, v in self.terms.items()})
-
     def coefficient(self, mono: Monomial) -> int:
         return self.terms.get(tuple(mono), 0)
 
-    def constant_term(self) -> int:
-        return self.terms.get((), 0)
-
     def is_one(self) -> bool:
         return self.terms == {(): 1}
-
-    def augmentation_part(self) -> TruncatedSeries:
-        """The series minus its constant term."""
-        terms = {m: c for m, c in self.terms.items() if m}
-        return TruncatedSeries(self.params, terms)
-
-    def unit_inverse(self) -> TruncatedSeries:
-        """Inverse of a series with constant term 1, via the finite geometric
-        series: the augmentation part is nilpotent at truncation d."""
-        if self.constant_term() != 1:
-            raise GroupError("unit_inverse needs constant term 1")
-        u = self.augmentation_part()
-        result = TruncatedSeries.one(self.params)
-        term = TruncatedSeries.one(self.params)
-        for j in range(1, self.params.truncation):
-            term = term * u
-            if not term.terms:
-                break
-            result = result + term.scale((-1) ** j)
-        return result
-
-    def __pow__(self, n: int) -> TruncatedSeries:
-        if n < 0:
-            return self.unit_inverse() ** (-n)
-        return power(self, n, TruncatedSeries.one(self.params))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -177,19 +134,36 @@ class TruncatedSeries:
         return " + ".join(parts)
 
 
+def _binomial_mod_p(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p for n, k >= 0 by Lucas's theorem: the product of
+    C(n_t, k_t) over the base-p digits n_t of n and k_t of k."""
+    c = 1
+    while k and c:
+        n, n_t = divmod(n, p)
+        k, k_t = divmod(k, p)
+        c = c * comb(n_t, k_t) % p
+    return c
+
+
 def magnus_image(word: Word, p: int, d: int,
                  variables: int | None = None) -> TruncatedSeries:
-    """Evaluate the word at x_i -> 1 + y_i in the truncated series ring."""
+    """Evaluate the word at x_i -> 1 + y_i in the truncated series ring, one
+    product per syllable: x_i^e is sum_{j<d} C(e, j) y_i^j, with C(e, j) mod p
+    by Lucas and C(e, j) = (-1)^j C(j - e - 1, j) for e < 0."""
     if d < 1:
         raise GroupError("truncation degree must be >= 1")
     k = variables if variables is not None else max(word.arity, 1)
     params = SeriesParams(p=p, variables=k, truncation=d)
     result = TruncatedSeries.one(params)
-    for var, exp in word.letters:
-        base = TruncatedSeries.one_plus_variable(params, var)
-        if exp < 0:
-            base = base.unit_inverse()
-        result = result * (base ** abs(exp))
+    for var, e in word.letters:
+        if e > 0:  # C(e, j) = 0 for j > e
+            coeffs = [_binomial_mod_p(e, j, p)
+                      for j in range(min(e, d - 1) + 1)]
+        else:
+            coeffs = [(-1) ** j * _binomial_mod_p(j - e - 1, j, p)
+                      for j in range(d)]
+        result = result * TruncatedSeries(
+            params, {(var,) * j: c for j, c in enumerate(coeffs) if c})
     return result
 
 

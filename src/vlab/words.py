@@ -131,9 +131,6 @@ def left_normed_commutator(words) -> Word:
     return acc
 
 
-COMMUTATOR = commutator_word(Word.variable(1), Word.variable(2))
-
-
 def nilpotency_law(c: int) -> Word:
     """Left-normed commutator of weight c+1 on distinct variables."""
     if c < 1:

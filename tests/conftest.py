@@ -4,6 +4,9 @@ from vlab.engine import EngineContext
 from vlab.errors import BudgetExceeded, GroupError
 from vlab.perm import (Permutation, alternating_group, cyclic_group,
                        pad_permutation)
+from vlab.words import Word, commutator_word
+
+COMMUTATOR = commutator_word(Word.variable(1), Word.variable(2))  # [x1, x2]
 
 
 def mulclose(generators, max_size: int = 2_000_000):

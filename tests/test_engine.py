@@ -710,11 +710,11 @@ class TestCertificateSoundness:
         del short.certificate["f_images"][-1]
         assert verify_certificate(G, one, desc, short, ctx) is False
 
-    def test_a_codomain_past_the_chain_work_cap_is_refused(self, ctx, c4,
-                                                          c2_in_c4,
-                                                          monkeypatch):
-        # <(0 1), (0 1 ... 79)> is S80, not in Sl:3; one chain build of it
-        # passes MAX_CHAIN_WORK, so the check stops instead of running on
+    @staticmethod
+    def _verify_forged_sn_pair(n, ctx, c4, c2_in_c4, monkeypatch):
+        """Verify a separating pair for C2 < C4 under Sl:3 whose codomain
+        is <(0 1), (0 1 ... n-1)> = S_n; returns the verdict and the work
+        of each chain build it made."""
         works = []
         build = StabilizerChain.__init__
 
@@ -727,16 +727,37 @@ class TestCertificateSoundness:
         monkeypatch.setattr(StabilizerChain, "__init__", counting)
         forged = EpiVerdict(NOT_EPI, {
             "kind": "separating-pair",
-            "codomain": {"name": "S80", "degree": 80, "order": 80,
+            "codomain": {"name": f"S{n}", "degree": n, "order": n,
                          "generators": ["(0 1)", "(" + " ".join(
-                             map(str, range(80))) + ")"]},
+                             map(str, range(n))) + ")"]},
             "f_images": ["(0 1)"], "g_images": ["()"],
             "subgroup_generators": [str(c2_in_c4.generators[0])],
             "witness": str(c4.generators[0]), "f_witness": "(0 1)",
             "g_witness": "()"}, [], {})
         desc = parse_descriptor("Sl:3")
-        assert verify_certificate(c4, c2_in_c4, desc, forged, ctx) is False
+        return verify_certificate(c4, c2_in_c4, desc, forged, ctx), works
+
+    def test_a_codomain_past_the_chain_work_cap_is_refused(self, ctx, c4,
+                                                          c2_in_c4,
+                                                          monkeypatch):
+        # S80 is not in Sl:3; one chain build of it passes MAX_CHAIN_WORK,
+        # so the check stops instead of running on
+        verified, works = self._verify_forged_sn_pair(80, ctx, c4, c2_in_c4,
+                                                      monkeypatch)
+        assert verified is False
         assert MAX_CHAIN_WORK < max(works) <= sum(works) < 2 * MAX_CHAIN_WORK
+
+    @pytest.mark.parametrize("n", [30, 50])
+    def test_an_unlisted_codomain_is_listed_before_its_membership(
+            self, ctx, c4, c2_in_c4, monkeypatch, n):
+        # S30 and S50 build within MAX_CHAIN_WORK but pass max_enumerate:
+        # building f lists C first and stops after one chain build, where
+        # the membership check would compute S_n's derived series
+        verified, works = self._verify_forged_sn_pair(n, ctx, c4, c2_in_c4,
+                                                      monkeypatch)
+        assert verified is False
+        assert 1 <= len(works) <= 2
+        assert sum(works) < 2 * max(works)
 
     def test_neumann_certificate_needs_a_proper_subgroup(self, ctx, s4):
         # S4 lies in Sl:3 and is its own solvable radical, which is normal

@@ -65,11 +65,12 @@ def private_definitions(tree: ast.Module) -> list[str]:
 
 
 def referenced_names(trees) -> set[str]:
-    """Every name, attribute and imported name in the trees."""
+    """Every name read, attribute and imported name in the trees."""
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -102,13 +103,17 @@ def test_no_dead_private_helpers_in_src():
 
 
 def public_definitions(tree: ast.Module) -> list[str]:
-    """Public module-level functions and classes, and the public methods of
-    module-level classes as ``Class.method``."""
+    """Public module-level functions, classes and assigned names, and the
+    public methods of module-level classes as ``Class.method``."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     names = []
     for node in tree.body:
         if isinstance(node, defs) and not node.name.startswith("_"):
             names.append(node.name)
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names += [t.id for t in targets if isinstance(t, ast.Name)
+                  and not t.id.startswith("_")]
         if isinstance(node, ast.ClassDef):
             names += [f"{node.name}.{item.name}" for item in node.body
                       if isinstance(item, defs)
@@ -129,9 +134,10 @@ def test_detector_flags_an_unreferenced_public_name():
     source = ("def used():\n    pass\n\ndef unused():\n    pass\n\n"
               "class K:\n    def method(self):\n        pass\n"
               "    def __init__(self):\n        used()\n"
-              "    def _private(self):\n        pass\n")
+              "    def _private(self):\n        pass\n"
+              "LIMIT = 3\nSIZE: int = 4\n_HIDDEN = 5\nused(SIZE)\n")
     assert unreferenced_public({"m.py": source}) == [
-        "m.py: unused", "m.py: K", "m.py: K.method"]
+        "m.py: unused", "m.py: K", "m.py: K.method", "m.py: LIMIT"]
     assert unreferenced_public({"m.py": "def f():\n    pass\n",
                                 "n.py": "from .m import f\n"}) == []
     assert unreferenced_public({"m.py": "class K:\n    def f(self):\n"

@@ -1,12 +1,13 @@
 import random
+from math import comb
 
 import pytest
 
 from vlab.config import MAX_DEGREE
 from vlab.errors import BudgetExceeded, GroupError
 from vlab.power_series import (SeriesParams, TruncatedSeries,
-                               law_failure_witness, magnus_image,
-                               p_adic_split)
+                               _binomial_mod_p, law_failure_witness,
+                               magnus_image, p_adic_split)
 from vlab.words import Word, parse_word
 
 
@@ -19,6 +20,55 @@ def random_series(rng, params, terms=4):
     return TruncatedSeries(params, data)
 
 
+def add(a, b):
+    terms = dict(a.terms)
+    for mono, coeff in b.terms.items():
+        terms[mono] = terms.get(mono, 0) + coeff
+    return TruncatedSeries(a.params, terms)
+
+
+def power(u, n):
+    result = TruncatedSeries.one(u.params)
+    for _ in range(n):
+        result = result * u
+    return result
+
+
+def random_unit(rng, params):
+    """1 plus a random series without constant term."""
+    terms = dict(random_series(rng, params).terms)
+    terms[()] = 1
+    return TruncatedSeries(params, terms)
+
+
+def reference_inverse(u):
+    """Inverse of a series with constant term 1 by the finite geometric
+    series: 1 - a + a^2 - ..., where the augmentation part a is nilpotent at
+    truncation d."""
+    assert u.coefficient(()) == 1
+    minus_a = TruncatedSeries(u.params,
+                              {m: -c for m, c in u.terms.items() if m})
+    result = term = TruncatedSeries.one(u.params)
+    for _ in range(1, u.params.truncation):
+        term = term * minus_a
+        result = add(result, term)
+    return result
+
+
+def per_letter_image(word, p, d, variables):
+    """The Magnus image as the product of one factor per letter: 1 + y_i
+    for x_i and its reference inverse for x_i^-1."""
+    params = SeriesParams(p, variables, d)
+    result = TruncatedSeries.one(params)
+    for var, exp in word.letters:
+        factor = TruncatedSeries(params, {(): 1, (var,): 1})
+        if exp < 0:
+            factor = reference_inverse(factor)
+        for _ in range(abs(exp)):
+            result = result * factor
+    return result
+
+
 class TestRingAxioms:
     @pytest.mark.parametrize("p,k,d", [(2, 2, 5), (3, 2, 4)])
     def test_associativity_and_distributivity(self, p, k, d):
@@ -29,8 +79,8 @@ class TestRingAxioms:
             b = random_series(rng, params)
             c = random_series(rng, params)
             assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert (a + b) * c == a * c + b * c
+            assert a * add(b, c) == add(a * b, a * c)
+            assert add(a, b) * c == add(a * c, b * c)
 
     def test_one_is_neutral(self):
         params = SeriesParams(2, 2, 5)
@@ -60,31 +110,27 @@ class TestRingAxioms:
 
 
 class TestUnitInverse:
+    """The geometric-series inverse that per_letter_image uses."""
+
     def test_inverse_of_one_plus_y(self):
         params = SeriesParams(2, 1, 3)
-        u = TruncatedSeries.one_plus_variable(params, 1)
-        inv = u.unit_inverse()
+        u = TruncatedSeries(params, {(): 1, (1,): 1})
+        inv = reference_inverse(u)
         assert inv.terms == {(): 1, (1,): 1, (1, 1): 1}  # 1 + y + y^2
         assert (u * inv).is_one()
 
     def test_inverse_of_one(self):
         params = SeriesParams(3, 1, 4)
         one = TruncatedSeries.one(params)
-        assert one.unit_inverse() == one
+        assert reference_inverse(one) == one
 
     def test_involutive_on_random_units(self):
         params = SeriesParams(3, 2, 4)
         rng = random.Random(2)
         for _ in range(40):
-            u = TruncatedSeries.one(params) + \
-                random_series(rng, params).augmentation_part()
-            assert (u * u.unit_inverse()).is_one()
-            assert u.unit_inverse().unit_inverse() == u
-
-    def test_rejects_wrong_constant_term(self):
-        params = SeriesParams(2, 1, 3)
-        with pytest.raises(GroupError):
-            TruncatedSeries.variable(params, 1).unit_inverse()
+            u = random_unit(rng, params)
+            assert (u * reference_inverse(u)).is_one()
+            assert reference_inverse(reference_inverse(u)) == u
 
     def test_unit_group_exponent(self):
         # units with constant term 1 have exponent dividing p^ceil(log_p d)
@@ -94,9 +140,7 @@ class TestUnitInverse:
             exponent = p ** math.ceil(math.log(d, p))
             rng = random.Random(p * d)
             for _ in range(25):
-                u = TruncatedSeries.one(params) + \
-                    random_series(rng, params).augmentation_part()
-                assert (u ** exponent).is_one()
+                assert power(random_unit(rng, params), exponent).is_one()
 
 
 class TestMagnusImage:
@@ -152,6 +196,32 @@ class TestMagnusImage:
                 images[key] = w
         assert collisions == {frozenset(("x1^4", "x1^-4")),
                               frozenset(("x2^4", "x2^-4"))}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_the_per_letter_product_on_short_words(self, p):
+        for d in range(1, 10):
+            for w in self._short_words():
+                assert magnus_image(w, p, d, variables=2) == \
+                    per_letter_image(w, p, d, 2), (str(w), p, d)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_the_per_letter_product_on_prime_power_exponents(self, p):
+        # exponents +-b * p^k (p^k <= 8), alone and next to x2-syllables
+        exponents = [s * b * p ** k for s in (1, -1) for b in (1, 2, 3, 4)
+                     for k in range(4) if p ** k <= 8 and b % p]
+        for e in exponents:
+            for w in (Word.variable(1, e),
+                      Word.make([(1, e), (2, -1)]),
+                      Word.make([(2, 1), (1, e), (2, -e)])):
+                for d in range(1, 10):
+                    assert magnus_image(w, p, d, variables=2) == \
+                        per_letter_image(w, p, d, 2), (str(w), p, d)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_lucas_binomial_matches_comb(self, p):
+        for n in range(200):
+            for k in range(200):
+                assert _binomial_mod_p(n, k, p) == comb(n, k) % p, (n, k)
 
 
 class TestLawFailureWitness:
@@ -217,3 +287,20 @@ class TestLawFailureWitness:
             for p in (2, 3):
                 report = law_failure_witness(word, p)
                 assert report.consistent, (str(word), p)
+
+    @pytest.mark.parametrize("text,syllables", [
+        ("x1^-8192", 1), ("x1^-1024 x2^512", 2)])
+    def test_one_series_product_per_syllable(self, text, syllables,
+                                             monkeypatch):
+        # however large its exponent, a syllable is one binomial series
+        calls = []
+        mul = TruncatedSeries.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+        report = law_failure_witness(parse_word(text), 2)
+        assert report.consistent
+        assert len(calls) == syllables

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from tests.conftest import mulclose
+from tests.conftest import COMMUTATOR, mulclose
 from vlab.catalog import resolve_group_name
 from vlab.config import DEFAULT_BUDGETS, Budgets
 from vlab.errors import FixtureGap, GroupError, ParseError
@@ -14,7 +14,7 @@ from vlab.varieties import (Abelian, Fixture, Laws, NilpotentClass,
                             is_trivial_variety, member_of_variety,
                             parse_descriptor, q_verbal, satisfies_laws,
                             verbal_subgroup)
-from vlab.words import COMMUTATOR, Word, derived_law, nilpotency_law, parse_word
+from vlab.words import Word, derived_law, nilpotency_law, parse_word
 
 
 def brute_verbal(G, words):

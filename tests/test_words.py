@@ -2,8 +2,9 @@ import pytest
 
 from vlab.config import MAX_DEGREE
 from vlab.errors import BudgetExceeded, GroupError, ParseError
+from tests.conftest import COMMUTATOR
 from vlab.perm import parse_permutation, symmetric_group
-from vlab.words import (COMMUTATOR, Word, as_derived_law, as_nilpotency_law,
+from vlab.words import (Word, as_derived_law, as_nilpotency_law,
                         as_power_law, commutator_word, derived_law,
                         left_normed_commutator, nilpotency_law, parse_word)
 
