@@ -62,8 +62,9 @@ from .errors import BudgetExceeded, FixtureGap, GroupError
 from .perm import (Permutation, PermutationGroup, parse_permutation,
                    trivial_group)
 from .structure import (class_representatives, is_normal, is_solvable,
-                        normal_closure, product_covers, product_subgroup,
-                        solvable_radical, subgroup_intersection)
+                        normal_closure, prime_divisors, product_covers,
+                        product_subgroup, solvable_radical,
+                        subgroup_intersection)
 from .homs import GroupHomomorphism, all_homomorphisms
 from .varieties import (Descriptor, ProductVariety, find_epi_fixture,
                         is_solvable_variety, is_trivial_variety,
@@ -694,30 +695,17 @@ class EscapeResult:
                 "skipped": list(self.skipped)}
 
 
-def _prime_divisors(n: int) -> set[int]:
-    primes = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            primes.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        primes.add(n)
-    return primes
-
-
 def escape_ladder(A: PermutationGroup):
     """The fixed candidate ladder: the trivial group, cyclic groups up to
     C12, then iterated wreath powers - restricted to orders built from the
     primes of |A| (the p-group mechanism behind the escape theorem)."""
-    allowed = _prime_divisors(A.order())
+    allowed = prime_divisors(A.order())
     names = [f"C{n}" for n in range(2, 13)]
     names += ["C2wrC2", "C2wrC2wrC2", "C3wrC3"]
     ladder = [trivial_group(1)]
     for name in names:
         candidate = resolve_group_name(name)
-        if _prime_divisors(candidate.order()) <= allowed:
+        if prime_divisors(candidate.order()) <= allowed:
             ladder.append(candidate)
     return ladder
 

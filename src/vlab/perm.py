@@ -513,8 +513,12 @@ class PermutationGroup:
     entry: the positions of the group's elements in the root's list, at
     most |root| of them, or None (decided once) when a generator lies
     outside the root and the chain answers.  ``subgroup_at`` fills the
-    entry from positions its caller already walked.  Any other listed group
-    answers ``contains`` from its own index.
+    entry from positions its caller already walked, and builds the group
+    with ``_trusted``, which skips the constructor's degree check, dedupe
+    and identity scan: its generators must already be distinct
+    permutations of the group's degree, none the identity unless it is the
+    only one.  Any other listed group answers ``contains`` from its own
+    index.
 
     A listed group's ``indexed()`` columns are built on first use: the
     generators' from image tuples, with the breadth-first tree from the
@@ -543,14 +547,27 @@ class PermutationGroup:
             gens.append(g)
         if not any(not g.is_identity() for g in gens):
             gens = [Permutation.identity(degree)]
+        self._init(degree, tuple(gens), name, None)
+
+    def _init(self, degree, generators, name, ambient):
         self.degree = degree
-        self.generators: tuple[Permutation, ...] = tuple(gens)
+        self.generators: tuple[Permutation, ...] = generators
         self.name = name
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._order: int | None = None
         self._memo: dict = {}
-        self._ambient: PermutationGroup | None = None
+        self._ambient: PermutationGroup | None = ambient
+
+    @staticmethod
+    def _trusted(degree: int, generators, ambient: PermutationGroup | None
+                 ) -> PermutationGroup:
+        """The group on generators already known to be distinct
+        permutations of this degree, none the identity unless it is the
+        only one; unchecked, like ``Permutation._trusted``."""
+        G = object.__new__(PermutationGroup)
+        G._init(degree, tuple(generators), None, ambient)
+        return G
 
     # -- queries: member positions in a listed root, else the chain ----------
 
@@ -690,10 +707,14 @@ class PermutationGroup:
         positions of this listed group's elements.  A root stores them as
         the member set, so the subgroup's order, contains and elements do
         no walk; under another root they are not the root's positions and
-        the subgroup walks its own on first use."""
-        H = self.subgroup(generators)
-        if self._ambient is None:
-            H.memo("members", lambda: positions)
+        the subgroup walks its own on first use.  The generators must be
+        distinct elements of this group, none the identity unless it is
+        the only one: they go through ``_trusted`` unchecked."""
+        root = self._ambient
+        H = PermutationGroup._trusted(self.degree, generators,
+                                      self if root is None else root)
+        if root is None:
+            H._memo["members"] = positions
         return H
 
     def is_subgroup_of(self, other: PermutationGroup) -> bool:

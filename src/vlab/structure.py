@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import GroupError, check_budget
@@ -347,6 +347,19 @@ def solvable_radical(G: PermutationGroup,
     return G.memo("solvable_radical", compute)
 
 
+def prime_divisors(n: int) -> set[int]:
+    primes = set()
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            primes.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        primes.add(n)
+    return primes
+
+
 def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
     """Every subgroup of G, for desk-scale groups.
 
@@ -354,10 +367,10 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
     known subgroup H by one outside element e until no new subgroup appears.
     Once <e> is added, every e^k with k prime to ord(e) is skipped, since
     it generates the same subgroup.
-    Extension skips a try (H, e) only when an earlier try for the same H
-    formed <H, e>, so the least e giving each subgroup is always tried, and
-    the result (the subgroups, their generator tuples and their order) is
-    that of extending by every e outside H.  Four rules:
+    Extension skips a try (H, e) only when an earlier try formed <H, e>,
+    so the least e giving each subgroup is always tried, and the result
+    (the subgroups, their generator tuples and their order) is that of
+    extending by every e outside H.  Five rules:
     - The trivial subgroup is not extended: <1, e> = <e>, which the cyclic
       phase listed.
     - One e per cyclic subgroup and per double coset: only the least
@@ -368,9 +381,15 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
     - Prime index: if p = |<H, e> : H| is prime, the try marks all of
       K = <H, e>.  For e' in K outside H, |<H, e'> : H| divides p and is
       not 1, so <H, e'> = K.
+    - Prime-index overgroups: by the same argument, every K already found
+      with H < K and |K : H| prime is marked before H's first try.  A try
+      of e in K would form K again and mark only positions inside K, so
+      the tries left run in the same order and form the same subgroups.
     - Lagrange cap: |<H, e>| is a multiple of |H| dividing |G|, so once the
       closure walk holds more positions than the largest such proper
       divisor of |G|, <H, e> = G and the walk stops.
+    Every index |K : H| divides |G|, so the prime tests look it up among
+    the prime divisors of |G|, found once per call.
     The walks run on G.indexed() positions: a subgroup is the set of its
     members' positions, closed along the multiplication columns.  Only G
     builds a stabilizer chain.  Each subgroup is one G.subgroup_at, which
@@ -383,7 +402,16 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
     elements, index, col = G.indexed(budgets.max_enumerate)
     n = len(elements)
     everything = frozenset(range(n))
-    found = {frozenset([0]): G.subgroup_at([G.identity()], frozenset([0]))}
+    primes = prime_divisors(n)
+    found = {}
+    by_order = {}  # found's keys by subgroup order
+
+    def add(key, generators):
+        found[key] = H = G.subgroup_at(generators, key)
+        by_order.setdefault(len(key), []).append(key)
+        return H
+
+    add(frozenset([0]), [G.identity()])
     cyclic_generators = {0}
     firsts = []  # the least generator of each cyclic subgroup but 1
     for i, e in enumerate(elements):
@@ -396,8 +424,7 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
         cyclic_generators.update(powers[j] for j in range(k)
                                  if gcd(j, k) == 1)
         firsts.append(i)
-        key = frozenset(powers)
-        found[key] = G.subgroup_at([e], key)
+        add(frozenset(powers), [e])
     frontier = list(found.items())[1:]  # <1, e> = <e> is listed already
     while frontier:
         new = []
@@ -406,6 +433,10 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
             h_cols = [col(index[g.images]) for g in H.generators]
             cap = max((d for d in range(h, n, h) if n % d == 0), default=h)
             marked = set(members)
+            for p in primes:
+                for K in by_order.get(h * p, ()):
+                    if members <= K:
+                        marked |= K
             for i in firsts:
                 if i in marked:
                     continue
@@ -415,13 +446,11 @@ def all_subgroups(G: PermutationGroup, budgets: Budgets = DEFAULT_BUDGETS):
                 # a walk from H's members leaves H only through He
                 closure = walk_capped(set(members), coset, h_cols + [c], cap)
                 key = frozenset(closure) if len(closure) <= cap else everything
-                p = len(key) // h
-                if all(p % d for d in range(2, isqrt(p) + 1)):  # p is prime
+                if len(key) // h in primes:
                     marked |= key
                 if key not in found:
-                    found[key] = G.subgroup_at(
-                        list(H.generators) + [elements[i]], key)
-                    new.append((key, found[key]))
+                    new.append((key, add(
+                        key, list(H.generators) + [elements[i]])))
         frontier = new
     ordered = sorted(found.items(),
                      key=lambda kv: (len(kv[0]), _min_key(kv[1])))

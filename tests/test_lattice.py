@@ -3,7 +3,8 @@
 The oracle extends every known subgroup H by every element e outside H;
 `all_subgroups` skips the tries whose answer an earlier try already gave
 (one e per double coset HeH and per cyclic subgroup <e>, all of <H, e> at
-prime index, no extension of the trivial subgroup) and stops each closure
+prime index, all of every found K > H at prime index, no extension of the
+trivial subgroup) and stops each closure
 at the Lagrange bound.  Both must return the same subgroups with the same
 generator tuples in the same order.
 """
@@ -66,7 +67,8 @@ SL23_RELABELLED = relabelled(
 
 
 @pytest.mark.parametrize(
-    "G", SMALL + [alternating_group(5), SL23_RELABELLED],
+    "G", SMALL + [alternating_group(5), SL23_RELABELLED]
+    + [resolve_group_name(name) for name in ("C2wrC4", "C3wrC3", "S5")],
     ids=lambda G: G.name)
 def test_matches_layered_closure(G):
     assert lattice_signature(all_subgroups(G)) == lattice_signature(
@@ -131,6 +133,27 @@ def test_subgroups_of_a_listed_subgroup_answer_from_the_root():
             K.contains(g) for g in root.elements()]
 
 
+@pytest.mark.parametrize("listed_in_root", [False, True],
+                         ids=["root", "under-root"])
+def test_unvalidated_subgroups_match_validated_ones(listed_in_root):
+    root = PermutationGroup(4, resolve_group_name("S4").generators)
+    root.elements()
+    G = (root.subgroup(alternating_group(4).generators) if listed_in_root
+         else root)
+    for H in all_subgroups(G):
+        K = G.subgroup(H.generators)
+        assert (H.degree, H.generators, H.name, H._ambient) == (
+            K.degree, K.generators, K.name, K._ambient)
+        assert H._ambient is root
+        assert H.order() == K.order()
+        assert H.elements() == K.elements()
+        assert [H.contains(g) for g in root.elements()] == [
+            K.contains(g) for g in root.elements()]
+    trivial = root.subgroup_at([root.identity()], frozenset([0]))
+    assert trivial.generators == (root.identity(),)
+    assert trivial.order() == 1 and trivial.elements() == (root.identity(),)
+
+
 def test_walk_stops_once_past_the_cap():
     G = resolve_group_name("S4")
     _, index, col = G.indexed()
@@ -154,12 +177,14 @@ def test_relabelled_groups_match_layered_closure(name, data):
 
 
 # two walks per try (marking, then the capped closure); the double-coset
-# closure alone made 234, 856 and 480
+# closure alone made 234, 856 and 480, and before the prime-index
+# overgroup rule the four rules made 182, 618, 450 and 2,862
 @pytest.mark.parametrize("G,walks", [
-    (resolve_group_name("S4"), 182),
-    (alternating_group(5), 618),
-    (resolve_group_name("C2^4"), 450),
-], ids=["S4", "A5", "C2^4"])
+    (resolve_group_name("S4"), 108),
+    (alternating_group(5), 458),
+    (resolve_group_name("C2^4"), 102),
+    (resolve_group_name("S5"), 2186),
+], ids=["S4", "A5", "C2^4", "S5"])
 def test_pinned_walk_counts(G, walks, monkeypatch):
     calls = []
 
