@@ -18,7 +18,10 @@ the chain (or a budget or fixture gap) answers ``unknown``:
    ``inner-dominion-failure``;
 3. fixture - a known-epi fixture for (G, H, descriptor);
 4. ``neumann-solvable-complement``, when G lies in the variety;
-5. ``separating-pair`` over the catalog members of the variety.
+5. ``separating-pair`` over the catalog members of the variety.  Every
+   hom into a member kills the verbal subgroup V(G), so when HV(G) = G no
+   member can separate: the search then checks each member's membership
+   and hom budgets, with the same notes and stops, but lists no hom.
 
 For G in prod(N, Q) with N solvable and nontrivial, step 2 decides every
 proper H: either HV is not G, or the trace is proper in V, which lies in N,
@@ -65,7 +68,7 @@ from .structure import (class_representatives, is_normal, is_solvable,
                         normal_closure, prime_divisors, product_covers,
                         product_subgroup, solvable_radical,
                         subgroup_intersection)
-from .homs import GroupHomomorphism, all_homomorphisms
+from .homs import GroupHomomorphism, all_homomorphisms, check_hom_budgets
 from .varieties import (Descriptor, ProductVariety, find_epi_fixture,
                         is_solvable_variety, is_trivial_variety,
                         member_of_variety, q_verbal)
@@ -142,13 +145,15 @@ def _group_from_json(data) -> PermutationGroup:
 
 
 def _product_step(G: PermutationGroup, H: PermutationGroup,
-                  desc: ProductVariety, ctx: EngineContext):
-    """(V, H intersect V, HV = G) for V the desc.right-verbal subgroup of G.
+                  desc: Descriptor, ctx: EngineContext):
+    """(V, H intersect V, HV = G) for V the desc-verbal subgroup of G.
 
     V is normal, so HV = G exactly when |H||V| = |G||H intersect V|.  V is
-    q_verbal's one object per (G, desc.right), so its hom lists stay warm.
+    q_verbal's one object per (G, desc), so its hom lists stay warm.  The
+    product rules pass the quotient descriptor, the separating-pair search
+    its own.
     """
-    verbal = q_verbal(G, desc.right, ctx.budgets)
+    verbal = q_verbal(G, desc, ctx.budgets)
     trace = subgroup_intersection(G, H, verbal, ctx.budgets)
     covers = H.order() * verbal.order() == G.order() * trace.order()
     return verbal, trace, covers
@@ -285,7 +290,7 @@ def dominion_bounds(G: PermutationGroup, H: PermutationGroup,
         return DominionBounds(lower=H, upper=H,
                               derivation=["subgroup equals group"])
     if isinstance(desc, ProductVariety):
-        verbal, trace, _ = _product_step(G, H, desc, ctx)
+        verbal, trace, _ = _product_step(G, H, desc.right, ctx)
         inner = dominion_bounds(verbal, trace, desc.left, ctx)
         lower = product_subgroup(G, H, inner.lower)
         if _nontrivial_left(desc, ctx):
@@ -374,11 +379,18 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
     its hom list on G, so that is computed once per G object.  Exhaustion
     returns None: it proves nothing positive.  Skipped catalog entries are
     reported through the notes sink.
+
+    Every hom into a member of the variety kills the verbal subgroup V(G),
+    so when HV(G) = G two homs that agree on H agree on G and no member can
+    separate.  That cover test (``_product_step`` with desc) runs once, at
+    the first member in the variety; when it holds, each member's hom
+    budgets are still checked, so the notes and stops are the same, but no
+    hom is listed.  A budget stop or fixture gap in the test runs the search.
     """
     if notes is None:
         notes = []
     answers = ctx.memberships.setdefault(str(desc), {})
-    positions = None
+    positions = covered = None
     for C in catalog:
         membership = _catalog_membership(C, desc, ctx, answers)
         if membership is False:
@@ -387,14 +399,22 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
             notes.append(f"catalog group {C.name or C.degree} skipped: "
                          f"membership in {desc} unknown")
             continue
+        if covered is None:
+            try:
+                covered = _product_step(G, H, desc, ctx)[2]
+            except (BudgetExceeded, FixtureGap):
+                covered = False
         try:
-            homs = all_homomorphisms(G, C, ctx.budgets)
+            check_hom_budgets(G, C, ctx.budgets)
         except BudgetExceeded as exc:
             if exc.budget_name != "max_hom_product":
                 raise
             notes.append(f"catalog group {C.name or C.degree} skipped: "
                          f"hom budget")
             continue
+        if covered:
+            continue
+        homs = all_homomorphisms(G, C, ctx.budgets)
         if positions is None:  # G is listed now
             _, index, _ = G.indexed(ctx.budgets.max_enumerate)
             positions = [index[h.images] for h in H.generators]
@@ -444,7 +464,7 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
     member = cache(lambda: member_of_variety(G, desc, ctx.budgets,
                                              ctx.fixtures))
     if isinstance(desc, ProductVariety):
-        verbal, trace, covers = _product_step(G, H, desc, ctx)
+        verbal, trace, covers = _product_step(G, H, desc.right, ctx)
         if covers:
             inner = epi_decide(verbal, trace, desc.left, ctx)
             if inner.outcome == EPI:
@@ -573,11 +593,11 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
     if kind == "verbal-cover-failure" and isinstance(desc, ProductVariety):
         if not _nontrivial_left(desc, ctx):
             return False
-        verbal, trace, covers = _product_step(G, H, desc, ctx)
+        verbal, trace, covers = _product_step(G, H, desc.right, ctx)
         return (not covers and _same(
             cert, _cover_failure_cert(G, H, desc, verbal, trace)))
     if kind == "inner-dominion-failure" and isinstance(desc, ProductVariety):
-        verbal, trace, covers = _product_step(G, H, desc, ctx)
+        verbal, trace, covers = _product_step(G, H, desc.right, ctx)
         inner = cert.get("inner")
         return (covers
                 and member_of_variety(verbal, desc.left, ctx.budgets,
@@ -601,7 +621,7 @@ def _verify_epi_node(G, H, desc, node, ctx) -> bool:
         fx = find_epi_fixture(ctx.fixtures, G, H, desc)
         return fx is not None and _same(node, _fixture_node(fx))
     if rule == "product-splitting" and isinstance(desc, ProductVariety):
-        verbal, trace, covers = _product_step(G, H, desc, ctx)
+        verbal, trace, covers = _product_step(G, H, desc.right, ctx)
         inner = node.get("inner")
         return (covers and _same(node, _splitting_node(desc, verbal, inner))
                 and _verify_epi_node(verbal, trace, desc.left, inner, ctx))

@@ -10,7 +10,7 @@ col(image k)[table[x]] over the target's columns: ``_edge_table`` makes
 that one check, with no product, for checked and enumerated homs alike.
 
 G also keeps ``all_homomorphisms`` in ``G.memo("homs")``, one list per
-codomain object; the budgets are checked before the lookup.  The orders
+codomain object; ``check_hom_budgets`` runs before the lookup.  The orders
 of G's generators and of their pairwise products, which prune every
 enumeration from G, are kept in ``G.memo("generator_orders")``.
 """
@@ -163,6 +163,16 @@ def inclusion_hom(H: PermutationGroup,
     return GroupHomomorphism(H, G, H.generators, check=False)
 
 
+def check_hom_budgets(G: PermutationGroup, C: PermutationGroup,
+                      budgets: Budgets = DEFAULT_BUDGETS) -> None:
+    """Raise BudgetExceeded if all_homomorphisms(G, C) may not run:
+    max_hom_product on |G||C|, then max_enumerate on |C| and on |G|."""
+    check_budget("max_hom_product", budgets.max_hom_product,
+                 G.order() * C.order())
+    check_budget("max_enumerate", budgets.max_enumerate, C.order())
+    check_budget("max_enumerate", budgets.max_enumerate, G.order())
+
+
 def all_homomorphisms(G: PermutationGroup, C: PermutationGroup,
                       budgets: Budgets = DEFAULT_BUDGETS):
     """Every homomorphism G -> C, by backtracking over generator images.
@@ -179,10 +189,7 @@ def all_homomorphisms(G: PermutationGroup, C: PermutationGroup,
     object, after max_hom_product and max_enumerate (on |C| and |G|) are
     checked; each call returns a new list of the same hom objects.
     """
-    check_budget("max_hom_product", budgets.max_hom_product,
-                 G.order() * C.order())
-    check_budget("max_enumerate", budgets.max_enumerate, C.order())
-    check_budget("max_enumerate", budgets.max_enumerate, G.order())
+    check_hom_budgets(G, C, budgets)
     memo = G.memo("homs", dict)
     if C not in memo:
         memo[C] = _enumerate_homs(G, C, budgets)
