@@ -212,6 +212,26 @@ class TestFormatsAndFiles:
         assert code == 1 and not out
         assert err.strip() and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,message", [
+        # 1763 = 41 * 43 passes the trial division by the first twelve
+        # primes, so only the Miller-Rabin rounds refuse it
+        (("magnus", "--word", "x1", "-p", "1763"),
+         "error: p must be a prime >= 2, got 1763"),
+        (("epi", "--variety", "A", "--group", "S3", "--sub", "(0 9)"),
+         "parse error: cycle uses point 9 >= degree 3"),
+        (("epi", "--variety", "A", "--group", "S3", "--sub", "S4"),
+         "error: S4 needs degree 4 > ambient 3")])
+    def test_bad_input_names_its_check(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert err.strip() == message
+
+    def test_a_large_prime_passes_the_miller_rabin_rounds(self, capsys):
+        code, report = run_json(capsys, "magnus", "--word", "x1",
+                                "-p", "1000000007")
+        assert code == 0 and report["consistent"] is True
+        assert report["p"] == 1000000007
+
     def test_magnus_refuses_a_witness_past_the_degree_cap(self, capsys):
         code, out, err = run_cli(capsys, "magnus", "--word", "x1^1073741824",
                                  "-p", "2")

@@ -5,7 +5,7 @@ import pytest
 from vlab.catalog import bundled_catalog
 from vlab.config import Budgets
 from vlab.constructions import direct_product
-from vlab.errors import BudgetExceeded, GroupError
+from vlab.errors import BudgetExceeded, DegreeMismatch, GroupError
 from vlab.homs import (GroupHomomorphism, all_homomorphisms,
                        identity_endomorphism, inclusion_hom)
 from vlab.perm import (Permutation, PermutationGroup, alternating_group,
@@ -121,6 +121,12 @@ class TestGroupHomomorphism:
         unchecked = GroupHomomorphism(S3, C3, S3.generators, check=False)
         with pytest.raises(GroupError, match="lie in the target"):
             unchecked.apply(S3.generators[0])
+
+    def test_rejects_images_of_another_degree(self):
+        # checked even unchecked: a table of degree-3 images cannot index S4
+        S3, S4 = symmetric_group(3), symmetric_group(4)
+        with pytest.raises(DegreeMismatch, match="image degree differs"):
+            GroupHomomorphism(S3, S4, S3.generators, check=False)
 
     def test_check_takes_the_callers_budget(self):
         S4, C2 = symmetric_group(4), cyclic_group(2)

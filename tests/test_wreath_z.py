@@ -54,6 +54,16 @@ class TestTailConstantFn:
         # canonical: the empty window is positioned at the step
         assert (fn.lo, fn.hi) == (3, 2)
 
+    def test_no_values_needs_equal_tails(self):
+        g = parse_permutation("(0 1)", 3)
+        fn = TailConstantFn.make(S3, {}, left_tail=g, right_tail=g)
+        assert fn == TailConstantFn.constant(S3, g)
+        assert TailConstantFn.make(S3, {}) == \
+            TailConstantFn.constant(S3, S3.identity())
+        with pytest.raises(GroupError, match="a two-tail step needs at "
+                                             "least one window value"):
+            TailConstantFn.make(S3, {}, left_tail=g)
+
     def test_pointwise_and_inverse_closure(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -95,6 +105,16 @@ class TestGroupStructure:
         b = WreathZElement.identity(alternating_group(4))
         with pytest.raises(GroupError):
             wz_multiply(a, b)
+
+    @pytest.mark.parametrize("shift", [0, 2])
+    def test_mixed_degrees_keep_their_message(self, shift):
+        a = WreathZElement(shift, random_fn(random.Random(shift), S3))
+        b = WreathZElement.identity(alternating_group(4))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(GroupError, match="^mixed base groups$"):
+                wz_multiply(x, y)
+        with pytest.raises(GroupError, match="^mixed base groups$"):
+            a.fn.pointwise(b.fn, lambda u, v: u * v)
 
     def test_shift_map_is_homomorphism_with_base_kernel(self):
         rng = random.Random(7)
