@@ -5,6 +5,9 @@ The full function group G^Z is not representable; the tail-constant functions
 closed under the group operations and contains both the finitely supported
 functions and the outputs of the commutator-solving recursion.
 
+Every base function is built by _canonical, the one place that trims its
+window to the canonical form (see TailConstantFn); hi is derived, not stored.
+
 Conventions match the finite wreath module: an element is x^k * f with shift
 k in Z and f: Z -> G, the product is
 
@@ -29,20 +32,24 @@ from .perm import Permutation, PermutationGroup
 
 @dataclass(frozen=True)
 class TailConstantFn:
-    """A map Z -> G that is constant left of lo and right of hi.
+    """A map Z -> G: left_tail before lo, window on lo..hi, right_tail after.
 
-    Canonical form: the window [lo, hi] is tight (its boundary values differ
-    from the adjacent tails).  A constant function has the empty window
-    (0, -1); a two-tail step keeps an empty positioned window (k, k-1) whose
-    lo marks the first position with the right-tail value.
+    Every function is built by _canonical, so it has one form: the window is
+    tight (its first value differs from the left tail, its last from the
+    right tail).  A constant function has the empty window at lo = 0; a
+    two-tail step keeps an empty window whose lo is the first position with
+    the right-tail value.  hi = lo + len(window) - 1 is derived, not stored.
     """
 
     group: PermutationGroup
     lo: int
-    hi: int
     window: tuple[Permutation, ...]  # the values at lo..hi
     left_tail: Permutation
     right_tail: Permutation
+
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.window) - 1
 
     @staticmethod
     def make(group: PermutationGroup, values: dict[int, Permutation],
@@ -51,21 +58,17 @@ class TailConstantFn:
         identity = group.identity()
         left = left_tail if left_tail is not None else identity
         right = right_tail if right_tail is not None else identity
-        if not values:
-            lo, hi, window = 0, -1, ()
-            if left != right:
-                raise GroupError(
-                    "a two-tail step needs at least one window value")
-            return TailConstantFn(group, lo, hi, window, left, right)
-        lo = min(values)
-        hi = max(values)
+        if not values and left != right:
+            raise GroupError("a two-tail step needs at least one window value")
+        lo = min(values, default=0)
         # unlisted positions inside the window default to the identity
-        window = [values.get(n, identity) for n in range(lo, hi + 1)]
+        window = [values.get(n, identity)
+                  for n in range(lo, max(values, default=-1) + 1)]
         return _canonical(group, lo, window, left, right)
 
     @staticmethod
     def constant(group: PermutationGroup, value: Permutation) -> TailConstantFn:
-        return TailConstantFn(group, 0, -1, (), value, value)
+        return _canonical(group, 0, (), value, value)
 
     def value(self, n: int) -> Permutation:
         if n < self.lo:
@@ -83,25 +86,19 @@ class TailConstantFn:
 
     def shift(self, k: int) -> TailConstantFn:
         """The function n |-> value(n + k)."""
-        if not self.window and self.lo == 0:
-            if self.left_tail == self.right_tail:
-                return self
-        return TailConstantFn(self.group, self.lo - k, self.hi - k,
-                              self.window, self.left_tail, self.right_tail)
+        return _canonical(self.group, self.lo - k, self.window,
+                          self.left_tail, self.right_tail)
 
     def pointwise(self, other: TailConstantFn, op) -> TailConstantFn:
         if self.group.degree != other.group.degree:
             raise GroupError("mixed base groups")
         lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        values = {n: op(self.value(n), other.value(n)) for n in range(lo, hi + 1)}
-        left = op(self.left_tail, other.left_tail)
-        right = op(self.right_tail, other.right_tail)
-        if not values:
-            # both windows empty: combine the (possibly distinct) step points
-            step = max(self.lo, other.lo)
-            values = {step: op(self.value(step), other.value(step))}
-        return TailConstantFn.make(self.group, values, left, right)
+        # the range is empty only for two empty steps at one lo: keep lo
+        window = [op(self.value(n), other.value(n))
+                  for n in range(lo, max(self.hi, other.hi, lo) + 1)]
+        return _canonical(self.group, lo, window,
+                          op(self.left_tail, other.left_tail),
+                          op(self.right_tail, other.right_tail))
 
     def inverted(self) -> TailConstantFn:
         return self.pointwise(self, lambda u, _: u.inverse())
@@ -114,19 +111,14 @@ class TailConstantFn:
 
 def _canonical(group, lo, window, left, right) -> TailConstantFn:
     values = list(window)
-    hi = lo + len(values) - 1
     while values and values[-1] == right:
         values.pop()
-        hi -= 1
     while values and values[0] == left:
         values.pop(0)
         lo += 1
-    if not values:
-        if left == right:
-            lo, hi = 0, -1
-        else:
-            hi = lo - 1  # positioned empty window marks the step
-    return TailConstantFn(group, lo, hi, tuple(values), left, right)
+    if not values and left == right:
+        lo = 0
+    return TailConstantFn(group, lo, tuple(values), left, right)
 
 
 @dataclass(frozen=True)
@@ -161,8 +153,6 @@ class WreathZElement:
 
 
 def wz_multiply(a: WreathZElement, b: WreathZElement) -> WreathZElement:
-    if a.group.degree != b.group.degree:
-        raise GroupError("mixed base groups")
     fn = a.fn.pointwise(b.fn.shift(a.shift), lambda u, v: u * v)
     return WreathZElement(a.shift + b.shift, fn)
 
@@ -205,9 +195,7 @@ def solve_commutator(phi: TailConstantFn,
         values[n + 1] = values[n] * phi.value(n + 1).inverse()
     for n in range(0, -lo):
         values[-n - 1] = values[-n] * phi.value(-n)
-    psi = TailConstantFn.make(group, values,
-                              left_tail=values[lo], right_tail=values[hi])
-    return psi
+    return TailConstantFn.make(group, values, values[lo], values[hi])
 
 
 def verify_commutator_solution(phi: TailConstantFn,
