@@ -41,6 +41,8 @@ DEFAULT_BUDGETS = Budgets()
 # Fixed caps, not Budgets fields: reports echo every field, and these never
 # vary.  MAX_DEGREE bounds the degree of a named, constructed or loaded
 # group; MAX_CHAIN_WORK bounds one stabilizer-chain build (orbit size x level
-# generators x degree, summed over level rebuilds: S60 takes about 6 * 10**7).
+# generators x degree, summed over level rebuilds: S60 takes about 6 * 10**7);
+# MAX_NESTING bounds the prod( or bracket nesting that the parsers recurse on.
 MAX_DEGREE = 10_000
 MAX_CHAIN_WORK = 100_000_000
+MAX_NESTING = 50

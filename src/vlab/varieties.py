@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
-from .config import DEFAULT_BUDGETS, Budgets
+from .config import DEFAULT_BUDGETS, MAX_NESTING, Budgets
 from .errors import BudgetExceeded, FixtureGap, GroupError, ParseError
 from .perm import PermutationGroup, all_tuples
 from .structure import (class_representatives, derived_length,
@@ -91,7 +91,7 @@ class ProductVariety:
 Descriptor = Laws | Abelian | NilpotentClass | SolvableLength | VarOfGroup | ProductVariety
 
 
-def parse_descriptor(text: str) -> Descriptor:
+def parse_descriptor(text: str, nesting: int = 0) -> Descriptor:
     """Grammar: A | Nc:c | Sl:n | var:NAME | laws:{w;w;...} | prod(d,d)."""
     s = text.strip()
     if s == "A":
@@ -114,6 +114,8 @@ def parse_descriptor(text: str) -> Descriptor:
             raise ParseError("laws:{} needs at least one word")
         return Laws(words)
     if s.startswith("prod(") and s.endswith(")"):
+        if nesting == MAX_NESTING:
+            raise ParseError(f"prod( nests deeper than {MAX_NESTING}")
         body = s[len("prod("):-1]
         depth = 0
         for i, ch in enumerate(body):
@@ -122,8 +124,8 @@ def parse_descriptor(text: str) -> Descriptor:
             elif ch in ")]}":
                 depth -= 1
             elif ch == "," and depth == 0:
-                return ProductVariety(parse_descriptor(body[:i]),
-                                      parse_descriptor(body[i + 1:]))
+                return ProductVariety(parse_descriptor(body[:i], nesting + 1),
+                                      parse_descriptor(body[i + 1:], nesting + 1))
         raise ParseError(f"prod needs two comma-separated descriptors: {text!r}")
     raise ParseError(f"unknown descriptor {text!r}")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .config import MAX_DEGREE
+from .config import MAX_DEGREE, MAX_NESTING
 from .errors import GroupError, ParseError, check_budget
 from .perm import Permutation, power
 
@@ -160,7 +160,7 @@ _TOKEN_RE = re.compile(r"\s*(x\d+|\[|\]|,|\(|\)|\^-?\d+)")
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
+    pos = depth = 0
     while pos < len(text):
         if text[pos].isspace():
             pos += 1
@@ -168,7 +168,12 @@ def _tokenize(text: str):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
             raise ParseError(f"bad token in word {text!r}", position=pos)
-        tokens.append((match.group(1), pos))
+        tok = match.group(1)
+        depth += (tok in ("(", "[")) - (tok in (")", "]"))  # parse recursion
+        if depth > MAX_NESTING:
+            raise ParseError(f"brackets nest deeper than {MAX_NESTING}",
+                             position=pos)
+        tokens.append((tok, pos))
         pos = match.end()
     return tokens
 

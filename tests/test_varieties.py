@@ -4,7 +4,7 @@ import pytest
 
 from tests.conftest import COMMUTATOR, mulclose
 from vlab.catalog import resolve_group_name
-from vlab.config import DEFAULT_BUDGETS, Budgets
+from vlab.config import DEFAULT_BUDGETS, MAX_NESTING, Budgets
 from vlab.errors import FixtureGap, GroupError, ParseError
 from vlab.perm import cyclic_group, parse_permutation, symmetric_group
 from vlab.structure import normal_subgroups, quotient
@@ -67,6 +67,25 @@ class TestDescriptorParsing:
         ("Sl:03", SolvableLength(3)), ("Sl:1_0", SolvableLength(10))])
     def test_every_int_spelling_parses(self, text, expected):
         assert parse_descriptor(text) == expected
+
+    def test_prod_nests_up_to_the_cap(self):
+        left = "prod(" * MAX_NESTING + "A" + ",A)" * MAX_NESTING
+        desc = parse_descriptor(left)
+        for _ in range(MAX_NESTING):
+            assert desc.right == Abelian()
+            desc = desc.left
+        assert desc == Abelian()
+        right = "prod(A," * MAX_NESTING + "Nc:2" + ")" * MAX_NESTING
+        assert str(parse_descriptor(right)) == right
+
+    @pytest.mark.parametrize("text", [
+        "prod(" * (MAX_NESTING + 1) + "A" + ",A)" * (MAX_NESTING + 1),
+        "prod(A," * (MAX_NESTING + 1) + "A" + ")" * (MAX_NESTING + 1),
+        "prod(" * 1000 + "A" + ",A)" * 1000])
+    def test_prod_past_the_cap_is_a_parse_error(self, text):
+        with pytest.raises(ParseError,
+                           match=f"prod\\( nests deeper than {MAX_NESTING}"):
+            parse_descriptor(text)
 
     def test_equality_is_syntactic(self):
         # no semantic normalization across descriptor forms

@@ -1,6 +1,6 @@
 import pytest
 
-from vlab.config import MAX_DEGREE
+from vlab.config import MAX_DEGREE, MAX_NESTING
 from vlab.errors import BudgetExceeded, GroupError, ParseError
 from tests.conftest import COMMUTATOR
 from vlab.perm import parse_permutation, symmetric_group
@@ -65,6 +65,25 @@ class TestParser:
     def test_a_stray_closing_token_is_reported_where_it_stands(self, bad,
                                                                position):
         with pytest.raises(ParseError, match="unexpected") as exc:
+            parse_word(bad)
+        assert exc.value.position == position
+
+    def test_brackets_nest_up_to_the_cap(self):
+        n = MAX_NESTING
+        assert parse_word("(" * n + "x1" + ")" * n) == Word.variable(1)
+        # [x1, x1] = 1, and so is every [x1, 1] around it
+        assert parse_word("[x1," * n + "x1" + "]" * n).is_identity()
+        assert parse_word("([x1," * (n // 2) + "x1" + "])" * (n // 2)) \
+            .is_identity()
+
+    @pytest.mark.parametrize("bad,position", [
+        ("(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1),
+         MAX_NESTING),
+        ("[x1," * (MAX_NESTING + 1) + "x1" + "]" * (MAX_NESTING + 1),
+         4 * MAX_NESTING),
+        ("(" * 2000 + "x1" + ")" * 2000, MAX_NESTING)])
+    def test_brackets_past_the_cap_are_a_parse_error(self, bad, position):
+        with pytest.raises(ParseError, match="brackets nest deeper") as exc:
             parse_word(bad)
         assert exc.value.position == position
 
