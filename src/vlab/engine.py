@@ -732,28 +732,28 @@ def escape_ladder(A: PermutationGroup):
 
 def find_wreath_escape(A: PermutationGroup, desc: Descriptor,
                        ctx: EngineContext) -> EscapeResult:
-    """First ladder group G in the variety with A wr G outside it."""
+    """First ladder group G in the variety with A wr G outside it; a rung
+    whose membership is not True, or that a budget or fixture stops, is
+    skipped with a note."""
     if A.order() == 1:
         raise GroupError("escape search needs a nontrivial base group")
     skipped = []
     for candidate in escape_ladder(A):
         label = candidate.name or f"order-{candidate.order()}"
-        if candidate.order() > 1:
+        stage = "membership: "  # names the step a budget or fixture stops
+        try:
             membership = member_of_variety(candidate, desc, ctx.budgets,
                                            ctx.fixtures)
             if membership is not True:
                 skipped.append(f"{label}: membership {membership}")
                 continue
-        try:
+            stage = ""
             wreath = regular_wreath(A, candidate, ctx.budgets)
-        except BudgetExceeded as exc:
-            skipped.append(f"{label}: {exc}")
-            continue
-        try:
+            stage = "wreath membership: "
             wreath_member = member_of_variety(wreath.product, desc,
                                               ctx.budgets, ctx.fixtures)
         except (BudgetExceeded, FixtureGap) as exc:
-            skipped.append(f"{label}: wreath membership: {exc}")
+            skipped.append(f"{label}: {stage}{exc}")
             continue
         if wreath_member is False:
             return EscapeResult(base=A, top=candidate, wreath=wreath,

@@ -6,7 +6,7 @@ import pytest
 
 from vlab.cli import build_parser, main
 from vlab.catalog import bundled_catalog, serialize_catalog
-from vlab.config import MAX_DEGREE
+from vlab.config import MAX_DEGREE, MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +75,15 @@ class TestBasicCommands:
                                 "--variety", "Sl:5")
         assert code == 2
         assert report["outcome"] == "unknown"
+
+    @pytest.mark.parametrize("argv", [
+        ("escape", "--base", "C2", "--variety", "prod(A,var:S3)"),
+        ("--max-enumerate", "3", "escape", "--base", "C2", "--variety",
+         "laws:{x1^4}")])
+    def test_escape_skips_rungs_whose_membership_stops(self, capsys, argv):
+        code, report = run_json(capsys, *argv)
+        assert code == 2 and report["outcome"] == "unknown"
+        assert "C4: membership: " in report["reason"]
 
     def test_pipeline(self, capsys):
         code, report = run_json(capsys, "pipeline", "--simple", "A5",
@@ -231,6 +240,28 @@ class TestFormatsAndFiles:
                                 "-p", "1000000007")
         assert code == 0 and report["consistent"] is True
         assert report["p"] == 1000000007
+
+    @pytest.mark.parametrize("depth,code", [(MAX_NESTING, 0),
+                                            (MAX_NESTING + 1, 1), (600, 1)])
+    def test_descriptor_nesting_is_capped_at_parse_time(self, capsys, depth,
+                                                        code):
+        got, out, err = run_cli(capsys, "verbal", "--group", "S3",
+                                "--descriptor",
+                                "prod(" * depth + "A" + ",A)" * depth)
+        assert got == code and "Traceback" not in err
+        assert bool(out) == (code == 0)
+        if code:
+            assert err.startswith("parse error: prod( nests deeper than")
+
+    @pytest.mark.parametrize("depth,code", [(MAX_NESTING, 0),
+                                            (MAX_NESTING + 1, 1), (2000, 1)])
+    def test_word_nesting_is_capped_at_parse_time(self, capsys, depth, code):
+        got, out, err = run_cli(capsys, "magnus", "--word",
+                                "(" * depth + "x1" + ")" * depth, "-p", "2")
+        assert got == code and "Traceback" not in err
+        assert bool(out) == (code == 0)
+        if code:
+            assert err.startswith("parse error: brackets nest deeper than")
 
     def test_magnus_refuses_a_witness_past_the_degree_cap(self, capsys):
         code, out, err = run_cli(capsys, "magnus", "--word", "x1^1073741824",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vlab import homs, varieties
 from vlab.catalog import resolve_group_name
-from vlab.config import MAX_CHAIN_WORK, Budgets
+from vlab.config import MAX_CHAIN_WORK, MAX_NESTING, Budgets
 from vlab.constructions import MAX_DEGREE, regular_wreath
 from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext, EpiVerdict,
                          EscapeExhausted, _neumann_cert, dominion_bounds,
@@ -282,6 +282,15 @@ def sweep_on_catalog_copies(ctx, desc):
 
 
 class TestEpiDecide:
+    def test_answers_at_the_nesting_cap(self, ctx, s4, s3_in_s4):
+        # S4 has derived length 3, so it lies in A^3 and in A^51 alike
+        desc = parse_descriptor("prod(" * MAX_NESTING + "A"
+                                + ",A)" * MAX_NESTING)
+        verdict = epi_decide(s4, s3_in_s4, desc, ctx)
+        assert verdict.outcome == epi_decide(
+            s4, s3_in_s4, parse_descriptor("prod(prod(A,A),A)"), ctx).outcome
+        assert verify_certificate(s4, s3_in_s4, desc, verdict, ctx)
+
     def test_fixture_instance(self, ctx, a5, a4_in_a5):
         verdict = epi_decide(a5, a4_in_a5, VarOfGroup("A5"), ctx)
         assert verdict.outcome == EPI
@@ -1131,6 +1140,39 @@ class TestWreathEscape:
         with pytest.raises(EscapeExhausted):
             find_wreath_escape(cyclic_group(2), parse_descriptor("Sl:5"),
                                ctx)
+
+    @staticmethod
+    def skip_notes(base, text, ctx):
+        with pytest.raises(EscapeExhausted) as info:
+            find_wreath_escape(base, parse_descriptor(text), ctx)
+        return str(info.value).split("(skipped: ")[1].rstrip(")").split("; ")
+
+    def test_a_fixture_gap_in_any_membership_skips_the_rung(self, ctx):
+        # no fixture gives var:S3's verbal subgroup: the trivial rung stops
+        # in its wreath's membership, every other rung in its own
+        gap = "verbal subgroup for var:S3 is undecidable with current fixtures"
+        notes = self.skip_notes(cyclic_group(2), "prod(A,var:S3)", ctx)
+        assert notes == [f"1: wreath membership: {gap}"] + [
+            f"{name}: membership: {gap}"
+            for name in ("C2", "C4", "C8", "C2wrC2", "C2wrC2wrC2")]
+
+    def test_a_budget_stop_in_any_membership_skips_the_rung(self, ctx):
+        small = EngineContext(fixtures=ctx.fixtures, catalog=ctx.catalog,
+                              budgets=Budgets(max_enumerate=3))
+        notes = self.skip_notes(cyclic_group(2), "laws:{x1^4}", small)
+        stop = "max_enumerate: {} exceeds the limit 3".format
+        assert notes == [f"C2: wreath membership: {stop(8)}",
+                         f"C4: membership: {stop(4)}",
+                         f"C8: membership: {stop(8)}",
+                         f"C2wrC2: membership: {stop(8)}",
+                         f"C2wrC2wrC2: membership: {stop(128)}"]
+
+    def test_unknown_and_false_memberships_skip_the_rung(self, ctx):
+        # C3 passes var:S3's screen (exponent 6, Sl:2) but no fixture
+        # decides it; C9 and C3wrC3 fail the exponent law
+        notes = self.skip_notes(cyclic_group(3), "var:S3", ctx)
+        assert notes == ["1: wreath membership unknown", "C3: membership None",
+                         "C9: membership False", "C3wrC3: membership False"]
 
     def test_trivial_base_rejected(self, ctx):
         from vlab.perm import trivial_group
