@@ -128,10 +128,6 @@ class WreathZElement:
     shift: int
     fn: TailConstantFn
 
-    @property
-    def group(self) -> PermutationGroup:
-        return self.fn.group
-
     @staticmethod
     def base(fn: TailConstantFn) -> WreathZElement:
         return WreathZElement(0, fn)
