@@ -19,6 +19,9 @@ several times slower.
 import sys
 import threading
 from pathlib import Path
+from types import CodeType
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vlab"
@@ -31,14 +34,12 @@ def executable_lines(path: Path) -> set[int]:
     while stack:
         code = stack.pop()
         lines.update(line for _, _, line in code.co_lines() if line)
-        stack.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+        stack.extend(c for c in code.co_consts if isinstance(c, CodeType))
     return lines
 
 
 def run(argv) -> tuple[int, dict[Path, set[int]]]:
     """pytest's exit code and the lines of each src/vlab file it ran."""
-    import pytest
-
     hits: dict[Path, set[int]] = {}
     inside: dict[str, set[int] | None] = {}  # co_filename -> its hit set
 

@@ -92,7 +92,8 @@ Descriptor = Laws | Abelian | NilpotentClass | SolvableLength | VarOfGroup | Pro
 
 
 def parse_descriptor(text: str, nesting: int = 0) -> Descriptor:
-    """Grammar: A | Nc:c | Sl:n | var:NAME | laws:{w;w;...} | prod(d,d)."""
+    """Grammar: A | Nc:c | Sl:n | var:NAME | laws:{w;w;...} | prod(d,d);
+    nesting counts the prod( levels around text, MAX_NESTING at most."""
     s = text.strip()
     if s == "A":
         return Abelian()
@@ -114,7 +115,7 @@ def parse_descriptor(text: str, nesting: int = 0) -> Descriptor:
             raise ParseError("laws:{} needs at least one word")
         return Laws(words)
     if s.startswith("prod(") and s.endswith(")"):
-        if nesting == MAX_NESTING:
+        if nesting >= MAX_NESTING:
             raise ParseError(f"prod( nests deeper than {MAX_NESTING}")
         body = s[len("prod("):-1]
         depth = 0
