@@ -261,11 +261,11 @@ class TestDominionBounds:
         assert bounds.lower.order() == 2
         assert bounds.upper.order() == 12
 
-
     def test_rejects_a_subgroup_of_another_group(self, ctx, c4):
         # the 4-cycle is odd, so C4 does not lie in A4
         with pytest.raises(GroupError, match="H must be a subgroup of G"):
             dominion_bounds(alternating_group(4), c4, Abelian(), ctx)
+
 
 def sweep_on_catalog_copies(ctx, desc):
     """Decide every proper subgroup of every catalog group of order <= 24
