@@ -20,8 +20,10 @@ the chain (or a budget or fixture gap) answers ``unknown``:
 4. ``neumann-solvable-complement``, when G lies in the variety;
 5. ``separating-pair`` over the catalog members of the variety.  Every
    hom into a member kills the verbal subgroup V(G), so when HV(G) = G no
-   member can separate: the search then checks each member's membership
-   and hom budgets, with the same notes and stops, but lists no hom.
+   member can separate: once the first member with more than one hom fails
+   to separate, the search tests that cover, and when it holds checks each
+   later member's membership and hom budgets, with the same notes and
+   stops, but lists no hom.
 
 For G in prod(N, Q) with N solvable and nontrivial, step 2 decides every
 proper H: either HV is not G, or the trace is proper in V, which lies in N,
@@ -124,11 +126,11 @@ def _verdict(ctx: EngineContext, outcome: str, derivation: list[str],
                       notes=notes)
 
 
-def _perms_from_json(texts, degree: int) -> tuple[Permutation, ...]:
+def _string_list(texts) -> list[str]:
     if not (isinstance(texts, list)
             and all(isinstance(text, str) for text in texts)):
         raise GroupError("certificate permutations must be a list of strings")
-    return tuple(parse_permutation(text, degree) for text in texts)
+    return texts
 
 
 def _group_from_json(data) -> PermutationGroup:
@@ -137,8 +139,42 @@ def _group_from_json(data) -> PermutationGroup:
     if not isinstance(degree, int) or not 1 <= degree <= MAX_DEGREE:
         raise GroupError(f"certificate group needs an int degree in "
                          f"1..{MAX_DEGREE}")
-    gens = _perms_from_json(data["generators"], degree)
+    gens = [parse_permutation(text, degree)
+            for text in _string_list(data["generators"])]
     return PermutationGroup(degree, gens, name=data.get("name"))
+
+
+def _codomain_from_json(data, ctx: EngineContext):
+    """(C, True) for the ctx.catalog entry with the codomain's degree and
+    generator strings, whose memos then apply, else (the parsed codomain,
+    False).  Its name and order are not read."""
+    if isinstance(data, dict):
+        degree, texts = data.get("degree"), data.get("generators")
+        for E in ctx.catalog:
+            if E.degree == degree and texts == [str(g) for g in E.generators]:
+                return E, True
+    return _group_from_json(data), False
+
+
+def _elements_from_text(texts, C: PermutationGroup,
+                        budgets: Budgets) -> tuple[Permutation, ...]:
+    """The elements of C whose cycle strings are texts, after listing C
+    under max_enumerate.  A text that is not the string of an element of C
+    raises GroupError.  C's ``"cycle_strings"`` memo keeps each text that
+    is, so it holds at most |C| entries, and a known text is not parsed."""
+    texts = _string_list(texts)
+    elements, index, _ = C.indexed(budgets.max_enumerate)
+    known = C.memo("cycle_strings", dict)
+    found = []
+    for text in texts:
+        if text not in known:
+            position = index.get(parse_permutation(text, C.degree).images)
+            if position is None or str(elements[position]) != text:
+                raise GroupError("certificate image is not the cycle string "
+                                 "of a codomain element")
+            known[text] = elements[position]
+        found.append(known[text])
+    return tuple(found)
 
 
 # -- the rules' shared tests ----------------------------------------------------
@@ -356,14 +392,6 @@ def _catalog_membership(C: PermutationGroup, desc: Descriptor,
     return answers[C]
 
 
-def _catalog_entry(C: PermutationGroup, ctx: EngineContext):
-    """The ctx.catalog entry with C's degree and generator tuple, else C:
-    the same group, whose memos then apply.  Its name and order are not
-    read."""
-    return next((E for E in ctx.catalog if E.degree == C.degree
-                 and E.generators == C.generators), C)
-
-
 def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
                            catalog, desc: Descriptor, ctx: EngineContext,
                            notes: list[str] | None = None):
@@ -382,10 +410,12 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
 
     Every hom into a member of the variety kills the verbal subgroup V(G),
     so when HV(G) = G two homs that agree on H agree on G and no member can
-    separate.  That cover test (``_product_step`` with desc) runs once, at
-    the first member in the variety; when it holds, each member's hom
-    budgets are still checked, so the notes and stops are the same, but no
-    hom is listed.  A budget stop or fixture gap in the test runs the search.
+    separate.  That cover test (``_product_step`` with desc) runs once,
+    after the first member with more than one hom from G fails to separate:
+    a member with one hom cannot separate, and a pair found first rules the
+    cover out.  When it holds, each later member's hom budgets are still
+    checked, so the notes and stops are the same, but no hom is listed.  A
+    budget stop or fixture gap in the test runs the search.
     """
     if notes is None:
         notes = []
@@ -399,11 +429,6 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
             notes.append(f"catalog group {C.name or C.degree} skipped: "
                          f"membership in {desc} unknown")
             continue
-        if covered is None:
-            try:
-                covered = _product_step(G, H, desc, ctx)[2]
-            except (BudgetExceeded, FixtureGap):
-                covered = False
         try:
             check_hom_budgets(G, C, ctx.budgets)
         except BudgetExceeded as exc:
@@ -431,6 +456,11 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
                 f"they differ at {certificate['witness']}: the subgroup is "
                 f"not epimorphically embedded",
             ], notes, certificate)
+        if covered is None and len(homs) > 1:
+            try:
+                covered = _product_step(G, H, desc, ctx)[2]
+            except (BudgetExceeded, FixtureGap):
+                covered = False
     return None
 
 
@@ -574,18 +604,17 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
                 and H.order() < G.order()
                 and _same(cert, _neumann_cert(G, H, radical)))
     if kind == "separating-pair":
-        codomain = _group_from_json(cert["codomain"])
-        C = _catalog_entry(codomain, ctx)
-        # building f and g lists C under max_enumerate, one chain build,
+        C, in_catalog = _codomain_from_json(cert["codomain"], ctx)
+        # reading the images lists C under max_enumerate, one chain build,
         # before membership runs structure on C
-        f_images = _perms_from_json(cert["f_images"], C.degree)
-        g_images = _perms_from_json(cert["g_images"], C.degree)
+        f_images = _elements_from_text(cert["f_images"], C, ctx.budgets)
+        g_images = _elements_from_text(cert["g_images"], C, ctx.budgets)
         f = GroupHomomorphism(G, C, f_images, budgets=ctx.budgets)
         g = GroupHomomorphism(G, C, g_images, budgets=ctx.budgets)
         # a pair separates in the variety only if its codomain lies in it;
         # the context keeps the answers of catalog members only
-        answers = ({} if C is codomain
-                   else ctx.memberships.setdefault(str(desc), {}))
+        answers = (ctx.memberships.setdefault(str(desc), {}) if in_catalog
+                   else {})
         if _catalog_membership(C, desc, ctx, answers) is not True:
             return False
         return (f.agrees_on(g, H, ctx.budgets) and f_images != g_images
@@ -698,7 +727,12 @@ def verify_qofsimple(S: PermutationGroup, B: PermutationGroup,
 
 class EscapeExhausted(BudgetExceeded):
     """The fixed candidate ladder is exhausted: an explicit failure, never a
-    claim that no escape exists."""
+    claim that no escape exists.  ``skipped`` holds one note per skipped
+    rung."""
+
+    def __init__(self, message, skipped=()):
+        super().__init__(message)
+        self.skipped = tuple(skipped)
 
 
 @dataclass
@@ -762,7 +796,7 @@ def find_wreath_escape(A: PermutationGroup, desc: Descriptor,
             skipped.append(f"{label}: wreath membership unknown")
     raise EscapeExhausted(
         "escape ladder exhausted without a witness; this does not claim "
-        f"nonexistence (skipped: {'; '.join(skipped) or 'none'})")
+        f"nonexistence (skipped: {'; '.join(skipped) or 'none'})", skipped)
 
 
 # -- the finite construction pipeline ------------------------------------------------------

@@ -117,22 +117,6 @@ class TruncatedSeries:
             return NotImplemented
         return self.params == other.params and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.params, tuple(sorted(self.terms.items()))))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            coeff = self.terms[mono]
-            if not mono:
-                parts.append(str(coeff))
-            else:
-                body = "".join(f"y{v}" for v in mono)
-                parts.append(body if coeff == 1 else f"{coeff}{body}")
-        return " + ".join(parts)
-
 
 def _binomial_mod_p(n: int, k: int, p: int) -> int:
     """C(n, k) mod p for n, k >= 0 by Lucas's theorem: the product of

@@ -3,7 +3,8 @@
 Every hom from G into a member C of the variety V kills the verbal
 subgroup V(G), since V(C) = 1.  So when H times V(G) is G, two homs that
 agree on H agree on G, and no catalog member can separate.
-``separating_pair_search`` tests that cover once and then only walks the
+``separating_pair_search`` tests that cover once, after the first member
+with more than one hom fails to separate, and then only walks the
 memberships and hom budgets.  These tests check that the skip moves no
 report: against the search with the cover test forced to "not covered",
 against hom counts and budget stops, and against V(G) built by brute
@@ -112,14 +113,28 @@ def both_ways(monkeypatch, G, H, desc, make_ctx):
     return results
 
 
-def test_a_covered_input_lists_no_hom(d7, reflection, monkeypatch):
+def members_until_a_choice(G, desc):
+    """The members of the variety, in catalog order, up to and including
+    the first with more than one hom from G: the search lists these before
+    it runs the cover test."""
+    members = [C for C in bundled_catalog()
+               if member_of_variety(C, desc) is True]
+    count = next(i for i, C in enumerate(members, 1)
+                 if len(homs.all_homomorphisms(G, C)) > 1)
+    return members[:count]
+
+
+def test_a_covered_input_lists_homs_only_until_the_cover_test(
+        d7, reflection, monkeypatch):
     desc = parse_descriptor("laws:{x1^6}")
     (skip, skip_calls, seen), (full, full_calls, _) = both_ways(
         monkeypatch, d7, reflection, desc, EngineContext.bundled)
     in_variety = sum(member_of_variety(C, desc) is True
                      for C in bundled_catalog())
+    listed = members_until_a_choice(d7, desc)
+    assert [C.name for C in listed] == ["1", "C2"]
     assert [covers for *_, covers in seen] == [True]
-    assert (skip_calls, full_calls) == (0, in_variety)
+    assert (skip_calls, full_calls) == (len(listed), in_variety)
     assert skip == full and skip["outcome"] == UNKNOWN
 
 
@@ -129,7 +144,7 @@ def test_a_hom_budget_skip_keeps_its_notes(d7, reflection, monkeypatch):
     (skip, skip_calls, _), (full, full_calls, _) = both_ways(
         monkeypatch, d7, reflection, desc,
         lambda: EngineContext.bundled(budgets))
-    assert skip_calls == 0 < full_calls
+    assert skip_calls == len(members_until_a_choice(d7, desc)) < full_calls
     assert skip == full
     assert any(note.endswith("skipped: hom budget") for note in skip["notes"])
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vlab import homs, varieties
+from vlab import engine, homs, varieties
 from vlab.catalog import resolve_group_name
 from vlab.config import MAX_CHAIN_WORK, MAX_NESTING, Budgets
 from vlab.constructions import MAX_DEGREE, regular_wreath
@@ -725,6 +725,89 @@ class TestCertificateSoundness:
         assert verify_certificate(G, one, desc, short, ctx) is False
 
     @staticmethod
+    def _pair_into_c3(ctx):
+        """(C9, its trivial subgroup, laws:{x1^6}, the verdict): the pair
+        sends C9's generator to () and to (0 1 2) in the catalog C3."""
+        G = resolve_group_name("C9")
+        one = G.subgroup([G.identity()])
+        desc = parse_descriptor("laws:{x1^6}")
+        verdict = epi_decide(G, one, desc, ctx)
+        assert verdict.certificate["codomain"]["name"] == "C3"
+        assert verdict.certificate["g_images"] == ["(0 1 2)"]
+        return G, one, desc, verdict
+
+    @pytest.mark.parametrize("text", [
+        "(1 2 0)", "(2 0 1)", "(0,1,2)", "(0, 1, 2)", " (0 1 2)",
+        "(0 1 2)()", "(0 1)", "(0 2)", "(0 5)", "(0 1 2", ""])
+    def test_an_image_must_be_the_string_of_a_codomain_element(self, ctx,
+                                                               text):
+        # the first six parse to (0 1 2) but are not its cycle string; the
+        # next two lie in S3, not C3; the last three do not parse on 3
+        # points
+        G, one, desc, verdict = self._pair_into_c3(ctx)
+        assert verify_certificate(G, one, desc, verdict, ctx)
+        forged = copy.deepcopy(verdict)
+        forged.certificate["g_images"] = [text]
+        assert verify_certificate(G, one, desc, forged, ctx) is False
+
+    def test_the_string_memo_holds_at_most_the_codomain(self, ctx,
+                                                        monkeypatch):
+        G, one, desc, verdict = self._pair_into_c3(ctx)
+        C = next(E for E in ctx.catalog if E.name == "C3")
+        variants = {sep.join(map(str, rotation)).join(ends)
+                    for rotation in ([0, 1, 2], [1, 2, 0], [2, 0, 1])
+                    for sep in (" ", "  ", ",", ", ", " ,")
+                    for ends in (("(", ")"), (" (", ")"), ("(", ") "),
+                                 ("(", ")()"))}
+        variants.discard("(0 1 2)")
+        variants = sorted(variants)[:50]
+        assert len(variants) == 50
+        for text in variants:
+            forged = copy.deepcopy(verdict)
+            forged.certificate["g_images"] = [text]
+            assert verify_certificate(G, one, desc, forged, ctx) is False
+        assert verify_certificate(G, one, desc, verdict, ctx)
+        assert len(C.memo("cycle_strings", dict)) <= C.order()
+        parses = []
+
+        def counting(*args):
+            parses.append(args)
+            return parse_permutation(*args)
+
+        monkeypatch.setattr(engine, "parse_permutation", counting)
+        assert verify_certificate(G, one, desc, verdict, ctx)
+        assert parses == []
+
+    def test_a_pair_into_a_relabelled_member_verifies(self, ctx):
+        # Dic3 over its element of order 4, under laws:{x1^6}: the pair
+        # maps into the catalog S3; moved by (0 2) into a copy that is no
+        # catalog entry, it still separates, and the copy's membership is
+        # answered per call, not kept in the context
+        G = resolve_group_name("Dic3")
+        H = G.subgroup([parse_permutation("(0 6 3 9)(1 7 4 10)(2 8 5 11)",
+                                          12)])
+        desc = parse_descriptor("laws:{x1^6}")
+        verdict = epi_decide(G, H, desc, ctx)
+        cert = verdict.certificate
+        assert cert["codomain"]["name"] == "S3"
+        move = parse_permutation("(0 2)", 3)
+        S3 = next(E for E in ctx.catalog if E.name == "S3")
+        copy_ = PermutationGroup(3, [g ** move for g in S3.generators])
+        maps = [homs.GroupHomomorphism(
+            G, copy_, [parse_permutation(t, 3) ** move for t in cert[key]])
+            for key in ("f_images", "g_images")]
+        moved = dataclasses.replace(verdict, certificate=engine._pair_cert(
+            G, H, copy_, *maps, ctx.budgets))
+        texts = moved.certificate["codomain"]["generators"]
+        assert texts != cert["codomain"]["generators"]
+        assert all(texts != [str(g) for g in E.generators]
+                   for E in ctx.catalog)
+        before = {key: dict(answers)
+                  for key, answers in ctx.memberships.items()}
+        assert verify_certificate(G, H, desc, moved, ctx) is True
+        assert ctx.memberships == before
+
+    @staticmethod
     def _verify_forged_sn_pair(n, ctx, c4, c2_in_c4, monkeypatch):
         """Verify a separating pair for C2 < C4 under Sl:3 whose codomain
         is <(0 1), (0 1 ... n-1)> = S_n; returns the verdict and the work
@@ -1077,6 +1160,18 @@ class TestAllNormalsConsistency:
 
 
 class TestQOfSimple:
+    def test_a_third_verbal_subgroup_violates_the_dichotomy(self, ctx, a5,
+                                                            monkeypatch):
+        # a verbal subgroup of A5 wr C2 is the base power or trivial; one
+        # that is neither is a hard error, not a branch
+        def one_base_generator(W, qdesc, budgets):
+            base = regular_wreath(a5, cyclic_group(2), budgets).base_subgroup()
+            return W.subgroup([base.generators[0]])
+
+        monkeypatch.setattr(engine, "q_verbal", one_base_generator)
+        with pytest.raises(GroupError, match="dichotomy violated"):
+            verify_qofsimple(a5, cyclic_group(2), Abelian(), ctx)
+
     def test_base_branch(self, ctx, a5):
         report = verify_qofsimple(a5, cyclic_group(2), Abelian(), ctx)
         assert report.branch == "base"
@@ -1145,7 +1240,9 @@ class TestWreathEscape:
     def skip_notes(base, text, ctx):
         with pytest.raises(EscapeExhausted) as info:
             find_wreath_escape(base, parse_descriptor(text), ctx)
-        return str(info.value).split("(skipped: ")[1].rstrip(")").split("; ")
+        notes = list(info.value.skipped)
+        assert str(info.value).endswith(f"(skipped: {'; '.join(notes)})")
+        return notes
 
     def test_a_fixture_gap_in_any_membership_skips_the_rung(self, ctx):
         # no fixture gives var:S3's verbal subgroup: the trivial rung stops

@@ -62,6 +62,12 @@ class TestDescriptorParsing:
         with pytest.raises(ParseError):
             parse_descriptor(bad)
 
+    @pytest.mark.parametrize("text,message", [
+        ("Nc:0", "Nc needs c >= 1"), ("Sl:0", "Sl needs n >= 1")])
+    def test_a_family_needs_a_positive_parameter(self, text, message):
+        with pytest.raises(GroupError, match=message):
+            parse_descriptor(text)
+
     @pytest.mark.parametrize("text,expected", [
         ("Nc: 2", NilpotentClass(2)), ("Nc:+2", NilpotentClass(2)),
         ("Sl:03", SolvableLength(3)), ("Sl:1_0", SolvableLength(10))])
@@ -114,12 +120,26 @@ class TestEvalWord:
         a, b = parse_permutation("(0 1)", 3), parse_permutation("(1 2)", 3)
         assert eval_word(COMMUTATOR, [a, b], s3).order() == 3
 
+    def test_a_value_of_another_degree_is_refused(self):
+        a = parse_permutation("(0 1)", 4)
+        with pytest.raises(GroupError, match="degree differs"):
+            eval_word(COMMUTATOR, [a, a], symmetric_group(3))
+
+    def test_too_few_values_are_refused(self):
+        a = parse_permutation("(0 1)", 3)
+        with pytest.raises(GroupError, match="needs arity 2, got 1"):
+            eval_word(COMMUTATOR, [a], symmetric_group(3))
+
     def test_identity_word(self):
         s3 = symmetric_group(3)
         assert eval_word(Word.identity(), [], s3).is_identity()
 
 
 class TestVerbalSubgroup:
+    def test_no_laws_is_refused(self):
+        with pytest.raises(GroupError, match="at least one law"):
+            verbal_subgroup(symmetric_group(3), [])
+
     # oracle-first: expected values computed by exhaustive value collection
     @pytest.mark.parametrize("group_name,words,expected_order", [
         ("S4", [COMMUTATOR], 12),
@@ -362,6 +382,16 @@ class TestFixtures:
         with pytest.raises(Exception):
             Fixture(kind="known-member", group=a5, subgroup=None,
                     descriptor=VarOfGroup("A5"), provenance="  ")
+
+    @pytest.mark.parametrize("kind,provenance,message", [
+        ("known-epimorphism", "a text", "unknown fixture kind"),
+        ("known-member", "", "must carry provenance"),
+        ("known-epi", "a text", "need a subgroup")])
+    def test_each_malformed_fixture_is_refused(self, a5, kind, provenance,
+                                               message):
+        with pytest.raises(GroupError, match=message):
+            Fixture(kind=kind, group=a5, subgroup=None,
+                    descriptor=VarOfGroup("A5"), provenance=provenance)
 
     def test_bundled_fixture_matches_equal_subgroup(self, a5, a4_in_a5, ctx):
         from vlab.varieties import find_epi_fixture
