@@ -253,7 +253,9 @@ def run_command(args) -> int:
         try:
             result = find_wreath_escape(A, desc, ctx)
         except EscapeExhausted as exc:
-            report = _envelope(args, ctx, outcome=UNKNOWN, reason=str(exc))
+            report = _envelope(args, ctx, base=args.base, variety=str(desc),
+                               outcome=UNKNOWN, reason=str(exc),
+                               skipped=list(exc.skipped))
             code = EXIT_UNKNOWN
         else:
             report = {**result.to_json(), "command": "escape",

@@ -15,6 +15,14 @@ C(e, p^k) = b mod p: the image of a reduced word with exponents b_i * p^{k_i}
 has the unique monomial y_{r_1}^{p^{k_1}} ... y_{r_s}^{p^{k_s}} of degree
 p^{k_1} + ... + p^{k_s}, with coefficient b_1 ... b_s mod p, and truncating
 one degree above that sum leaves the image visibly different from 1.
+
+The witness reads that coefficient without building the image.  A term of
+the product of the syllable series concatenates one block y_{v_i}^{j_i} per
+syllable.  Adjacent syllables of a reduced word use different variables, so
+the witness monomial has exactly s maximal runs, and s blocks, some possibly
+empty, form s runs only when block i is run i: j_i = p^{k_i}.  So the
+coefficient is the product of C(e_i, p^{k_i}) mod p, none of which
+truncation drops, since the monomial's degree is d - 1.
 """
 
 from __future__ import annotations
@@ -106,12 +114,6 @@ class TruncatedSeries:
                 terms[mono] = terms.get(mono, 0) + c1 * c2
         return TruncatedSeries(self.params, terms)
 
-    def coefficient(self, mono: Monomial) -> int:
-        return self.terms.get(tuple(mono), 0)
-
-    def is_one(self) -> bool:
-        return self.terms == {(): 1}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -170,7 +172,7 @@ class WitnessReport:
     monomial: Monomial
     predicted_coefficient: int
     extracted_coefficient: int
-    image_is_one: bool
+    image_is_one: bool | None
 
     @property
     def consistent(self) -> bool:
@@ -183,8 +185,12 @@ def law_failure_witness(word: Word, p: int) -> WitnessReport:
     """Defeat a nontrivial reduced word in a finite p-group of unit series.
 
     Writes each syllable exponent as b_i * p^{k_i}, truncates one degree
-    above p^{k_1} + ... + p^{k_s}, and checks that the designated monomial
-    carries coefficient b_1 ... b_s mod p (nonzero) and the image is not 1.
+    above p^{k_1} + ... + p^{k_s}, and reads the designated monomial's
+    coefficient as the product of C(e_i, p^{k_i}) mod p (the unique cut of
+    the module docstring), which must be b_1 ... b_s mod p.  Being nonzero,
+    it proves the image is not 1: ``image_is_one`` is False, or None on a
+    zero coefficient, which only a wrong binomial gives and which already
+    makes the report inconsistent.
     """
     if word.is_identity():
         raise GroupError("the empty word is a law of every group")
@@ -193,15 +199,17 @@ def law_failure_witness(word: Word, p: int) -> WitnessReport:
     splits = [p_adic_split(exp, p) for _, exp in word.letters]
     degree_sum = sum(p ** k for _, k in splits)
     check_budget("max_degree", MAX_DEGREE, degree_sum)  # the monomial's length
-    d = degree_sum + 1
     monomial: list[int] = []
-    coeff = 1
-    for (var, _), (b, k) in zip(word.letters, splits):
-        monomial.extend([var] * (p ** k))
+    coeff = extracted = 1
+    for (var, e), (b, k) in zip(word.letters, splits):
+        n = p ** k
+        monomial.extend([var] * n)
         coeff = (coeff * b) % p
-    image = magnus_image(word, p, d)
-    extracted = image.coefficient(tuple(monomial))
+        # C(e, n) mod p, with C(e, n) = (-1)^n C(n - e - 1, n) for e < 0
+        c = (_binomial_mod_p(e, n, p) if e > 0
+             else (-1) ** n * _binomial_mod_p(n - e - 1, n, p))
+        extracted = extracted * c % p
     return WitnessReport(
-        word=word, p=p, truncation=d, monomial=tuple(monomial),
+        word=word, p=p, truncation=degree_sum + 1, monomial=tuple(monomial),
         predicted_coefficient=coeff, extracted_coefficient=extracted,
-        image_is_one=image.is_one())
+        image_is_one=False if extracted else None)

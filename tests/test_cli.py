@@ -63,6 +63,14 @@ class TestBasicCommands:
         assert report["predicted_coefficient"] == 1
         assert report["consistent"] is True
 
+    def test_magnus_on_a_22_syllable_bracket(self, capsys):
+        code, report = run_json(capsys, "magnus", "--word", "[x1,x2,x3,x4]",
+                                "-p", "2")
+        assert code == 0
+        assert report["truncation_degree"] == 23
+        assert report["image_is_one"] is False
+        assert report["consistent"] is True
+
     def test_escape(self, capsys):
         code, report = run_json(capsys, "escape", "--base", "C2",
                                 "--variety", "A")
@@ -75,6 +83,10 @@ class TestBasicCommands:
                                 "--variety", "Sl:5")
         assert code == 2
         assert report["outcome"] == "unknown"
+        assert report["base"] == "C2" and report["variety"] == "Sl:5"
+        assert report["skipped"] == [
+            "C2wrC2wrC2: max_wreath_top: 128 exceeds the limit 12"]
+        assert report["skipped"][0] in report["reason"]
 
     @pytest.mark.parametrize("argv", [
         ("escape", "--base", "C2", "--variety", "prod(A,var:S3)"),
@@ -84,6 +96,8 @@ class TestBasicCommands:
         code, report = run_json(capsys, *argv)
         assert code == 2 and report["outcome"] == "unknown"
         assert "C4: membership: " in report["reason"]
+        assert any(note.startswith("C4: membership: ")
+                   for note in report["skipped"])
 
     def test_pipeline(self, capsys):
         code, report = run_json(capsys, "pipeline", "--simple", "A5",

@@ -53,7 +53,7 @@ FILE_CASES = [
     ("--fixtures", SHORT_FIXTURE_RECORD, "order", "A5"),
 ]
 
-DIGEST = "f4abe96e33cfc47f50e3ac370117172cfbc875f281a8214b363dde7b803d935c"
+DIGEST = "1b4f346417fdeb6bc4cda311fa248ff735cd30d33c4543a5153208f0bbe927b8"
 
 
 def _invocations(tmp_path):

@@ -161,6 +161,7 @@ UNREFERENCED_PUBLIC = {
     "homs.py: identity_endomorphism": TRACED,
     "homs.py: inclusion_hom": TRACED,
     "perm.py: Permutation.moved_points": API,
+    "power_series.py: magnus_image": TRACED,
     "structure.py: normal_subgroups": TRACED,
     "structure.py: normalizer": TRACED,
     "varieties.py: descriptor_laws": TRACED,

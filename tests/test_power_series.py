@@ -8,7 +8,10 @@ from vlab.errors import BudgetExceeded, GroupError
 from vlab.power_series import (SeriesParams, TruncatedSeries,
                                _binomial_mod_p, law_failure_witness,
                                magnus_image, p_adic_split)
+from vlab.scenarios import MAGNUS_CORPUS
 from vlab.words import Word, parse_word
+
+ONE = {(): 1}  # the terms of the series 1
 
 
 def random_series(rng, params, terms=4):
@@ -45,7 +48,7 @@ def reference_inverse(u):
     """Inverse of a series with constant term 1 by the finite geometric
     series: 1 - a + a^2 - ..., where the augmentation part a is nilpotent at
     truncation d."""
-    assert u.coefficient(()) == 1
+    assert u.terms.get(()) == 1
     minus_a = TruncatedSeries(u.params,
                               {m: -c for m, c in u.terms.items() if m})
     result = term = TruncatedSeries.one(u.params)
@@ -117,7 +120,7 @@ class TestUnitInverse:
         u = TruncatedSeries(params, {(): 1, (1,): 1})
         inv = reference_inverse(u)
         assert inv.terms == {(): 1, (1,): 1, (1, 1): 1}  # 1 + y + y^2
-        assert (u * inv).is_one()
+        assert (u * inv).terms == ONE
 
     def test_inverse_of_one(self):
         params = SeriesParams(3, 1, 4)
@@ -129,7 +132,7 @@ class TestUnitInverse:
         rng = random.Random(2)
         for _ in range(40):
             u = random_unit(rng, params)
-            assert (u * reference_inverse(u)).is_one()
+            assert (u * reference_inverse(u)).terms == ONE
             assert reference_inverse(reference_inverse(u)) == u
 
     def test_unit_group_exponent(self):
@@ -140,7 +143,7 @@ class TestUnitInverse:
             exponent = p ** math.ceil(math.log(d, p))
             rng = random.Random(p * d)
             for _ in range(25):
-                assert power(random_unit(rng, params), exponent).is_one()
+                assert power(random_unit(rng, params), exponent).terms == ONE
 
 
 class TestMagnusImage:
@@ -154,7 +157,7 @@ class TestMagnusImage:
 
     def test_commutator_leading_monomial(self):
         img = magnus_image(parse_word("[x1,x2]"), 2, 5)
-        assert img.coefficient((1, 2, 1, 2)) == 1
+        assert img.terms[(1, 2, 1, 2)] == 1
 
     def _short_words(self):
         letters = [(1, 1), (1, -1), (2, 1), (2, -1)]
@@ -288,11 +291,14 @@ class TestLawFailureWitness:
                 report = law_failure_witness(word, p)
                 assert report.consistent, (str(word), p)
 
-    @pytest.mark.parametrize("text,syllables", [
-        ("x1^-8192", 1), ("x1^-1024 x2^512", 2)])
-    def test_one_series_product_per_syllable(self, text, syllables,
-                                             monkeypatch):
-        # however large its exponent, a syllable is one binomial series
+    @pytest.mark.parametrize("text,p,letters", [
+        ("x1^-8192", 2, 8192), ("x1^-1024 x2^512", 2, 1536),
+        ("[x1,x2,x3,x4]", 2, 22),
+        ("[x1,x2,x3,x4,x5,x6]", 2, 94), ("[x1,x2,x3,x4,x5,x6]", 3, 94),
+        ("(x1^-1 x2 x1^4 x2)^200", 2, 1400)])
+    def test_the_witness_makes_no_series_product(self, text, p, letters,
+                                                 monkeypatch):
+        # the truncated image grows exponentially in the syllable count
         calls = []
         mul = TruncatedSeries.__mul__
 
@@ -301,6 +307,48 @@ class TestLawFailureWitness:
             return mul(a, b)
 
         monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
-        report = law_failure_witness(parse_word(text), 2)
+        report = law_failure_witness(parse_word(text), p)
         assert report.consistent
-        assert len(calls) == syllables
+        assert len(report.monomial) == letters
+        assert calls == []
+
+    def test_a_zero_coefficient_leaves_the_image_undecided(self,
+                                                           monkeypatch):
+        # only a wrong binomial gives 0; the report then decides nothing
+        monkeypatch.setattr("vlab.power_series._binomial_mod_p",
+                            lambda n, k, p: 0)
+        report = law_failure_witness(parse_word("[x1,x2]"), 2)
+        assert report.extracted_coefficient == 0
+        assert report.image_is_one is None
+        assert not report.consistent
+
+
+def _extracted_from_the_image(report):
+    image = magnus_image(report.word, report.p, report.truncation)
+    return image.terms.get(report.monomial, 0), image.terms == ONE
+
+
+class TestWitnessAgainstTheImage:
+    """The product over syllables against the whole truncated image."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_seeded_random_words(self, p):
+        rng = random.Random(3400 + p)
+        exponents = [e for e in range(-9, 10) if e]
+        for _ in range(150):
+            letters, var = [], 0
+            for _ in range(rng.randint(1, 5)):
+                var = rng.choice([v for v in (1, 2, 3) if v != var])
+                letters.append((var, rng.choice(exponents)))
+            report = law_failure_witness(Word.make(letters), p)
+            coeff, is_one = _extracted_from_the_image(report)
+            assert report.extracted_coefficient == coeff, (letters, p)
+            assert report.image_is_one is is_one is False
+
+    @pytest.mark.parametrize("text", MAGNUS_CORPUS)
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_magnus_corpus(self, text, p):
+        report = law_failure_witness(parse_word(text), p)
+        coeff, is_one = _extracted_from_the_image(report)
+        assert report.extracted_coefficient == coeff
+        assert report.image_is_one is is_one is False
