@@ -25,11 +25,12 @@ along the root's multiplication columns of its generators; position order
 is canonical order, so no chain and no sort is needed.  The path lists
 nothing that was not listed already, and its closure is bounded by the
 root's order, which passed the root's ``max_enumerate`` check when it was
-listed.  A group with no member set (a query made before the root is
-listed, a subgroup with a generator outside its root, a group not made by
-``subgroup()``) answers ``contains`` from its own index once it is listed
-itself, and from its stabilizer chain before; ``random_element`` and
-``chain()`` always use the chain.
+listed.  A normal closure under a listed root is one such walk, extended
+as each generator is accepted.  A group with no member set (a query made
+before the root is listed, a subgroup with a generator outside its root, a
+group not made by ``subgroup()``) answers ``contains`` from its own index
+once it is listed itself, and from its stabilizer chain before;
+``random_element`` and ``chain()`` always use the chain.
 
 A listed group's multiplication columns are made along a breadth-first
 tree of its generators from the identity: only the generators' columns
@@ -520,7 +521,9 @@ class PermutationGroup:
     and identity scan: its generators must already be distinct
     permutations of the group's degree, none the identity unless it is the
     only one.  Any other listed group answers ``contains`` from its own
-    index.
+    index.  ``listed_normal_closure`` walks a normal closure on the listed
+    root's positions, member set and all, and makes its one group with
+    ``subgroup_at``.
 
     A listed group's ``indexed()`` columns are built on first use: the
     generators' from image tuples, with the breadth-first tree from the
@@ -686,6 +689,42 @@ class PermutationGroup:
                            for c in map(root.conj, gens) for x in positions)
         return all(self.contains(n ** g)
                    for g in gens for n in self.generators)
+
+    def listed_normal_closure(self, seed) -> PermutationGroup | None:
+        """``structure.normal_closure(self, seed)`` as one walk on the
+        listed root's positions, accepting the chain loop's generators in
+        its order; None when the root is not listed or this group has a
+        generator outside it.  Accepting c walks on from the members along
+        the accepted generators' columns, starting from the coset of the
+        members times c, the only way out of a subgroup.  The root reads
+        conjugates from its ``conj`` columns; a proper subgroup conjugates
+        the element and looks up its position."""
+        root = self if self._ambient is None else self._ambient
+        if root._elements is None or (root is not self
+                                      and self._members() is None):
+            return None
+        elements, index, col = root._indexed()
+        if root is self:
+            conj_cols = [self.conj(g) for g in self.generators]
+
+            def conjugates(x):
+                return [c[x] for c in conj_cols]
+        else:
+            def conjugates(x):
+                e = elements[x]
+                return [index[(e ** g).images] for g in self.generators]
+        members, accepted, cols = {0}, [], []
+        queue = deque(index[s.images] for s in seed)
+        while queue:
+            x = queue.popleft()
+            if x in members:
+                continue
+            accepted.append(x)
+            cols.append(c := col(x))
+            walk(members, [c[m] for m in members], cols)
+            queue.extend(conjugates(x))
+        return root.subgroup_at([elements[x] for x in accepted or [0]],
+                                frozenset(members))
 
     def memo(self, key, compute):
         """The cached value for key, computed by compute() on a miss."""

@@ -31,10 +31,17 @@ def normal_closure(G: PermutationGroup, seed) -> PermutationGroup:
 
     Standard orbit algorithm: keep a growing generating set, push conjugates
     of every accepted generator by G's generators, filter by membership.
+    When G's root is listed, ``G.listed_normal_closure`` runs this loop as
+    one walk on the root's positions, accepting the same generators in the
+    same order; otherwise each accepted generator makes a new subgroup,
+    whose chain answers the next membership tests.
     """
     for s in seed:
         if not G.contains(s):
             raise GroupError("normal_closure seed element lies outside G")
+    closure = G.listed_normal_closure(seed)
+    if closure is not None:
+        return closure
     gens: list[Permutation] = []
     closure = G.subgroup([G.identity()])
     queue = deque(seed)
@@ -327,6 +334,9 @@ def solvable_radical(G: PermutationGroup,
     joining every solvable class-representative closure reaches the radical.
     The partial join R is normal, so a representative already in R has its
     closure inside R and is skipped before its closure is computed.
+    When G itself is solvable (one memoised check) so is every closure,
+    and each joins without its own check; the joins, and so the radical's
+    generators, are the same.
     Memoised on G.  The two budget checks come first and cover the whole
     computation, since every group it enumerates is G or a subgroup of G.
     """
@@ -335,12 +345,14 @@ def solvable_radical(G: PermutationGroup,
     check_budget("max_enumerate", budgets.max_enumerate, G.order())
 
     def compute():
+        reps = class_representatives(G, budgets)  # lists G first
+        solvable = is_solvable(G)
         radical = G.subgroup([G.identity()])
-        for rep in class_representatives(G, budgets):
+        for rep in reps:
             if radical.contains(rep):
                 continue
             closure = normal_closure(G, [rep])
-            if is_solvable(closure):
+            if solvable or is_solvable(closure):
                 radical = product_subgroup(G, radical, closure)
         return radical
 

@@ -3,7 +3,8 @@
 lift_demo re-verifies the pipeline's certificates under A, Nc:2 and Sl:2;
 run_scenarios reruns every bundled scenario against its recorded outcome.
 reach's ledger, recomputed, is the committed REACH.json.  linecov,
-run over one test file, reports the lines that file never reaches.
+run over one test file, reports the lines that file never reaches.  ab's
+summary of canned pairs applies the claim rule (no benchmark runs here).
 """
 
 import ast
@@ -63,3 +64,58 @@ def test_linecov_lists_the_lines_a_test_file_never_runs():
     assert first_body_line("wreath_z.py", "solve_commutator") not in lines
     assert any(line.endswith("never run  src/vlab/wreath_z.py")
                for line in lines)
+
+
+def canned_runs(parent: list[float], change: list[float]) -> list[dict]:
+    """One run per side and pair, with ops_per_ref_s and op_tail_ref_ms
+    (its inverse) as the only metrics."""
+    return [{"pair": pair, "side": side, "correct": True, "failed": 0,
+             "verdict_sha256": "same",
+             "metrics": {"ops_per_ref_s": {"value": value},
+                         "op_tail_ref_ms": {"value": 1 / value}}}
+            for pair, values in enumerate(zip(parent, change), start=1)
+            for side, value in zip(("parent", "change"), values)]
+
+
+AB_METRICS = [("ops_per_ref_s", "higher"), ("op_tail_ref_ms", "lower")]
+PARENT = [100.0 + k for k in range(10)]  # quartiles 101.75, 104.5, 107.25
+
+
+def test_ab_alternates_which_side_runs_first():
+    ab = load("ab")
+    assert [ab.run_order(k) for k in (1, 2, 3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_ab_claim_holds_on_nine_wins_and_a_gap_past_the_parent_iqr():
+    ab = load("ab")
+    change = [99.0] + [p + 10 for p in PARENT[1:]]
+    summary = ab.summarise(canned_runs(PARENT, change), AB_METRICS)
+    assert summary["pairs"] == 10 and summary["verdict_sha256_same"]
+    ops = summary["ops_per_ref_s"]
+    assert (ops["parent_q1"], ops["parent_median"], ops["parent_q3"]) == (
+        101.75, 104.5, 107.25)
+    assert ops["parent_iqr"] == 5.5 and ops["change_median"] == 114.5
+    assert ops["pairs_change_better"] == 9 and ops["claim_holds"]
+    tail = summary["op_tail_ref_ms"]  # lower is better
+    assert tail["pairs_change_better"] == 9 and tail["claim_holds"]
+    assert "won 9/10  claim holds" in ab.report(summary)
+
+
+@pytest.mark.parametrize("change", [
+    [p + 1 for p in PARENT],                  # ten wins, gap inside the IQR
+    [99.0, 99.0] + [p + 10 for p in PARENT[2:]],  # eight wins
+    [p - 10 for p in PARENT],                 # worse
+], ids=["narrow-gap", "eight-wins", "worse"])
+def test_ab_claim_fails_on_a_narrow_gap_or_too_few_wins(change):
+    summary = load("ab").summarise(canned_runs(PARENT, change), AB_METRICS)
+    assert not summary["ops_per_ref_s"]["claim_holds"]
+    assert not summary["op_tail_ref_ms"]["claim_holds"]
+
+
+def test_ab_summary_counts_only_complete_pairs():
+    runs = canned_runs(PARENT[:3], PARENT[:3])[:-1]  # pair 3 lacks a side
+    runs[0]["verdict_sha256"] = "other"
+    summary = load("ab").summarise(runs, AB_METRICS)
+    assert summary["pairs"] == 2 and not summary["verdict_sha256_same"]
+    assert summary["ops_per_ref_s"]["pairs_change_better"] == 0

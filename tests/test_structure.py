@@ -3,8 +3,8 @@ import random
 import pytest
 
 from tests.conftest import mulclose
-from vlab import perm
-from vlab.catalog import bundled_catalog
+from vlab import perm, structure
+from vlab.catalog import bundled_catalog, resolve_group_name
 from vlab.constructions import direct_product
 from vlab.engine import epi_decide
 from vlab.errors import BudgetExceeded, DegreeMismatch, GroupError
@@ -323,7 +323,6 @@ class TestRadicalAndLattices:
         assert sorted(n.order() for n in normal_subgroups(a5)) == [1, 60]
 
     def test_normal_subgroups_q8(self):
-        from vlab.catalog import resolve_group_name
         q8 = resolve_group_name("Q8")
         orders = sorted(n.order() for n in normal_subgroups(q8))
         assert orders == [1, 2, 4, 4, 4, 8]
@@ -331,7 +330,6 @@ class TestRadicalAndLattices:
     def test_all_subgroups_counts(self):
         assert len(all_subgroups(symmetric_group(4))) == 30
         assert len(all_subgroups(dihedral_group(4))) == 10
-        from vlab.catalog import resolve_group_name
         assert len(all_subgroups(resolve_group_name("C2^3"))) == 16
 
     def test_conjugacy_class_count(self, a5):
@@ -364,14 +362,26 @@ def assert_same_as_chain(G, H, probes):
 @pytest.mark.parametrize("catalog_group", bundled_catalog(),
                          ids=lambda G: G.name)
 def test_position_path_matches_the_chain(catalog_group):
+    """Subgroups and normal closures on the position path answer as the
+    chain does, and the closures, derived-series terms included, keep the
+    chain loop's generator tuples, which certificates print."""
     G = PermutationGroup(catalog_group.degree, catalog_group.generators,
                          name=catalog_group.name)
     G.elements()
+    chain_only = PermutationGroup(G.degree, G.generators)  # never listed
     probes = [*G.elements(), *outside_permutations(G, random.Random(11))]
     for H in all_subgroups(G):
         assert_same_as_chain(G, H, probes)
     for rep in class_representatives(G):
-        assert_same_as_chain(G, normal_closure(G, [rep]), probes)
+        closure = normal_closure(G, [rep])
+        assert_same_as_chain(G, closure, probes)
+        assert (closure.generators
+                == normal_closure(chain_only, [rep]).generators)
+    # each term below G is a proper subgroup of the listed root
+    for term, reference in zip(derived_series(G), derived_series(chain_only),
+                               strict=True):
+        assert term.generators == reference.generators
+    assert chain_only._elements is None
 
 
 def _never():
@@ -409,6 +419,36 @@ class TestPositionPath:
         assert (H.order(), K.order()) == (4, 2)
         assert K.contains(parse_permutation("(0 2)(1 3)", 4))
         assert builds == []
+
+    def test_listed_normal_closure_builds_one_group(self, monkeypatch):
+        G = symmetric_group(4)
+        G.elements()
+        built = []
+        init = PermutationGroup._init
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PermutationGroup, "_init", counting_init)
+        N = normal_closure(G, [parse_permutation("(0 1)(2 3)", 4)])
+        assert len(N.generators) == 2  # two accepted generators
+        assert N.order() == 4 and len(built) == 1
+
+    def test_radical_of_a_solvable_group_checks_no_closure(self,
+                                                           monkeypatch):
+        S4 = resolve_group_name("S4")
+        G = PermutationGroup(S4.degree, S4.generators)
+        checked = []
+        check = structure.is_solvable
+
+        def counting_check(H):
+            checked.append(H)
+            return check(H)
+
+        monkeypatch.setattr(structure, "is_solvable", counting_check)
+        assert solvable_radical(G).order() == 24
+        assert len(checked) == 1 and checked[0] is G
 
     def test_queries_before_the_root_is_listed_use_the_chain(self,
                                                              monkeypatch):
