@@ -13,21 +13,24 @@ while the pairs run do not reach them.  The two paths have the same
 length: the worker's peak RSS moves with it (on ``lattice``, the same
 commit read 25.27 MB from a tree path five characters longer and 25.79 MB
 from one as long as the other tree's).  The repository's ``.git`` is only
-read.  Pair k runs ``perfbench/run.py --workload W
---seed S --seconds T --trace 0`` once in each tree, the parent first when k
-is odd and the working tree first when k is even, so a slow stretch of the
-host does not always fall on one side.  Each run's record (side, pair,
-exit status, correctness, digests, the end-to-end metrics) is appended to
-``--out`` as soon as it ends, in the shape of the ``runs`` lists of the
-committed ``BENCH_*.json`` files.
+read.  Pair k runs ``perfbench/run.py --workload W --seed S --seconds T
+--trace 0``, T being ``BENCHMARK.json``'s ``run_seconds``, once in each
+tree, the parent first when k is odd and the working tree first when k
+is even, so a slow stretch of the host does not always fall on one side.
+Each run's record (side, pair, exit status, correctness, digests, the
+end-to-end metrics) is appended to ``--out`` as soon as it ends, in the
+shape of the ``runs`` lists of the committed ``BENCH_*.json`` files.
 
 At the end, for each end-to-end metric of ``BENCHMARK.json``, it prints
 both sides' medians and quartiles (``statistics.quantiles``, exclusive
 method), the parent's interquartile range, the pairs the change won, and
 whether a claimed gain would stand: the change better in at least nine
 pairs of ten, and its median better than the parent's by more than the
-parent's interquartile range.  ``--summarise FILE`` prints the same for a
-runs file already written and runs nothing.  Stdlib only.
+parent's interquartile range.  A run that ends without its final line
+(no failure count or metrics) makes the comparison incorrect; its pair
+stays out of the statistics and counts as a pair the change did not win.
+``--summarise FILE`` prints the same for a runs file already written and
+runs nothing.  The exit status is 1 unless every run was correct.  Stdlib only.
 """
 
 import argparse
@@ -44,10 +47,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
+def benchmark_spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
 def end_to_end_metrics() -> list[tuple[str, str]]:
     """(name, "higher" or "lower") of each end-to-end metric."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"]) for m in benchmark_spec()["end_to_end"]]
 
 
 def run_order(pair: int) -> tuple[str, str]:
@@ -67,24 +73,34 @@ def claim_holds(pairs: int, won: int, gain: float, parent_iqr: float) -> bool:
     return won >= ceil(0.9 * pairs) and gain > parent_iqr
 
 
+def finished(run: dict) -> bool:
+    """Whether the run printed its final line: failures and metrics."""
+    return run.get("failed") is not None and bool(run.get("metrics"))
+
+
 def summarise(runs: list[dict], metrics) -> dict:
-    """The per-metric comparison of the complete pairs among runs."""
+    """The per-metric comparison of the pairs among runs that have both
+    sides; only pairs whose two runs finished enter the statistics."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run
     pairs = [p for _, p in sorted(by_pair.items()) if len(p) == 2]
+    sides = [p[s] for p in pairs for s in SIDES]
+    measured = [p for p in pairs if all(finished(p[s]) for s in SIDES)]
     out = {
         "pairs": len(pairs),
-        "correct_all": all(p[s]["correct"] for p in pairs for s in SIDES),
-        "failed_total": sum(p[s]["failed"] for p in pairs for s in SIDES),
-        "verdict_sha256_same": len({p[s]["verdict_sha256"]
-                                    for p in pairs for s in SIDES}) <= 1,
+        "pairs_measured": len(measured),
+        "correct_all": all(r.get("correct") and finished(r) for r in sides),
+        "failed_total": sum(r["failed"] for r in sides if finished(r)),
+        "runs_unfinished": sum(not finished(r) for r in sides),
+        "verdict_sha256_same": len({r.get("verdict_sha256")
+                                    for r in sides}) <= 1,
     }
-    if not pairs:
+    if not measured:
         return out
     for name, better in metrics:
         sign = 1 if better == "higher" else -1
-        values = {s: [p[s]["metrics"][name]["value"] for p in pairs]
+        values = {s: [p[s]["metrics"][name]["value"] for p in measured]
                   for s in SIDES}
         (p1, pm, p3), (c1, cm, c3) = (quartiles(values[s]) for s in SIDES)
         won = sum(sign * (c - p) > 0
@@ -101,8 +117,10 @@ def summarise(runs: list[dict], metrics) -> dict:
 
 
 def report(summary: dict) -> str:
-    lines = [f"pairs {summary['pairs']}, correct {summary['correct_all']}, "
-             f"failed ops {summary['failed_total']}, one verdict digest "
+    lines = [f"pairs {summary['pairs']} ({summary['pairs_measured']} "
+             f"measured), correct {summary['correct_all']}, failed ops "
+             f"{summary['failed_total']}, unfinished runs "
+             f"{summary['runs_unfinished']}, one verdict digest "
              f"{summary['verdict_sha256_same']}"]
     for name, m in summary.items():
         if isinstance(m, dict):
@@ -135,17 +153,25 @@ def export_trees(rev: str, trees: dict[str, Path]) -> None:
             shutil.copy2(ROOT / name, dest)
 
 
-def run_once(tree: Path, side: str, pair: int, args) -> dict:
+def json_line(line: str) -> dict:
+    try:
+        value = json.loads(line)
+    except ValueError:
+        return {}
+    return value if isinstance(value, dict) else {}
+
+
+def run_once(tree: Path, side: str, pair: int, seconds, args) -> dict:
     """One run.py run in tree, as the record the runs list keeps."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds),
+         "--seed", str(args.seed), "--seconds", str(seconds),
          "--trace", "0"], cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines() or ["{}"]
-    first, last = json.loads(lines[0]), json.loads(lines[-1])
+    first, last = json_line(lines[0]), json_line(lines[-1])
     rep = first.get("report", {})
     return {"workload": args.workload, "seed": args.seed,
-            "seconds": args.seconds, "side": side, "pair": pair,
+            "seconds": seconds, "side": side, "pair": pair,
             "exit": proc.returncode, "correct": last.get("correct", False),
             "attempted": last.get("attempted"),
             "failed": last.get("failed"),
@@ -155,13 +181,30 @@ def run_once(tree: Path, side: str, pair: int, args) -> dict:
             "metrics": last.get("metrics", {})}
 
 
+def run_pairs(args) -> list[dict]:
+    """The records of --pairs alternating pairs, REV against the tree."""
+    seconds = benchmark_spec()["run_seconds"]
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="ab-", dir=args.workdir) as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        export_trees(args.rev, trees)
+        for pair in range(1, args.pairs + 1):
+            for side in run_order(pair):
+                runs.append(run_once(trees[side], side, pair, seconds, args))
+                print(f"pair {pair} {side}: exit {runs[-1]['exit']}",
+                      file=sys.stderr, flush=True)
+                if args.out:
+                    args.out.write_text(json.dumps(runs, indent=1) + "\n",
+                                        encoding="utf-8")
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", default="HEAD")
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--out", type=Path,
                         help="runs file, rewritten after every run")
     parser.add_argument("--workdir", type=Path,
@@ -171,22 +214,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.summarise:
         runs = json.loads(args.summarise.read_text(encoding="utf-8"))
-        print(report(summarise(runs, end_to_end_metrics())))
-        return 0
-    if not args.workload:
+    elif args.workload:
+        runs = run_pairs(args)
+    else:
         parser.error("--workload is needed unless --summarise is given")
-    runs = []
-    with tempfile.TemporaryDirectory(prefix="ab-", dir=args.workdir) as tmp:
-        trees = {side: Path(tmp) / side for side in SIDES}
-        export_trees(args.rev, trees)
-        for pair in range(1, args.pairs + 1):
-            for side in run_order(pair):
-                runs.append(run_once(trees[side], side, pair, args))
-                print(f"pair {pair} {side}: exit {runs[-1]['exit']}",
-                      file=sys.stderr, flush=True)
-                if args.out:
-                    args.out.write_text(json.dumps(runs, indent=1) + "\n",
-                                        encoding="utf-8")
     summary = summarise(runs, end_to_end_metrics())
     print(report(summary))
     return 0 if summary["correct_all"] else 1

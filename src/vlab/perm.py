@@ -534,9 +534,10 @@ class PermutationGroup:
     A listed group keeps a conjugation column ``conj(g)`` per g, built on
     first use: ``conj(g)[x]`` is the position of ``elements[x] ** g``.
     ``conjugacy_classes`` takes orbits of positions under G's own columns,
-    and ``is_normalized_by`` (behind ``is_normal``) reads the root's
-    columns when the group has members in a listed root that contains
-    the conjugating elements.
+    ``is_normalized_by`` (behind ``is_normal``) reads the root's columns
+    when the group has members in a listed root that contains the
+    conjugating elements, and ``listed_normal_closure`` reads the root's
+    columns that are already built.
     """
 
     def __init__(self, degree: int, generators, name: str | None = None):
@@ -696,23 +697,23 @@ class PermutationGroup:
         its order; None when the root is not listed or this group has a
         generator outside it.  Accepting c walks on from the members along
         the accepted generators' columns, starting from the coset of the
-        members times c, the only way out of a subgroup.  The root reads
-        conjugates from its ``conj`` columns; a proper subgroup conjugates
-        the element and looks up its position."""
+        members times c, the only way out of a subgroup.  A conjugate is
+        read from the root's ``conj`` column of the generator when that
+        column is built, and is otherwise the element conjugated and
+        looked up: a closure builds no column, which costs |root|
+        conjugations."""
         root = self if self._ambient is None else self._ambient
         if root._elements is None or (root is not self
                                       and self._members() is None):
             return None
         elements, index, col = root._indexed()
-        if root is self:
-            conj_cols = [self.conj(g) for g in self.generators]
+        built = root.memo("conj", dict)
 
-            def conjugates(x):
-                return [c[x] for c in conj_cols]
-        else:
-            def conjugates(x):
-                e = elements[x]
-                return [index[(e ** g).images] for g in self.generators]
+        def conjugates(x):
+            return [c[x] if (c := built.get(g.images)) is not None
+                    else index[(elements[x] ** g).images]
+                    for g in self.generators]
+
         members, accepted, cols = {0}, [], []
         queue = deque(index[s.images] for s in seed)
         while queue:

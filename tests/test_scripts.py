@@ -113,6 +113,21 @@ def test_ab_claim_fails_on_a_narrow_gap_or_too_few_wins(change):
     assert not summary["op_tail_ref_ms"]["claim_holds"]
 
 
+def test_ab_summary_flags_a_run_that_crashed():
+    runs = canned_runs(PARENT[:3], [p + 10 for p in PARENT[:3]])
+    runs[3].update(correct=False, failed=None, verdict_sha256=None,
+                   metrics={})  # pair 2's change printed no final line
+    ab = load("ab")
+    summary = ab.summarise(runs, AB_METRICS)
+    assert not summary["correct_all"] and summary["runs_unfinished"] == 1
+    assert (summary["pairs"], summary["pairs_measured"]) == (3, 2)
+    assert summary["failed_total"] == 0
+    ops = summary["ops_per_ref_s"]
+    assert ops["parent_median"] == 101.0 and ops["pairs_change_better"] == 2
+    assert not ops["claim_holds"]  # the crashed pair counts as not won
+    assert "(2 measured)" in ab.report(summary)
+
+
 def test_ab_summary_counts_only_complete_pairs():
     runs = canned_runs(PARENT[:3], PARENT[:3])[:-1]  # pair 3 lacks a side
     runs[0]["verdict_sha256"] = "other"

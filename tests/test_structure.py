@@ -435,6 +435,17 @@ class TestPositionPath:
         assert len(N.generators) == 2  # two accepted generators
         assert N.order() == 4 and len(built) == 1
 
+    def test_listed_normal_closure_reads_only_built_conj_columns(self):
+        G = symmetric_group(4)
+        G.elements()
+        seed = [parse_permutation("(0 1)(2 3)", 4)]
+        cold = normal_closure(G, seed)
+        assert G.memo("conj", dict) == {}  # a column costs |G| conjugations
+        conjugacy_classes(G)  # builds the columns of G's generators
+        assert set(G.memo("conj", dict)) == {g.images for g in G.generators}
+        warm = normal_closure(G, seed)
+        assert warm.generators == cold.generators and warm.order() == 4
+
     def test_radical_of_a_solvable_group_checks_no_closure(self,
                                                            monkeypatch):
         S4 = resolve_group_name("S4")
