@@ -9,15 +9,17 @@ File formats (one record per line, ``#`` comments):
 
 catalog   name | degree | image tuple ; image tuple ; ...
           e.g. ``S3 | 3 | 1 2 0 ; 1 0 2``
-fixtures  kind | group name | subgroup gens (cycles, or -) | descriptor | provenance
+fixtures  kind | group name | subgroup (as for resolve_subgroup, or -) |
+          descriptor | provenance
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 
-from .config import MAX_DEGREE, Budgets
+from .config import MAX_DEGREE, MAX_NESTING, Budgets
 from .errors import GroupError, ParseError
 from .perm import (Permutation, PermutationGroup, alternating_group,
                    cyclic_group, dihedral_group, named_group, pad_permutation,
@@ -229,17 +231,44 @@ def bundled_catalog() -> list[PermutationGroup]:
 _WREATH_NAME = re.compile(r"^(.*?)wr(C\d+|S\d+|A\d+|D\d+)$")
 
 
-def resolve_group_name(name: str) -> PermutationGroup:
-    """Catalog name, Cn/Sn/An/Dn/Vn pattern, or ``<name>wr<name>``."""
+def resolve_group_name(name: str, catalog=None) -> PermutationGroup:
+    """A name in catalog (a loaded catalog file), then in the bundled
+    catalog, then ``<name>wr<top>`` with at most MAX_NESTING ``wr``, then a
+    Cn/Sn/An/Dn/Vn pattern.  The parts of a wreath name are bundled names
+    or patterns."""
     name = name.strip()
-    for g in bundled_catalog():
+    for g in itertools.chain(catalog or (), bundled_catalog()):
         if g.name == name:
             return g
+    if name.count("wr") > MAX_NESTING:
+        raise ParseError(f"group name nests wr deeper than {MAX_NESTING}")
     match = _WREATH_NAME.match(name)
     if match:
         return _wreath(name, resolve_group_name(match.group(1)),
                        resolve_group_name(match.group(2)))
     return named_group(name)
+
+
+def resolve_subgroup(spec: str, G: PermutationGroup) -> PermutationGroup:
+    """The subgroup of G that ``;``-separated cycle-notation generators
+    generate, or a named group on G's first points; a generator outside G
+    is a GroupError."""
+    spec = spec.strip()
+    if "(" in spec:
+        sub = G.subgroup([parse_permutation(chunk.strip(), G.degree)
+                          for chunk in spec.split(";") if chunk.strip()])
+    else:
+        named = resolve_group_name(spec)
+        if named.degree > G.degree:
+            raise GroupError(
+                f"{spec} needs degree {named.degree} > ambient {G.degree}")
+        sub = G.subgroup([pad_permutation(g, G.degree)
+                          for g in named.generators],
+                         name=f"{spec}<{G.name or 'G'}")
+    for g in sub.generators:
+        if not G.contains(g):
+            raise GroupError(f"subgroup generator {g} lies outside the group")
+    return sub
 
 
 # -- catalog files -------------------------------------------------------------
@@ -348,21 +377,10 @@ def parse_fixtures(text: str) -> list[Fixture]:
             text, "kind | group | subgroup | descriptor | provenance"):
         try:
             group = resolve_group_name(group_name)
-        except (ParseError, GroupError) as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        subgroup = None
-        if sub and sub != "-":
-            gens = [parse_permutation(chunk.strip(), group.degree)
-                    for chunk in sub.split(";")]
-            subgroup = group.subgroup(gens)
-            for g in subgroup.generators:
-                if not group.contains(g):
-                    raise ParseError(
-                        f"line {lineno}: subgroup generator {g} outside "
-                        f"{group_name}")
-        try:
+            subgroup = (None if sub in ("", "-")
+                        else resolve_subgroup(sub, group))
             descriptor = parse_descriptor(desc_text)
-        except ParseError as exc:
+        except GroupError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         if not provenance:
             raise ParseError(f"line {lineno}: fixtures must cite provenance")

@@ -18,14 +18,13 @@ import sys
 from dataclasses import fields
 
 from .catalog import (bundled_catalog, bundled_fixtures, load_catalog,
-                      load_fixtures, resolve_group_name)
+                      load_fixtures, resolve_group_name, resolve_subgroup)
 from .config import Budgets
 from .engine import (EngineContext, UNKNOWN, EscapeExhausted,
                      dominion_bounds, epi_decide, find_wreath_escape,
                      simpletimes_pipeline, verify_certificate)
 from .errors import GroupError, ParseError
 from .constructions import kaloujnine_krasner, regular_wreath
-from .perm import PermutationGroup, pad_permutation, parse_permutation
 from .power_series import law_failure_witness
 from .scenarios import SCENARIOS, find_scenario
 from .varieties import parse_descriptor, q_verbal
@@ -121,34 +120,6 @@ def make_context(args) -> EngineContext:
     return EngineContext(fixtures=fixtures, catalog=catalog, budgets=budgets)
 
 
-def resolve_group(name: str, catalog) -> PermutationGroup:
-    name = name.strip()
-    for g in catalog:
-        if g.name == name:
-            return g
-    return resolve_group_name(name)
-
-
-def resolve_subgroup(spec: str, G: PermutationGroup) -> PermutationGroup:
-    """Cycle-notation generators, or a named group on the first points."""
-    spec = spec.strip()
-    if "(" in spec:
-        gens = [parse_permutation(chunk.strip(), G.degree)
-                for chunk in spec.split(";") if chunk.strip()]
-        sub = G.subgroup(gens)
-    else:
-        named = resolve_group_name(spec)
-        if named.degree > G.degree:
-            raise GroupError(
-                f"{spec} needs degree {named.degree} > ambient {G.degree}")
-        gens = [pad_permutation(g, G.degree) for g in named.generators]
-        sub = G.subgroup(gens, name=f"{spec}<{G.name or 'G'}")
-    for g in sub.generators:
-        if not G.contains(g):
-            raise GroupError(f"subgroup generator {g} lies outside the group")
-    return sub
-
-
 def emit(report: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -156,7 +127,7 @@ def emit(report: dict, fmt: str):
         print(*_text_lines(report, indent=0), sep="\n")
 
 
-def _text_lines(value, indent: int):
+def _text_lines(value: dict | list, indent: int):
     pad = "  " * indent
     if isinstance(value, dict):
         for key, item in value.items():
@@ -165,14 +136,12 @@ def _text_lines(value, indent: int):
                 yield from _text_lines(item, indent + 1)
             else:
                 yield f"{pad}{key}: {item}"
-    elif isinstance(value, list):
+    else:
         for item in value:
             if isinstance(item, (dict, list)):
                 yield from _text_lines(item, indent + 1)
             else:
                 yield f"{pad}- {item}"
-    else:
-        yield f"{pad}{value}"
 
 
 def _envelope(args, ctx: EngineContext, **fields) -> dict:
@@ -186,25 +155,25 @@ def run_command(args) -> int:
     ctx = make_context(args)
     code = EXIT_OK
     if args.command == "order":
-        G = resolve_group(args.group, ctx.catalog)
+        G = resolve_group_name(args.group, ctx.catalog)
         report = _envelope(args, ctx, group=args.group, order=G.order())
     elif args.command == "verbal":
-        G = resolve_group(args.group, ctx.catalog)
+        G = resolve_group_name(args.group, ctx.catalog)
         desc = parse_descriptor(args.descriptor)
         V = q_verbal(G, desc, ctx.budgets)
         report = _envelope(args, ctx, group=args.group, descriptor=str(desc),
                            order=V.order(),
                            generators=[str(g) for g in V.generators])
     elif args.command == "wreath":
-        A = resolve_group(args.bottom, ctx.catalog)
-        B = resolve_group(args.top, ctx.catalog)
+        A = resolve_group_name(args.bottom, ctx.catalog)
+        B = resolve_group_name(args.top, ctx.catalog)
         w = regular_wreath(A, B, ctx.budgets)
         report = _envelope(args, ctx, bottom=args.bottom, top=args.top,
                            degree=w.product.degree, order=w.product.order(),
                            base_order=w.base_subgroup().order(),
                            blocks=w.block_count)
     elif args.command == "kk-embed":
-        E = resolve_group(args.group, ctx.catalog)
+        E = resolve_group_name(args.group, ctx.catalog)
         A = resolve_subgroup(args.normal, E)
         hom, wreath, q = kaloujnine_krasner(E, A, ctx.budgets)
         report = _envelope(
@@ -215,7 +184,7 @@ def run_command(args) -> int:
             image_order=hom.image().order(), injective=hom.is_injective(),
             generator_images=[str(p) for p in hom.generator_images])
     elif args.command == "epi":
-        G = resolve_group(args.group, ctx.catalog)
+        G = resolve_group_name(args.group, ctx.catalog)
         H = resolve_subgroup(args.sub, G)
         desc = parse_descriptor(args.variety)
         verdict = epi_decide(G, H, desc, ctx)
@@ -226,7 +195,7 @@ def run_command(args) -> int:
                 G, H, desc, verdict, ctx)
         code = EXIT_UNKNOWN if verdict.outcome == UNKNOWN else EXIT_OK
     elif args.command == "bounds":
-        G = resolve_group(args.group, ctx.catalog)
+        G = resolve_group_name(args.group, ctx.catalog)
         H = resolve_subgroup(args.sub, G)
         desc = parse_descriptor(args.variety)
         bounds = dominion_bounds(G, H, desc, ctx)
@@ -248,7 +217,7 @@ def run_command(args) -> int:
                        "group of the truncated series ring")
         code = EXIT_OK if witness.consistent else EXIT_ERROR
     elif args.command == "escape":
-        A = resolve_group(args.base, ctx.catalog)
+        A = resolve_group_name(args.base, ctx.catalog)
         desc = parse_descriptor(args.variety)
         try:
             result = find_wreath_escape(A, desc, ctx)
@@ -262,7 +231,7 @@ def run_command(args) -> int:
                       "base": args.base, "variety": str(desc),
                       "outcome": "found", "budgets": ctx.budgets.as_dict()}
     elif args.command == "pipeline":
-        S = resolve_group(args.simple, ctx.catalog)
+        S = resolve_group_name(args.simple, ctx.catalog)
         H = resolve_subgroup(args.sub, S)
         left = parse_descriptor(args.left)
         right = parse_descriptor(args.right)

@@ -197,7 +197,7 @@ def _product_step(G: PermutationGroup, H: PermutationGroup,
 
 def _nontrivial_left(desc: ProductVariety, ctx: EngineContext) -> bool:
     """The hypothesis of the product upper bound: the dominion lies in Q(G)H."""
-    return is_trivial_variety(desc.left, ctx.fixtures) is False
+    return is_trivial_variety(desc.left) is False
 
 
 # -- one builder per certificate or node: the decider and the pipeline emit
@@ -348,7 +348,7 @@ def dominion_bounds(G: PermutationGroup, H: PermutationGroup,
         return DominionBounds(lower=lower, upper=upper, derivation=steps)
     # with H normal, G/H lies in the variety and H is the equalizer of
     # G -> G/H and the trivial map
-    if (is_solvable_variety(desc, ctx.fixtures) is True
+    if (is_solvable_variety(desc) is True
             and member_of_variety(G, desc, ctx.budgets, ctx.fixtures) is True
             and is_normal(G, H)):
         return DominionBounds(

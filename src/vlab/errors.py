@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+import math
+
 
 class GroupError(Exception):
     """Base class for all library errors."""
@@ -30,9 +32,15 @@ class BudgetExceeded(GroupError):
 
 
 def check_budget(name: str, limit: int, requested: int) -> None:
-    """Raise BudgetExceeded when requested exceeds limit."""
+    """Raise BudgetExceeded when requested exceeds limit.  A requested past
+    int()'s limit on decimal digits shows as its digit count."""
     if requested > limit:
-        raise BudgetExceeded(f"{name}: {requested} exceeds the limit {limit}",
+        try:
+            shown = str(requested)
+        except ValueError:
+            cut = int(math.log10(requested)) - 9  # leaves about ten digits
+            shown = f"a {len(str(requested // 10 ** cut)) + cut}-digit number"
+        raise BudgetExceeded(f"{name}: {shown} exceeds the limit {limit}",
                              budget_name=name, limit=limit,
                              requested=requested)
 

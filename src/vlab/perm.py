@@ -172,7 +172,7 @@ class Permutation:
         return f"Permutation.parse({str(self)!r}, degree={self.degree})"
 
     @staticmethod
-    def parse(text: str, degree: int | None = None) -> Permutation:
+    def parse(text: str, degree: int) -> Permutation:
         return parse_permutation(text, degree)
 
 
@@ -206,15 +206,14 @@ def power(x, n: int, one):
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_permutation(text: str, degree: int | None = None) -> Permutation:
-    """Parse cycle notation like ``(0 1 2 3 4)(5 6)``; ``()`` is the identity.
+def parse_permutation(text: str, degree: int) -> Permutation:
+    """Parse cycle notation like ``(0 1 2 3 4)(5 6)`` on degree points;
+    ``()`` is the identity.
 
     Points are 0-based and separated by whitespace (commas tolerated).
     """
     stripped = text.strip()
     if stripped in ("", "()"):
-        if degree is None:
-            raise ParseError("identity needs an explicit degree")
         return Permutation.identity(degree)
     rest = stripped
     cycles = []
@@ -236,9 +235,7 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
         pos += match.end()
         rest = rest[match.end():].lstrip()
     needed = max((max(c) for c in cycles), default=-1) + 1
-    if degree is None:
-        degree = needed
-    elif needed > degree:
+    if needed > degree:
         raise ParseError(f"cycle uses point {needed - 1} >= degree {degree}")
     return Permutation.from_cycles(degree, cycles)
 
@@ -905,6 +902,8 @@ def pad_permutation(p: Permutation, degree: int, offset: int = 0) -> Permutation
 
 
 def all_tuples(elements, arity: int, max_tuples: int):
-    """Deterministic tuple stream with an explicit budget."""
+    """Deterministic tuple stream with an explicit budget.  A tuple longer
+    than MAX_DEGREE stops before the count |elements| ** arity is formed."""
+    check_budget("max_degree", MAX_DEGREE, arity)
     check_budget("max_tuples", max_tuples, len(elements) ** arity)
     return itertools.product(elements, repeat=arity)

@@ -102,7 +102,8 @@ def lower_central_series(G: PermutationGroup, c: int) -> list[PermutationGroup]:
     """gamma_1 .. gamma_{c+1}, where gamma_{k+1} = [gamma_k, G].
 
     Once gamma_{k+1} = gamma_k the series is stationary, so the remaining
-    terms are that subgroup.
+    terms are that subgroup.  Each strict step at least halves the order,
+    so gamma_{c+1} with c = G.order().bit_length() is already stationary.
     """
     if c < 1:
         raise GroupError("lower_central_series needs c >= 1")
@@ -122,9 +123,9 @@ def lower_central_series(G: PermutationGroup, c: int) -> list[PermutationGroup]:
     return series + [series[-1]] * (c + 1 - len(series))
 
 
-def nilpotency_class(G: PermutationGroup, max_c: int = 20) -> int | None:
+def nilpotency_class(G: PermutationGroup) -> int | None:
     """Least c with gamma_{c+1} = 1, or None if the series stalls above 1."""
-    series = lower_central_series(G, max_c)
+    series = lower_central_series(G, G.order().bit_length())
     return next((c for c, term in enumerate(series) if term.order() == 1),
                 None)
 

@@ -16,6 +16,7 @@ Q(G).  A law word spelling Nc:c or Sl:n is answered by that family.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
@@ -334,7 +335,8 @@ def _compute_verbal(G: PermutationGroup, desc: Descriptor,
     if isinstance(desc, Abelian):
         return derived_subgroup(G)
     if isinstance(desc, NilpotentClass):
-        return lower_central_series(G, desc.c)[desc.c]
+        return lower_central_series(
+            G, min(desc.c, G.order().bit_length()))[-1]
     if isinstance(desc, SolvableLength):
         series = derived_series(G)
         return series[min(desc.n, len(series) - 1)]
@@ -359,7 +361,8 @@ def member_of_variety(G: PermutationGroup, desc: Descriptor,
     if isinstance(desc, Abelian):
         return G.is_abelian()
     if isinstance(desc, NilpotentClass):
-        return lower_central_series(G, desc.c)[desc.c].order() == 1
+        return lower_central_series(
+            G, min(desc.c, G.order().bit_length()))[-1].order() == 1
     if isinstance(desc, SolvableLength):
         series = derived_series(G)
         return series[-1].order() == 1 and len(series) - 1 <= desc.n
@@ -376,7 +379,7 @@ def member_of_variety(G: PermutationGroup, desc: Descriptor,
             return fx.kind == "known-member"
         # necessary-condition screen: laws that hold in the generating group
         # must hold in every member.
-        generator = _resolve_variety_group(desc, fixtures)
+        generator = _named_variety_group(desc.group_name)
         if generator is not None and any(
                 member_of_variety(G, family, budgets) is False
                 for family in _screen_families(generator, budgets)):
@@ -385,19 +388,10 @@ def member_of_variety(G: PermutationGroup, desc: Descriptor,
     raise GroupError(f"unhandled descriptor {desc!r}")
 
 
-def _resolve_variety_group(desc: VarOfGroup, fixtures):
-    """The concrete group generating var:NAME: a fixture's group if one
-    names it, else the one group kept for NAME (None if nothing resolves
-    it), so its memos (the screen among them) are shared across calls."""
-    for fx in fixtures:
-        if fx.descriptor == desc and fx.kind == "known-member" \
-                and fx.group.name == desc.group_name:
-            return fx.group
-    return _named_variety_group(desc.group_name)
-
-
 @cache
 def _named_variety_group(name: str):
+    """The one group kept as var:NAME's generator (None if NAME does not
+    resolve), so its memos (the screen among them) are shared across calls."""
     from .catalog import resolve_group_name
     try:
         return resolve_group_name(name)
@@ -425,7 +419,7 @@ def _both(left, right):
     return False if False in (left, right) else left and right
 
 
-def is_trivial_variety(desc: Descriptor, fixtures=()) -> bool | None:
+def is_trivial_variety(desc: Descriptor) -> bool | None:
     """Whether desc is the variety of trivial groups: True, False or None.
 
     A nontrivial variety contains some C_p, and C_p satisfies a word iff p
@@ -433,27 +427,29 @@ def is_trivial_variety(desc: Descriptor, fixtures=()) -> bool | None:
     exactly when the gcd of all those sums is 1.
     """
     if isinstance(desc, Laws):
-        sums = [sum(e for v, e in w.letters if v == var)
-                for w in desc.words for var in range(1, w.arity + 1)]
-        return gcd(*sums) == 1
+        sums = Counter()  # an absent variable's sum, 0, leaves the gcd
+        for i, w in enumerate(desc.words):
+            for v, e in w.letters:
+                sums[i, v] += e
+        return gcd(*sums.values()) == 1
     if isinstance(desc, ProductVariety):
-        return _both(is_trivial_variety(desc.left, fixtures),
-                     is_trivial_variety(desc.right, fixtures))
+        return _both(is_trivial_variety(desc.left),
+                     is_trivial_variety(desc.right))
     if isinstance(desc, VarOfGroup):
-        generator = _resolve_variety_group(desc, fixtures)
+        generator = _named_variety_group(desc.group_name)
         return None if generator is None else generator.order() == 1
     return False
 
 
-def is_solvable_variety(desc: Descriptor, fixtures=()) -> bool | None:
+def is_solvable_variety(desc: Descriptor) -> bool | None:
     """Structural True, False or None; never guesses from raw law sets."""
     if isinstance(desc, (Abelian, NilpotentClass, SolvableLength)):
         return True
     if isinstance(desc, ProductVariety):
-        return _both(is_solvable_variety(desc.left, fixtures),
-                     is_solvable_variety(desc.right, fixtures))
+        return _both(is_solvable_variety(desc.left),
+                     is_solvable_variety(desc.right))
     if isinstance(desc, VarOfGroup):
-        generator = _resolve_variety_group(desc, fixtures)
+        generator = _named_variety_group(desc.group_name)
         if generator is not None and generator.order() > 1:
             if derived_subgroup(generator).order() == generator.order():
                 return False  # a perfect generator is a nonsolvable member

@@ -214,6 +214,33 @@ class TestFormatsAndFiles:
         assert code == 1
         assert "line 2" in err
 
+    def test_usage_error_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "order")
+        assert code == 1 and not out
+        assert err.startswith("usage: vlab")
+
+    def test_fixture_generator_outside_its_group_reads_like_the_cli(
+            self, capsys, tmp_path):
+        path = tmp_path / "fixtures.txt"
+        path.write_text("known-epi | A5 | (0 1) | var:A5 | a test\n")
+        code, out, err = run_cli(capsys, "--fixtures", str(path), "order",
+                                 "A5")
+        assert code == 1 and not out
+        assert err == ("parse error: line 1: subgroup generator (0 1) lies "
+                       "outside the group\n")
+        code, out, cli_err = run_cli(capsys, "epi", "--variety", "A",
+                                     "--group", "A5", "--sub", "(0 1)")
+        assert err.endswith(cli_err.removeprefix("error: "))
+
+    def test_bad_cycle_in_a_fixture_file_names_its_line(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "fixtures.txt"
+        path.write_text("# a comment\nknown-epi | A5 | (0 9) | var:A5 | a\n")
+        code, out, err = run_cli(capsys, "--fixtures", str(path), "order",
+                                 "A5")
+        assert code == 1 and not out
+        assert err == "parse error: line 2: cycle uses point 9 >= degree 5\n"
+
     def test_parse_error_names_position(self, capsys):
         code, out, err = run_cli(capsys, "magnus", "--word", "x1^",
                                  "-p", "2")
@@ -243,7 +270,16 @@ class TestFormatsAndFiles:
         (("epi", "--variety", "A", "--group", "S3", "--sub", "(0 9)"),
          "parse error: cycle uses point 9 >= degree 3"),
         (("epi", "--variety", "A", "--group", "S3", "--sub", "S4"),
-         "error: S4 needs degree 4 > ambient 3")])
+         "error: S4 needs degree 4 > ambient 3"),
+        (("order", "C2" + "wrC2" * (MAX_NESTING + 1)),
+         f"parse error: group name nests wr deeper than {MAX_NESTING}"),
+        (("wreath", "--bottom", "C2", "--top", "C2" + "wrC2" * 1500),
+         f"parse error: group name nests wr deeper than {MAX_NESTING}"),
+        # a requested too long for str() shows as its digit count
+        (("magnus", "--word", "(x1 x2)^" + "9" * 4300, "-p", "2"),
+         "error: max_degree: a 4301-digit number exceeds the limit 10000"),
+        (("verbal", "--group", "S3", "--descriptor", "laws:{x1 x200000}"),
+         "error: max_degree: 200000 exceeds the limit 10000")])
     def test_bad_input_names_its_check(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and not out

@@ -258,8 +258,8 @@ def test_a_var_group_outside_the_catalog_is_built_and_screened_once(
         return derived_length(S)
 
     monkeypatch.setattr(varieties, "derived_length", counting_derived_length)
-    first = varieties._resolve_variety_group(desc, ())
-    assert first is varieties._resolve_variety_group(desc, ())
+    first = varieties._named_variety_group("S6")
+    assert first is varieties._named_variety_group("S6")
     S4 = symmetric_group(4)
     assert [member_of_variety(S4, desc) for _ in range(3)] == [None] * 3
     assert screened == [first]

@@ -92,8 +92,6 @@ class TestPermutation:
             parse_permutation("(0 1) junk", 3)
         with pytest.raises(ParseError):
             parse_permutation("(0 x)", 3)
-        with pytest.raises(ParseError):
-            parse_permutation("()")  # identity needs a degree
 
     def test_parse_repeated_point_rejected(self):
         with pytest.raises(GroupError):
@@ -185,6 +183,12 @@ class TestStabilizerChain:
     def test_contains_degree_mismatch(self, a5):
         with pytest.raises(DegreeMismatch):
             a5.contains(parse_permutation("(0 1)", 4))
+
+    def test_contains_degree_mismatch_on_an_unlisted_group(self):
+        G = PermutationGroup(3, [parse_permutation("(0 1 2)", 3)])
+        with pytest.raises(DegreeMismatch):
+            G.contains(parse_permutation("(0 1)", 4))
+        assert G._elements is None  # the chain, not a listing, refused it
 
     def test_elements_sorted_and_complete(self):
         s3 = symmetric_group(3)

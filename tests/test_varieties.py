@@ -322,10 +322,10 @@ class TestSolvableVarietyRule:
     def test_law_sets_stay_unknown(self):
         assert is_solvable_variety(Laws((parse_word("x1^5"),))) is None
 
-    def test_perfect_generator_gives_no(self, ctx):
-        assert is_solvable_variety(VarOfGroup("A5"), ctx.fixtures) is False
+    def test_perfect_generator_gives_no(self):
+        assert is_solvable_variety(VarOfGroup("A5")) is False
         assert is_solvable_variety(
-            ProductVariety(VarOfGroup("A5"), Abelian()), ctx.fixtures) is False
+            ProductVariety(VarOfGroup("A5"), Abelian())) is False
 
 
 # the test ids name the three answers of a structural question
