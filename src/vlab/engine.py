@@ -195,9 +195,9 @@ def _product_step(G: PermutationGroup, H: PermutationGroup,
     return verbal, trace, covers
 
 
-def _nontrivial_left(desc: ProductVariety, ctx: EngineContext) -> bool:
+def _nontrivial_left(desc: ProductVariety) -> bool:
     """The hypothesis of the product upper bound: the dominion lies in Q(G)H."""
-    return is_trivial_variety(desc.left) is False
+    return not is_trivial_variety(desc.left)
 
 
 # -- one builder per certificate or node: the decider and the pipeline emit
@@ -329,7 +329,7 @@ def dominion_bounds(G: PermutationGroup, H: PermutationGroup,
         verbal, trace, _ = _product_step(G, H, desc.right, ctx)
         inner = dominion_bounds(verbal, trace, desc.left, ctx)
         lower = product_subgroup(G, H, inner.lower)
-        if _nontrivial_left(desc, ctx):
+        if _nontrivial_left(desc):
             upper, upper_is = (mckay_bound(G, H, desc.right, ctx),
                                "verbal subgroup times subgroup")
         else:
@@ -529,7 +529,7 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
                              f"embedding in the verbal subgroup within "
                              f"{desc.left} is unknown")
             notes.extend(f"inner: {note}" for note in inner.notes)
-        elif _nontrivial_left(desc, ctx):
+        elif _nontrivial_left(desc):
             certificate = _cover_failure_cert(G, H, desc, verbal, trace)
             return _verdict(ctx, NOT_EPI, [
                 f"verbal subgroup for {desc.right} has order "
@@ -620,7 +620,7 @@ def _verify_cert(G, H, desc, cert, ctx) -> bool:
         return (f.agrees_on(g, H, ctx.budgets) and f_images != g_images
                 and _same(cert, _pair_cert(G, H, C, f, g, ctx.budgets)))
     if kind == "verbal-cover-failure" and isinstance(desc, ProductVariety):
-        if not _nontrivial_left(desc, ctx):
+        if not _nontrivial_left(desc):
             return False
         verbal, trace, covers = _product_step(G, H, desc.right, ctx)
         return (not covers and _same(

@@ -491,21 +491,21 @@ class PermutationGroup:
     ``memo(key, compute)`` is the cache for queries that depend on the group
     alone: ``indexed`` (shared by the lattice, the hom search and the
     regular wreath), the conjugation columns, ``solvable_radical``,
-    ``derived_series``, ``is_solvable``, ``class_representatives`` and
-    ``exponent``, a source's Cayley walk, its generator and pair-product
-    orders (``"generator_orders"``), its ``all_homomorphisms`` lists
-    (``"homs"``, one per codomain object), a codomain's element orders and
-    the elements the verifier read by their cycle strings
-    (``"cycle_strings"``, at most one entry per element), a group's verbal
-    subgroups (``"q_verbal"``, by descriptor and budgets) and, for
-    the group generating a ``var:`` variety, the membership screen
+    ``derived_series`` (which ``is_solvable`` reads),
+    ``class_representatives`` and ``exponent``, a source's Cayley walk,
+    its generator and pair-product orders (``"generator_orders"``), its
+    ``all_homomorphisms`` lists (``"homs"``, one per codomain object), a
+    codomain's element orders and the elements the verifier read by their
+    cycle strings (``"cycle_strings"``, at most one entry per element), a
+    group's verbal subgroups (``"q_verbal"``, by descriptor and budgets)
+    and, for the group generating a ``var:`` variety, the membership screen
     (``"screen_families"``).  Each checks its budgets before the lookup, so
     a tighter budget still raises after an earlier looser call, as
     ``elements`` does.
 
     Memo keys: cayley_walk class_representatives conj cycle_strings
     derived_series element_orders exponent generator_orders homs indexed
-    is_solvable members q_verbal screen_families solvable_radical
+    members q_verbal screen_families solvable_radical
 
     A group made by ``subgroup()`` keeps its root ambient in ``_ambient``.
     Exactly while that root is listed (``root._elements is not None``),

@@ -86,8 +86,8 @@ def derived_series(G: PermutationGroup) -> list[PermutationGroup]:
 
 
 def is_solvable(G: PermutationGroup) -> bool:
-    """Whether the derived series reaches 1; memoised on G."""
-    return G.memo("is_solvable", lambda: derived_series(G)[-1].order() == 1)
+    """Whether the derived series, memoised on G, reaches 1."""
+    return derived_series(G)[-1].order() == 1
 
 
 def derived_length(G: PermutationGroup) -> int | None:
@@ -335,9 +335,9 @@ def solvable_radical(G: PermutationGroup,
     joining every solvable class-representative closure reaches the radical.
     The partial join R is normal, so a representative already in R has its
     closure inside R and is skipped before its closure is computed.
-    When G itself is solvable (one memoised check) so is every closure,
-    and each joins without its own check; the joins, and so the radical's
-    generators, are the same.
+    When G itself is solvable (read once from its memoised derived series)
+    so is every closure, and each joins without its own check; the joins,
+    and so the radical's generators, are the same.
     Memoised on G.  The two budget checks come first and cover the whole
     computation, since every group it enumerates is G or a subgroup of G.
     """

@@ -10,12 +10,12 @@ The verbal subgroup of a product is computed with the identity
 ``(NQ)(G) = N(Q(G))``, which the test suite validates against the brute-force
 value collection on small groups via the universal property.  Membership
 uses G in ``prod(N, Q)`` iff Q(G) in N; both read ``q_verbal``'s memoised
-Q(G).  A law word spelling Nc:c or Sl:n is answered by that family.
+Q(G).  G lies in Nc:c or Sl:n exactly when that family's verbal subgroup
+is trivial, and a law word spelling Nc:c or Sl:n is answered by that family.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -26,8 +26,8 @@ from .errors import BudgetExceeded, FixtureGap, GroupError, ParseError
 from .perm import PermutationGroup, all_tuples
 from .structure import (class_representatives, derived_length,
                         derived_series, derived_subgroup, exponent,
-                        generated_subgroup, lower_central_series,
-                        normal_closure)
+                        generated_subgroup, is_solvable, lower_central_series,
+                        normal_closure, product_subgroup)
 from .words import (Word, as_derived_law, as_nilpotency_law, as_power_law,
                     derived_law, nilpotency_law, parse_word)
 
@@ -240,16 +240,20 @@ def _value_seed(G: PermutationGroup, word: Word, budgets: Budgets):
     family = _word_family(word)
     if family is not None:
         return q_verbal(G, family, budgets)
-    # fallback: full tuple enumeration under budget
+    # fallback: each distinct value once, in the order the walk meets it
+    return generated_subgroup(G, {v.images: v for _, v in
+                                  _word_values(G, word, budgets)}.values())
+
+
+def _word_values(G: PermutationGroup, word: Word, budgets: Budgets):
+    """(tuple, value) for each tuple of G's elements on which word is not
+    the identity, in ``all_tuples`` order; the budgets are checked before
+    the first tuple: max_enumerate, then max_degree and max_tuples."""
     elements = G.elements(budgets.max_enumerate)
-    values = set()
-    gens = []
     for tup in all_tuples(elements, word.arity, budgets.max_tuples):
-        v = word.evaluate(list(tup))
-        if not v.is_identity() and v.images not in values:
-            values.add(v.images)
-            gens.append(v)
-    return generated_subgroup(G, gens)
+        value = word.evaluate(list(tup))
+        if not value.is_identity():
+            yield tup, value
 
 
 def verbal_subgroup(G: PermutationGroup, laws,
@@ -264,8 +268,7 @@ def verbal_subgroup(G: PermutationGroup, laws,
             continue
         part = _value_seed(G, word, budgets)
         if part.order() > 1:
-            result = generated_subgroup(
-                G, list(result.generators) + list(part.generators))
+            result = product_subgroup(G, result, part)
     return result
 
 
@@ -276,24 +279,15 @@ def _law_holds(G: PermutationGroup, word: Word, budgets: Budgets) -> bool:
     family = _word_family(word)
     if family is not None:
         return member_of_variety(G, family, budgets)
-    elements = G.elements(budgets.max_enumerate)
-    for tup in all_tuples(elements, word.arity, budgets.max_tuples):
-        if not word.evaluate(list(tup)).is_identity():
-            return False
-    return True
+    return next(_word_values(G, word, budgets), None) is None
 
 
 def _find_witness(G: PermutationGroup, word: Word, budgets: Budgets):
-    """A violating tuple among the first max_tuples tuples, else None."""
+    """The first violating tuple, or None when a budget stops the walk."""
     try:
-        elements = G.elements(budgets.max_enumerate)
+        return next((tup for tup, _ in _word_values(G, word, budgets)), None)
     except BudgetExceeded:
         return None
-    tuples = itertools.product(elements, repeat=word.arity)
-    for tup in itertools.islice(tuples, budgets.max_tuples):
-        if not word.evaluate(list(tup)).is_identity():
-            return tup
-    return None
 
 
 def satisfies_laws(G: PermutationGroup, laws,
@@ -360,12 +354,8 @@ def member_of_variety(G: PermutationGroup, desc: Descriptor,
         return True
     if isinstance(desc, Abelian):
         return G.is_abelian()
-    if isinstance(desc, NilpotentClass):
-        return lower_central_series(
-            G, min(desc.c, G.order().bit_length()))[-1].order() == 1
-    if isinstance(desc, SolvableLength):
-        series = derived_series(G)
-        return series[-1].order() == 1 and len(series) - 1 <= desc.n
+    if isinstance(desc, (NilpotentClass, SolvableLength)):
+        return _compute_verbal(G, desc, budgets).order() == 1
     if isinstance(desc, Laws):
         return all(_law_holds(G, w, budgets) for w in desc.words
                    if not w.is_identity())
@@ -380,23 +370,20 @@ def member_of_variety(G: PermutationGroup, desc: Descriptor,
         # necessary-condition screen: laws that hold in the generating group
         # must hold in every member.
         generator = _named_variety_group(desc.group_name)
-        if generator is not None and any(
-                member_of_variety(G, family, budgets) is False
-                for family in _screen_families(generator, budgets)):
+        if any(member_of_variety(G, family, budgets) is False
+               for family in _screen_families(generator, budgets)):
             return False
         return None
     raise GroupError(f"unhandled descriptor {desc!r}")
 
 
 @cache
-def _named_variety_group(name: str):
-    """The one group kept as var:NAME's generator (None if NAME does not
-    resolve), so its memos (the screen among them) are shared across calls."""
+def _named_variety_group(name: str) -> PermutationGroup:
+    """The one group kept as var:NAME's generator, so its memos (the screen
+    among them) are shared across calls; a name that does not resolve raises
+    ParseError, as it does for ``--group``."""
     from .catalog import resolve_group_name
-    try:
-        return resolve_group_name(name)
-    except (ParseError, KeyError):
-        return None
+    return resolve_group_name(name)
 
 
 def _screen_families(S: PermutationGroup, budgets: Budgets):
@@ -414,13 +401,8 @@ def _screen_families(S: PermutationGroup, budgets: Budgets):
     return S.memo("screen_families", compute)
 
 
-def _both(left, right):
-    """Three-valued: a product has the property iff both factors have it."""
-    return False if False in (left, right) else left and right
-
-
-def is_trivial_variety(desc: Descriptor) -> bool | None:
-    """Whether desc is the variety of trivial groups: True, False or None.
+def is_trivial_variety(desc: Descriptor) -> bool:
+    """Whether desc is the variety of trivial groups.
 
     A nontrivial variety contains some C_p, and C_p satisfies a word iff p
     divides each of its per-variable exponent sums; so a law set is trivial
@@ -433,24 +415,23 @@ def is_trivial_variety(desc: Descriptor) -> bool | None:
                 sums[i, v] += e
         return gcd(*sums.values()) == 1
     if isinstance(desc, ProductVariety):
-        return _both(is_trivial_variety(desc.left),
-                     is_trivial_variety(desc.right))
+        # & reads both factors, so an unresolvable name is refused either side
+        return is_trivial_variety(desc.left) & is_trivial_variety(desc.right)
     if isinstance(desc, VarOfGroup):
-        generator = _named_variety_group(desc.group_name)
-        return None if generator is None else generator.order() == 1
+        return _named_variety_group(desc.group_name).order() == 1
     return False
 
 
 def is_solvable_variety(desc: Descriptor) -> bool | None:
-    """Structural True, False or None; never guesses from raw law sets."""
+    """Structural True, False or None; never guesses from raw law sets.
+    var:S is solvable exactly when S is: S of derived length d puts var:S
+    inside Sl:d, and S itself is a member."""
     if isinstance(desc, (Abelian, NilpotentClass, SolvableLength)):
         return True
     if isinstance(desc, ProductVariety):
-        return _both(is_solvable_variety(desc.left),
-                     is_solvable_variety(desc.right))
+        # three-valued: a product is solvable iff both factors are
+        both = [is_solvable_variety(d) for d in (desc.left, desc.right)]
+        return False if False in both else both[0] and both[1]
     if isinstance(desc, VarOfGroup):
-        generator = _named_variety_group(desc.group_name)
-        if generator is not None and generator.order() > 1:
-            if derived_subgroup(generator).order() == generator.order():
-                return False  # a perfect generator is a nonsolvable member
+        return is_solvable(_named_variety_group(desc.group_name))
     return None

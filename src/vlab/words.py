@@ -265,22 +265,15 @@ def as_power_law(word: Word) -> int | None:
 
 
 def as_nilpotency_law(word: Word) -> int | None:
-    """c if the word is the left-normed weight-(c+1) commutator, else None."""
-    arity = word.arity
-    for c in range(1, 12):
-        if c + 1 != arity:
-            continue
-        if word == nilpotency_law(c):
-            return c
-    return None
+    """c (at most 11) if the word is the left-normed weight-(c+1)
+    commutator, else None; only the law of the word's arity is built."""
+    c = word.arity - 1
+    return c if 1 <= c <= 11 and word == nilpotency_law(c) else None
 
 
 def as_derived_law(word: Word) -> int | None:
-    """n if the word is the derived-length-n law, else None."""
-    for n in range(1, 8):
-        candidate = derived_law(n)
-        if candidate.arity > word.arity:
-            return None
-        if word == candidate:
-            return n
-    return None
+    """n (at most 7) if the word is the derived-length-n law, else None;
+    only a word of arity 2^n is compared, with that one law."""
+    n = word.arity.bit_length() - 1
+    return (n if 1 <= n <= 7 and word.arity == 2 ** n
+            and word == derived_law(n) else None)

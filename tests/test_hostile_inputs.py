@@ -1,4 +1,5 @@
-"""Outside input that is too deep or too large stops at the boundary.
+"""Outside input that is too deep or too large, or names no group, stops at
+the boundary.
 
 Every case runs ``vlab.cli.main`` in this process: it exits 1 with one
 ``error:`` or ``parse error:`` line on stderr (or, for ``epi``, exits 2 with
@@ -76,6 +77,25 @@ def test_hostile_input_stops_at_the_boundary(argv, tmp_path, capsys):
         assert len(err.splitlines()) == 1
         assert err.startswith(("error: ", "parse error: "))
     assert elapsed < 1.0
+
+
+UNRESOLVED = {
+    "epi": ["epi", "--variety", "var:NoSuchGroup", "--group", "S3",
+            "--sub", "(0 1)"],
+    "bounds": ["bounds", "--variety", "var:NoSuchGroup", "--group", "S3",
+               "--sub", "(0 1)"],
+    "escape": ["escape", "--base", "C2", "--variety", "var:NoSuchGroup"],
+    "pipeline-right": ["pipeline", "--simple", "A5", "--sub", "A4",
+                       "--left", "var:A5", "--right", "var:NoSuchGroup"],
+}
+
+
+@pytest.mark.parametrize("argv", UNRESOLVED.values(), ids=UNRESOLVED.keys())
+def test_a_var_name_that_does_not_resolve_is_a_parse_error(argv, capsys):
+    """var:NAME must name a group, as --group must."""
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "parse error: unknown group name 'NoSuchGroup'\n")
 
 
 def test_too_many_wr_in_a_fixture_file_names_its_line(tmp_path, capsys):

@@ -18,14 +18,23 @@ from vlab.words import Word, derived_law, nilpotency_law, parse_word
 
 
 def brute_verbal(G, words):
-    """Oracle: collect every value of every word over all tuples, close."""
+    """Oracle: collect every value of every word over all tuples, close.
+    Each value is read letter by letter from G's multiplication table."""
     elements = G.elements()
+    position = {g.images: i for i, g in enumerate(elements)}
+    table = [[position[(a * b).images] for b in elements] for a in elements]
+    inverse = [position[a.inverse().images] for a in elements]
+    one = position[G.identity().images]
     values = set()
     for word in words:
-        for tup in itertools.product(elements, repeat=word.arity):
-            v = word.evaluate(list(tup))
-            if not v.is_identity():
-                values.add(v)
+        for tup in itertools.product(range(len(elements)), repeat=word.arity):
+            v = one
+            for var, exp in word.letters:
+                x = tup[var - 1] if exp > 0 else inverse[tup[var - 1]]
+                for _ in range(abs(exp)):
+                    v = table[v][x]
+            if v != one:
+                values.add(elements[v])
     if not values:
         return {G.identity()}
     return set(mulclose(sorted(values)))
@@ -194,6 +203,14 @@ class TestSatisfiesLaws:
         a, b = check.witness_tuple[:2]
         assert not COMMUTATOR.evaluate([a, b]).is_identity()
 
+    def test_a_budget_stop_leaves_no_witness(self):
+        # the exponent decides that x1^2 fails in S4, but its 24 one-tuples
+        # pass max_tuples, so the witness walk stops before its first tuple
+        check = satisfies_laws(symmetric_group(4), [parse_word("x1^2")],
+                               Budgets(max_tuples=10))
+        assert not check.holds and check.witness_tuple is None
+        assert check.note.startswith("witness search capped")
+
     def test_a5_exponent_30(self, a5):
         assert satisfies_laws(a5, [parse_word("x1^30")]).holds
         # oracle: all element orders divide 30
@@ -277,18 +294,23 @@ class TestMemberOfVariety:
         for n in range(1, 6):
             assert member_of_variety(a5, SolvableLength(n)) is False
 
-    def test_named_families_match_their_laws(self):
-        # NamedA = laws{[x1,x2]}, Nc:c = weight-(c+1) commutator,
-        # Sl:n = iterated derived word, over the small catalog
+    @pytest.mark.parametrize("named,law", [
+        pytest.param(named, law, id=str(named)) for named, law in (
+            (Abelian(), nilpotency_law(1)),
+            (NilpotentClass(1), nilpotency_law(1)),
+            (NilpotentClass(2), nilpotency_law(2)),
+            (NilpotentClass(3), nilpotency_law(3)),
+            (SolvableLength(1), derived_law(1)),
+            (SolvableLength(2), derived_law(2)))])
+    def test_named_families_match_their_laws(self, named, law):
+        # G lies in the family iff every value of its defining word is 1,
+        # over the catalog groups whose tuple count stays reasonable
         from vlab.catalog import bundled_catalog
-        sample = [g for g in bundled_catalog() if g.order() <= 16]
-        descs = [(Abelian(), Laws((nilpotency_law(1),))),
-                 (NilpotentClass(2), Laws((nilpotency_law(2),))),
-                 (SolvableLength(2), Laws((derived_law(2),)))]
+        sample = [G for G in bundled_catalog()
+                  if G.order() ** law.arity <= 30_000]
         for G in sample:
-            for named, law_form in descs:
-                assert member_of_variety(G, named) == \
-                    member_of_variety(G, law_form), (G.name, str(named))
+            assert member_of_variety(G, named) == \
+                (brute_verbal(G, [law]) == {G.identity()}), G.name
 
     def test_var_of_group_screen_and_fixture(self, a5, ctx):
         fixtures = ctx.fixtures
@@ -327,21 +349,32 @@ class TestSolvableVarietyRule:
         assert is_solvable_variety(
             ProductVariety(VarOfGroup("A5"), Abelian())) is False
 
+    @pytest.mark.parametrize("name,solvable", [
+        ("C1", True), ("S3", True), ("D4", True), ("S4", True),
+        ("A5", False), ("S5", False)])
+    def test_var_of_a_group_is_solvable_iff_the_group_is(self, name,
+                                                         solvable):
+        # S of derived length d puts var:S inside Sl:d; S is a member
+        assert is_solvable_variety(VarOfGroup(name)) is solvable
+
 
 # the test ids name the three answers of a structural question
 YES, NO, UNKNOWN = "yes", "no", "unknown"
 ANSWER = {YES: True, NO: False, UNKNOWN: None}
 
-# one descriptor per answer of each structural question
-TRIVIAL = {YES: "laws:{x1}", NO: "A", UNKNOWN: "var:NoSuchGroup"}
+# one descriptor per answer of each structural question; triviality has
+# no third answer
+TRIVIAL = {YES: "laws:{x1}", NO: "A"}
 SOLVABLE = {YES: "A", NO: "var:A5", UNKNOWN: "laws:{x1^2}"}
 
 
-@pytest.mark.parametrize("left", [YES, NO, UNKNOWN])
-@pytest.mark.parametrize("right", [YES, NO, UNKNOWN])
-@pytest.mark.parametrize("question,examples", [
-    (is_trivial_variety, TRIVIAL), (is_solvable_variety, SOLVABLE)],
-    ids=["trivial", "solvable"])
+@pytest.mark.parametrize("question,examples,left,right", [
+    pytest.param(question, examples, left, right,
+                 id=f"{label}-{right}-{left}")
+    for label, question, examples in (
+        ("trivial", is_trivial_variety, TRIVIAL),
+        ("solvable", is_solvable_variety, SOLVABLE))
+    for left in examples for right in examples])
 def test_a_product_has_the_property_iff_both_factors_do(question, examples,
                                                         left, right):
     assert question(parse_descriptor(examples[left])) is ANSWER[left]
@@ -358,12 +391,21 @@ class TestTrivialVariety:
         ("laws:{[x1,x2]}", NO), ("laws:{x1^6;x1^4}", NO),
         ("laws:{x1^2x2^3}", YES), ("laws:{x1^2x2^4}", NO),
         ("A", NO), ("Nc:2", NO), ("Sl:1", NO),
-        ("var:C1", YES), ("var:S3", NO), ("var:NoSuchGroup", UNKNOWN),
+        ("var:C1", YES), ("var:S3", NO),
         ("prod(laws:{x1},laws:{x1^2;x1^3})", YES),
-        ("prod(laws:{x1},A)", NO), ("prod(var:NoSuchGroup,laws:{x1})", UNKNOWN),
+        ("prod(laws:{x1},A)", NO),
     ])
     def test_cases(self, text, expected):
         assert is_trivial_variety(parse_descriptor(text)) is ANSWER[expected]
+
+    @pytest.mark.parametrize("text", [
+        "var:NoSuchGroup", "prod(var:NoSuchGroup,laws:{x1})",
+        "prod(A,var:NoSuchGroup)", "prod(laws:{x1},var:NoSuchGroup)"])
+    @pytest.mark.parametrize("question", [
+        is_trivial_variety, is_solvable_variety], ids=["trivial", "solvable"])
+    def test_an_unresolvable_name_is_refused(self, question, text):
+        with pytest.raises(ParseError, match="unknown group name"):
+            question(parse_descriptor(text))
 
     @pytest.mark.parametrize("text", [
         "laws:{x1}", "laws:{x1^2;x1^3}", "laws:{[x1,x2]}", "laws:{x1^6;x1^4}",
