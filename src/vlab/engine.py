@@ -393,7 +393,7 @@ def _catalog_membership(C: PermutationGroup, desc: Descriptor,
 
 
 def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
-                           catalog, desc: Descriptor, ctx: EngineContext,
+                           desc: Descriptor, ctx: EngineContext,
                            notes: list[str] | None = None):
     """Look for two maps into a catalog member agreeing on H, differing on G.
 
@@ -421,7 +421,7 @@ def separating_pair_search(G: PermutationGroup, H: PermutationGroup,
         notes = []
     answers = ctx.memberships.setdefault(str(desc), {})
     positions = covered = None
-    for C in catalog:
+    for C in ctx.catalog:
         membership = _catalog_membership(C, desc, ctx, answers)
         if membership is False:
             continue
@@ -554,8 +554,7 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
     else:
         notes.append(f"solvable-complement test skipped: membership of the "
                      f"group in {desc} is {membership}")
-    verdict = separating_pair_search(G, H, ctx.catalog, desc, ctx,
-                                     notes=notes)
+    verdict = separating_pair_search(G, H, desc, ctx, notes=notes)
     if verdict is not None:
         return verdict
     notes.append("fixtures, solvable-complement test and separating-pair "

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
 
-from .config import MAX_CHAIN_WORK, MAX_DEGREE
+from .config import DEFAULT_BUDGETS, MAX_CHAIN_WORK, MAX_DEGREE
 from .errors import DegreeMismatch, GroupError, ParseError, check_budget
 
 
@@ -621,7 +621,7 @@ class PermutationGroup:
         return all(a * b == b * a
                    for i, a in enumerate(gens) for b in gens[i + 1:])
 
-    def elements(self, max_enumerate: int = 100_000):
+    def elements(self, max_enumerate: int = DEFAULT_BUDGETS.max_enumerate):
         """All elements in canonical (image tuple) order; budgeted per call."""
         check_budget("max_enumerate", max_enumerate, self.order())
         if self._elements is None:
@@ -634,7 +634,7 @@ class PermutationGroup:
                 self._elements = tuple(listed[i] for i in sorted(members))
         return self._elements
 
-    def indexed(self, max_enumerate: int = 100_000):
+    def indexed(self, max_enumerate: int = DEFAULT_BUDGETS.max_enumerate):
         """(elements, index, col) on the canonical list, memoised: index maps
         image tuples to positions, col(j)[x] is the position of elements[x] *
         elements[j] and is built on first use (see ``_Columns``)."""

@@ -17,8 +17,7 @@ is trivial, and a law word spelling Nc:c or Sl:n is answered by that family.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
 from math import gcd
 
 from .config import DEFAULT_BUDGETS, MAX_NESTING, Budgets
@@ -74,7 +73,15 @@ class SolvableLength:
 
 @dataclass(frozen=True)
 class VarOfGroup:
+    """The variety generated by the named group, resolved when made as
+    ``--group`` is but never through ``--catalog``; compared by name."""
+
     group_name: str
+    group: PermutationGroup = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        from .catalog import resolve_group_name  # catalog imports this module
+        object.__setattr__(self, "group", resolve_group_name(self.group_name))
 
     def __str__(self):
         return f"var:{self.group_name}"
@@ -369,21 +376,11 @@ def member_of_variety(G: PermutationGroup, desc: Descriptor,
             return fx.kind == "known-member"
         # necessary-condition screen: laws that hold in the generating group
         # must hold in every member.
-        generator = _named_variety_group(desc.group_name)
         if any(member_of_variety(G, family, budgets) is False
-               for family in _screen_families(generator, budgets)):
+               for family in _screen_families(desc.group, budgets)):
             return False
         return None
     raise GroupError(f"unhandled descriptor {desc!r}")
-
-
-@cache
-def _named_variety_group(name: str) -> PermutationGroup:
-    """The one group kept as var:NAME's generator, so its memos (the screen
-    among them) are shared across calls; a name that does not resolve raises
-    ParseError, as it does for ``--group``."""
-    from .catalog import resolve_group_name
-    return resolve_group_name(name)
 
 
 def _screen_families(S: PermutationGroup, budgets: Budgets):
@@ -415,10 +412,9 @@ def is_trivial_variety(desc: Descriptor) -> bool:
                 sums[i, v] += e
         return gcd(*sums.values()) == 1
     if isinstance(desc, ProductVariety):
-        # & reads both factors, so an unresolvable name is refused either side
-        return is_trivial_variety(desc.left) & is_trivial_variety(desc.right)
+        return is_trivial_variety(desc.left) and is_trivial_variety(desc.right)
     if isinstance(desc, VarOfGroup):
-        return _named_variety_group(desc.group_name).order() == 1
+        return desc.group.order() == 1
     return False
 
 
@@ -433,5 +429,5 @@ def is_solvable_variety(desc: Descriptor) -> bool | None:
         both = [is_solvable_variety(d) for d in (desc.left, desc.right)]
         return False if False in both else both[0] and both[1]
     if isinstance(desc, VarOfGroup):
-        return is_solvable(_named_variety_group(desc.group_name))
+        return is_solvable(desc.group)
     return None

@@ -1,9 +1,10 @@
 """Free-group words: the laws that cut out varieties.
 
 A word is a reduced sequence of (variable, exponent) syllables with variables
-numbered from 1.  Syntax: ``x1``, ``x2^-3``, juxtaposition for products, and
-``[w1,w2]`` for the commutator ``w1^-1 w2^-1 w1 w2``; a bracket with more than
-two entries is the left-normed commutator ``[[w1,w2],w3,...]``.
+numbered from 1.  Syntax: ``x1``, ``x2^-3``, ``1`` for the identity word,
+juxtaposition for products, and ``[w1,w2]`` for the commutator
+``w1^-1 w2^-1 w1 w2``; a bracket with more than two entries is the left-normed
+commutator ``[[w1,w2],w3,...]``.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def derived_law(n: int) -> Word:
 
 # -- parser -------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(x\d+|\[|\]|,|\(|\)|\^-?\d+)")
+_TOKEN_RE = re.compile(r"\s*(x\d+|1|\[|\]|,|\(|\)|\^-?\d+)")
 
 
 def _tokenize(text: str):
@@ -215,6 +216,8 @@ class _WordParser:
         tok, pos = self.next()
         if tok.startswith("x"):
             atom = Word.variable(_int(tok[1:], pos))
+        elif tok == "1":
+            atom = Word.identity()
         elif tok == "(":
             atom = self.parse_product(stop={")"})
             self._expect(")")

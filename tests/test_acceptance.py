@@ -12,7 +12,8 @@ import pytest
 
 from vlab.catalog import resolve_group_name
 from vlab.constructions import direct_power, kaloujnine_krasner
-from vlab.engine import (EPI, NOT_EPI, UNKNOWN, dominion_bounds, epi_decide,
+from vlab.engine import (EPI, NOT_EPI, UNKNOWN, EngineContext,
+                         dominion_bounds, epi_decide,
                          find_wreath_escape, separating_pair_search,
                          verify_certificate, verify_qofsimple)
 from vlab.homs import all_homomorphisms
@@ -276,7 +277,7 @@ def test_criterion_09_direct_power_identity(ctx, bound_instances):
                   f"on all {checked} exact instances with |G| <= 60")
 
 
-def test_criterion_10_homomorphism_spot_values(ctx, a5, a4_in_a5):
+def test_criterion_10_homomorphism_spot_values(a5, a4_in_a5):
     ok = len(all_homomorphisms(cyclic_group(4), cyclic_group(4))) == 4
     ok = ok and len(all_homomorphisms(a5, cyclic_group(2))) == 1
     ok = ok and len(all_homomorphisms(cyclic_group(2),
@@ -284,8 +285,8 @@ def test_criterion_10_homomorphism_spot_values(ctx, a5, a4_in_a5):
 
     c4 = cyclic_group(4)
     c2 = c4.subgroup([c4.generators[0] ** 2])
-    verdict = separating_pair_search(c4, c2, [c4],
-                                     parse_descriptor("A"), ctx)
+    verdict = separating_pair_search(c4, c2, parse_descriptor("A"),
+                                     EngineContext(catalog=[c4]))
     gen = c4.generators[0]
     ok = ok and verdict is not None and verdict.outcome == NOT_EPI
     ok = ok and verdict.certificate["f_images"] == [str(gen)]
@@ -293,8 +294,9 @@ def test_criterion_10_homomorphism_spot_values(ctx, a5, a4_in_a5):
 
     # S5 lies in laws:{x1^60}, so the search runs the full enumeration of
     # the 121 homomorphisms and finds no separating pair
-    outcome = separating_pair_search(a5, a4_in_a5, [symmetric_group(5)],
-                                     parse_descriptor("laws:{x1^60}"), ctx)
+    s5_only = EngineContext(catalog=[symmetric_group(5)])
+    outcome = separating_pair_search(a5, a4_in_a5,
+                                     parse_descriptor("laws:{x1^60}"), s5_only)
     ok = ok and outcome is None
     ok = ok and len(all_homomorphisms(a5, symmetric_group(5))) == 121
     report(10, ok, "hom counts 4/1/4; C4 separating pair is identity vs "

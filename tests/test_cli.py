@@ -327,12 +327,13 @@ class TestFormatsAndFiles:
         assert code == 1 and not out
         assert cap in err and "Traceback" not in err
 
-    def test_a_variety_named_past_the_degree_cap_is_unknown(self, capsys):
-        code, report = run_json(capsys, "epi", "--group", "A5", "--sub", "A4",
-                                "--variety", f"var:S{MAX_DEGREE + 1}")
-        assert code == 2 and report["outcome"] == "unknown"
-        assert any(note.startswith("stopped: max_degree")
-                   for note in report["notes"])
+    def test_a_variety_named_past_the_degree_cap_exits_1(self, capsys):
+        """var:NAME is refused when it is parsed, as --group NAME is."""
+        code, out, err = run_cli(capsys, "epi", "--group", "A5", "--sub", "A4",
+                                 "--variety", f"var:S{MAX_DEGREE + 1}")
+        assert code == 1 and not out
+        assert err == (f"error: max_degree: {MAX_DEGREE + 1} exceeds the "
+                       f"limit {MAX_DEGREE}\n")
 
     def test_budget_flags_echoed(self, capsys):
         code, report = run_json(capsys, "--max-wreath-top", "6", "wreath",

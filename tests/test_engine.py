@@ -123,7 +123,8 @@ class TestNeumannTest:
 
 class TestSeparatingPairSearch:
     def test_c4_identity_inversion(self, ctx, c4, c2_in_c4):
-        verdict = separating_pair_search(c4, c2_in_c4, [c4], Abelian(), ctx)
+        verdict = separating_pair_search(c4, c2_in_c4, Abelian(),
+                                         EngineContext(catalog=[c4]))
         assert verdict.outcome == NOT_EPI
         cert = verdict.certificate
         gen = c4.generators[0]
@@ -132,38 +133,43 @@ class TestSeparatingPairSearch:
         assert cert["witness"] == str(gen)
         assert verify_certificate(c4, c2_in_c4, Abelian(), verdict, ctx)
 
-    def test_a5_a4_inconclusive_after_full_enumeration(self, ctx, a5,
-                                                       a4_in_a5):
+    def test_a5_a4_inconclusive_after_full_enumeration(self, a5, a4_in_a5):
         # S5 satisfies x^60, so the catalog member is admitted and all
         # homomorphism pairs get examined; none separates
         desc = parse_descriptor("laws:{x1^60}")
-        verdict = separating_pair_search(a5, a4_in_a5,
-                                         [symmetric_group(5)], desc, ctx)
+        ctx = EngineContext(catalog=[symmetric_group(5)])
+        verdict = separating_pair_search(a5, a4_in_a5, desc, ctx)
         assert verdict is None
 
     def test_screen_skips_nonmembers_silently_and_unknowns_with_note(
             self, ctx, a5, a4_in_a5):
         # S5 violates the exponent-30 law of A5: screened out, nothing to do
         notes = []
-        verdict = separating_pair_search(a5, a4_in_a5, [symmetric_group(5)],
-                                         VarOfGroup("A5"), ctx, notes=notes)
+        s5_only = EngineContext(fixtures=ctx.fixtures,
+                                catalog=[symmetric_group(5)])
+        verdict = separating_pair_search(a5, a4_in_a5, VarOfGroup("A5"),
+                                         s5_only, notes=notes)
         assert verdict is None
         assert notes == []  # definitive non-members are silently irrelevant
         # C2 passes the screen but no fixture decides: skipped with a note
-        verdict = separating_pair_search(a5, a4_in_a5, [cyclic_group(2)],
-                                         VarOfGroup("A5"), ctx, notes=notes)
+        c2_only = EngineContext(fixtures=ctx.fixtures,
+                                catalog=[cyclic_group(2)])
+        verdict = separating_pair_search(a5, a4_in_a5, VarOfGroup("A5"),
+                                         c2_only, notes=notes)
         assert verdict is None
         assert any("membership" in note and "unknown" in note
                    for note in notes)
 
-    def test_whole_group_inconclusive(self, ctx, c4):
-        assert separating_pair_search(c4, c4, [c4], Abelian(), ctx) is None
+    def test_whole_group_inconclusive(self, c4):
+        assert separating_pair_search(c4, c4, Abelian(),
+                                      EngineContext(catalog=[c4])) is None
 
     def test_hom_budget_skips_a_member_with_a_note(self, c4, c2_in_c4):
-        ctx = EngineContext(budgets=Budgets(max_hom_product=20))
+        ctx = EngineContext(catalog=[cyclic_group(12), c4],
+                            budgets=Budgets(max_hom_product=20))
         notes = []
-        verdict = separating_pair_search(c4, c2_in_c4, [cyclic_group(12), c4],
-                                         Abelian(), ctx, notes=notes)
+        verdict = separating_pair_search(c4, c2_in_c4, Abelian(), ctx,
+                                         notes=notes)
         assert notes == ["catalog group C12 skipped: hom budget"]
         assert verdict.outcome == NOT_EPI
         cert = verdict.certificate
@@ -172,10 +178,10 @@ class TestSeparatingPairSearch:
             ["(0 1 2 3)"], ["(0 3 2 1)"])
 
     def test_other_budgets_still_stop_the_search(self, c4, c2_in_c4):
-        ctx = EngineContext(budgets=Budgets(max_enumerate=10))
+        ctx = EngineContext(catalog=[cyclic_group(12)],
+                            budgets=Budgets(max_enumerate=10))
         with pytest.raises(BudgetExceeded) as info:
-            separating_pair_search(c4, c2_in_c4, [cyclic_group(12)],
-                                   Abelian(), ctx)
+            separating_pair_search(c4, c2_in_c4, Abelian(), ctx)
         exc = info.value
         assert (exc.budget_name, exc.limit, exc.requested) == (
             "max_enumerate", 10, 12)
@@ -592,7 +598,8 @@ class TestCertificateSoundness:
 
     def test_tampered_certificates_fail(self, ctx, c4, c2_in_c4, a5,
                                         a4_in_a5):
-        verdict = separating_pair_search(c4, c2_in_c4, [c4], Abelian(), ctx)
+        verdict = separating_pair_search(c4, c2_in_c4, Abelian(),
+                                         EngineContext(catalog=[c4]))
         broken = copy.deepcopy(verdict)
         broken.certificate["witness"] = "()"  # identity never separates
         assert not verify_certificate(c4, c2_in_c4, Abelian(), broken, ctx)
@@ -670,7 +677,8 @@ class TestCertificateSoundness:
                               budgets=Budgets(max_enumerate=4))
         assert verify_certificate(c2, one, Abelian(), pair, tight) is False
         with pytest.raises(BudgetExceeded):
-            separating_pair_search(c2, one, [c8], Abelian(), tight)
+            separating_pair_search(c2, one, Abelian(), EngineContext(
+                catalog=[c8], budgets=tight.budgets))
 
     def test_direct_power_blocks_must_be_disjoint(self, ctx, a5, a4_in_a5):
         # two copies of the A4 < A5 fixture on the same five points would

@@ -25,9 +25,9 @@ OVERSIZED = [LONG_LAW, "laws:{x1 x20000000}", "prod(laws:{x1 x3000000},A)",
              HUGE_C]
 
 
-def fixture_file(tmp_path, group):
+def fixture_file(tmp_path, group, descriptor="A"):
     path = tmp_path / "fixtures.txt"
-    path.write_text(f"known-member | {group} | - | A | a test\n")
+    path.write_text(f"known-member | {group} | - | {descriptor} | a test\n")
     return str(path)
 
 
@@ -80,22 +80,39 @@ def test_hostile_input_stops_at_the_boundary(argv, tmp_path, capsys):
 
 
 UNRESOLVED = {
-    "epi": ["epi", "--variety", "var:NoSuchGroup", "--group", "S3",
-            "--sub", "(0 1)"],
-    "bounds": ["bounds", "--variety", "var:NoSuchGroup", "--group", "S3",
-               "--sub", "(0 1)"],
-    "escape": ["escape", "--base", "C2", "--variety", "var:NoSuchGroup"],
-    "pipeline-right": ["pipeline", "--simple", "A5", "--sub", "A4",
-                       "--left", "var:A5", "--right", "var:NoSuchGroup"],
+    "epi": lambda tmp: ["epi", "--variety", "var:NoSuchGroup", "--group",
+                        "S3", "--sub", "(0 1)"],
+    "bounds": lambda tmp: ["bounds", "--variety", "var:NoSuchGroup",
+                           "--group", "S3", "--sub", "(0 1)"],
+    "epi-prod": lambda tmp: ["epi", "--variety", "prod(A,var:NoSuchGroup)",
+                             "--group", "S3", "--sub", "(0 1)"],
+    "bounds-prod": lambda tmp: ["bounds", "--variety",
+                                "prod(A,var:NoSuchGroup)", "--group", "S3",
+                                "--sub", "(0 1)"],
+    "escape": lambda tmp: ["escape", "--base", "C2",
+                           "--variety", "var:NoSuchGroup"],
+    "pipeline-left": lambda tmp: ["pipeline", "--simple", "A5", "--sub", "A4",
+                                  "--left", "var:NoSuchGroup",
+                                  "--right", "A"],
+    "pipeline-right": lambda tmp: ["pipeline", "--simple", "A5", "--sub",
+                                   "A4", "--left", "var:A5",
+                                   "--right", "var:NoSuchGroup"],
+    "fixtures": lambda tmp: ["--fixtures",
+                             fixture_file(tmp, "A5", "var:NoSuchGroup"),
+                             "order", "S3"],
 }
 
 
 @pytest.mark.parametrize("argv", UNRESOLVED.values(), ids=UNRESOLVED.keys())
-def test_a_var_name_that_does_not_resolve_is_a_parse_error(argv, capsys):
-    """var:NAME must name a group, as --group must."""
+def test_a_var_name_that_does_not_resolve_is_a_parse_error(argv, tmp_path,
+                                                           capsys):
+    """var:NAME must name a group, as --group must; a fixture file's error
+    names its line."""
+    argv = argv(tmp_path)
+    line = "line 1: " if argv[0] == "--fixtures" else ""
     assert main(argv) == 1
     assert capsys.readouterr() == (
-        "", "parse error: unknown group name 'NoSuchGroup'\n")
+        "", f"parse error: {line}unknown group name 'NoSuchGroup'\n")
 
 
 def test_too_many_wr_in_a_fixture_file_names_its_line(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Every import in src/vlab, tests/ and scripts/ is used, every private
-helper in src/vlab is referred to, and every public name there that nothing
-in src/vlab refers to is listed with its reason.
+helper in src/vlab is referred to, every public name there that nothing
+in src/vlab refers to is listed with its reason, and so is every
+module-level ``cache``.
 
 `__init__.py` files only re-export, so they are skipped.
 """
@@ -189,3 +190,43 @@ def test_the_traced_and_entry_point_reasons_hold():
             assert f'"{name}"' in tracer, entry
         if reason == ENTRY:
             assert all(f"{name}(" in text for text in callers), entry
+
+
+def process_caches(tree: ast.Module) -> list[str]:
+    """Module-level functions under ``cache`` or ``lru_cache``, which keep
+    what they return, keyed by their arguments, for the life of the
+    process."""
+    def is_cache(decorator):
+        target = (decorator.func if isinstance(decorator, ast.Call)
+                  else decorator)
+        name = (target.attr if isinstance(target, ast.Attribute)
+                else getattr(target, "id", None))
+        return name in ("cache", "lru_cache")
+
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(map(is_cache, node.decorator_list))]
+
+
+def test_detector_flags_a_process_cache():
+    source = ("import functools\nfrom functools import cache\n\n"
+              "@cache\ndef a(x):\n    pass\n\n"
+              "@functools.lru_cache(maxsize=None)\ndef b(x):\n    pass\n\n"
+              "def c(x):\n    return cache(lambda: x)\n")
+    assert process_caches(ast.parse(source)) == ["a", "b"]
+
+
+# Module-level caches in src/vlab, each with the reason that a cache shared
+# by the whole process is safe there.  One keyed by outside text (a group
+# name, say) would keep each distinct input for good.
+PROCESS_CACHES = {
+    "catalog.py: bundled_catalog": "takes no argument: the bundled catalog "
+                                   "is built once",
+    "perm.py: _identity_images": "keyed by a degree, which MAX_DEGREE caps",
+}
+
+
+def test_every_process_cache_in_src_is_listed():
+    found = [f"{p.name}: {name}" for p in sorted(SRC.glob("*.py"))
+             for name in process_caches(ast.parse(p.read_text("utf-8")))]
+    assert sorted(found) == sorted(PROCESS_CACHES)

@@ -248,8 +248,8 @@ def test_verdicts_do_not_depend_on_memo_state():
 
 def test_a_var_group_outside_the_catalog_is_built_and_screened_once(
         monkeypatch):
-    desc = parse_descriptor("var:S6")
-    varieties._named_variety_group.cache_clear()
+    """The descriptor builds S6 when it is made and keeps it as desc.group,
+    whose memo holds the screen."""
     screened = []
     derived_length = varieties.derived_length
 
@@ -258,8 +258,8 @@ def test_a_var_group_outside_the_catalog_is_built_and_screened_once(
         return derived_length(S)
 
     monkeypatch.setattr(varieties, "derived_length", counting_derived_length)
-    first = varieties._named_variety_group("S6")
-    assert first is varieties._named_variety_group("S6")
+    desc = parse_descriptor("var:S6")
+    assert desc.group.order() == 720 and desc.group.name == "S6"
     S4 = symmetric_group(4)
     assert [member_of_variety(S4, desc) for _ in range(3)] == [None] * 3
-    assert screened == [first]
+    assert screened == [desc.group]

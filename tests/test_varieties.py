@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +65,31 @@ class TestDescriptorParsing:
                      "laws:{[x1,x2];x1^4}"):
             desc = parse_descriptor(text)
             assert parse_descriptor(str(desc)) == desc
+
+    def test_a_law_that_reduces_to_the_identity_round_trips(self):
+        desc = parse_descriptor("laws:{x1 x1^-1}")
+        assert str(desc) == "laws:{1}"
+        assert parse_descriptor("laws:{1}") == desc == Laws((Word.identity(),))
+
+    def test_every_descriptor_named_in_the_tests_round_trips(self):
+        """Each string literal under tests/ that parses as a descriptor."""
+        texts = {node.value for path in Path(__file__).parent.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                 if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str)}
+        parsed = 0
+        for text in sorted(texts):
+            try:
+                desc = parse_descriptor(text)
+            except GroupError:
+                continue
+            assert parse_descriptor(str(desc)) == desc, text
+            parsed += 1
+        assert parsed >= 40
+
+    def test_a_name_that_does_not_resolve_is_refused_when_made(self):
+        with pytest.raises(ParseError, match="unknown group name"):
+            VarOfGroup("NoSuchGroup")
 
     @pytest.mark.parametrize("bad", ["B", "Nc:", "laws:{}", "prod(A)",
                                      "var:", "Nc:x", "Sl:", "Nc:1.5",
