@@ -11,7 +11,7 @@ the budgets they ran under so that "unknown" outcomes are attributable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,8 @@ class Budgets:
     max_tuples: int = 3_000_000
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # a fresh copy of the fields, in order: __init__ sets nothing else
+        return dict(self.__dict__)
 
 
 DEFAULT_BUDGETS = Budgets()

@@ -59,7 +59,6 @@ pipeline emit; an ``inner`` certificate is checked by recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 from .catalog import bundled_catalog, bundled_fixtures, resolve_group_name
 from .config import DEFAULT_BUDGETS, MAX_DEGREE, Budgets
@@ -206,17 +205,28 @@ def _nontrivial_left(desc: ProductVariety) -> bool:
 
 def _same(a, b) -> bool:
     """Equal as JSON, type for type: 5.0 is not 5 and true is not 1."""
-    # a builder echoes the certificate's own inner, which may nest deeper
-    # than the stack; that inner is checked by the verifier's recursion
+    # one type test a node, no generator frame: every verification runs this.
+    # A builder echoes the certificate's inner, which may nest past the stack
+    # limit; the verifier's recursion checks it, and `is` passes it here
     if a is b:
         return True
-    if type(a) is not type(b):
+    kind = type(a)
+    if kind is not type(b):
         return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same, a, b))
-    return a == b
+    if kind is dict:
+        if a.keys() != b.keys():
+            return False
+        pairs = zip(a.values(), map(b.__getitem__, a))
+    elif kind is list:
+        if len(a) != len(b):
+            return False
+        pairs = zip(a, b)
+    else:
+        return a == b
+    for x, y in pairs:
+        if not _same(x, y):
+            return False
+    return True
 
 
 def _cover_failure_cert(G: PermutationGroup, H: PermutationGroup,
@@ -490,9 +500,9 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
                         {"kind": "epi-derivation",
                          "node": _whole_group_node()})
 
-    # G's membership, computed once, and only when a rule reaches it
-    member = cache(lambda: member_of_variety(G, desc, ctx.budgets,
-                                             ctx.fixtures))
+    # G's membership, computed once, and only when a rule reaches it; the
+    # Ellipsis marks it not yet computed (None is an answer: unknown)
+    membership = ...
     if isinstance(desc, ProductVariety):
         verbal, trace, covers = _product_step(G, H, desc.right, ctx)
         if covers:
@@ -510,7 +520,8 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
             if inner.outcome == NOT_EPI:
                 # the necessity direction of the product characterization
                 # assumes the ambient group lies in the product variety
-                membership = member()
+                membership = member_of_variety(G, desc, ctx.budgets,
+                                               ctx.fixtures)
                 if membership is True:
                     certificate = _inner_failure_cert(desc, verbal, trace,
                                                       inner.certificate)
@@ -545,7 +556,8 @@ def _decide(G, H, desc, ctx, notes) -> EpiVerdict:
     if fx is not None:
         return _verdict(ctx, EPI, [f"fixture: {fx.provenance}"], notes,
                         {"kind": "epi-derivation", "node": _fixture_node(fx)})
-    membership = member()
+    if membership is ...:
+        membership = member_of_variety(G, desc, ctx.budgets, ctx.fixtures)
     if membership is True:
         verdict = neumann_not_epi_test(G, H, ctx)
         if verdict is not None:

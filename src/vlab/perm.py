@@ -501,7 +501,8 @@ class PermutationGroup:
     and, for the group generating a ``var:`` variety, the membership screen
     (``"screen_families"``).  Each checks its budgets before the lookup, so
     a tighter budget still raises after an earlier looser call, as
-    ``elements`` does.
+    ``elements`` does.  ``_members`` and ``_indexed``, read several times
+    per warm decide, test for their entry first: a hit allocates nothing.
 
     Memo keys: cayley_walk class_representatives conj cycle_strings
     derived_series element_orders exponent generator_orders homs indexed
@@ -577,6 +578,8 @@ class PermutationGroup:
     def _members(self) -> frozenset[int] | None:
         """Positions of the elements in the listed root ambient, or None
         when the chain answers."""
+        if "members" in self._memo:  # a hit builds no closure
+            return self._memo["members"]
         root = self._ambient
         if root is None or root._elements is None:
             return None
@@ -643,6 +646,8 @@ class PermutationGroup:
 
     def _indexed(self):
         """indexed() of a group already listed, with no budget check."""
+        if "indexed" in self._memo:  # a hit builds no closure
+            return self._memo["indexed"]
         elements = self._elements
 
         def compute():

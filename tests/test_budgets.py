@@ -8,12 +8,14 @@ import pytest
 
 from vlab.config import DEFAULT_BUDGETS, Budgets
 from vlab.constructions import direct_power, regular_wreath
+from vlab.engine import EngineContext, epi_decide
 from vlab.errors import BudgetExceeded, check_budget
 from vlab.homs import all_homomorphisms, identity_endomorphism
 from vlab.perm import (all_tuples, cyclic_group, parse_permutation,
                        symmetric_group)
 from vlab.structure import (all_subgroups, normal_subgroups, normalizer,
                             quotient, solvable_radical)
+from vlab.varieties import parse_descriptor
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vlab"
 
@@ -101,6 +103,15 @@ def test_entry_point_stop_is_structured(budget_name, call):
                              max_wreath_top=3)], ids=["default", "custom"])
 def test_as_dict_is_asdict(budgets):
     assert list(budgets.as_dict().items()) == list(asdict(budgets).items())
+    first, second = budgets.as_dict(), budgets.as_dict()
+    assert first == second and first is not second
+    # a verdict's budgets are its own: editing one reaches no later verdict
+    ctx = EngineContext(budgets=budgets)
+    G = symmetric_group(3)
+    H = G.subgroup([parse_permutation("(0 1)", 3)])
+    desc = parse_descriptor("A")
+    epi_decide(G, H, desc, ctx).budgets["max_enumerate"] = -1
+    assert epi_decide(G, H, desc, ctx).budgets == asdict(budgets)
 
 
 def test_budgets_hold_after_caching():

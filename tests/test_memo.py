@@ -232,7 +232,7 @@ def test_verdicts_do_not_depend_on_memo_state():
     # warm shared catalog, a second pass in reverse order, and for each
     # group a fresh copy of the whole catalog must give the same bytes
     descriptors = [parse_descriptor("laws:{x1^6}"),
-                   parse_descriptor("prod(A,A)")]
+                   parse_descriptor("prod(A,A)"), parse_descriptor("Sl:3")]
     ctx = EngineContext.bundled()
     inputs = [pair for G in ctx.catalog if G.order() <= 24
               for pair in proper_subgroups(G)]

@@ -5,6 +5,7 @@ run_scenarios reruns every bundled scenario against its recorded outcome.
 reach's ledger, recomputed, is the committed REACH.json.  linecov,
 run over one test file, reports the lines that file never reaches.  ab's
 summary of canned pairs applies the claim rule (no benchmark runs here).
+mutants lists the verifiers' conjuncts without running a mutant.
 """
 
 import ast
@@ -134,3 +135,30 @@ def test_ab_summary_counts_only_complete_pairs():
     summary = load("ab").summarise(runs, AB_METRICS)
     assert summary["pairs"] == 2 and not summary["verdict_sha256_same"]
     assert summary["ops_per_ref_s"]["pairs_change_better"] == 0
+
+
+NEUMANN_CONJUNCTS = [
+    "member_of_variety(G, desc, ctx.budgets, ctx.fixtures) is True",
+    "is_normal(G, radical)", "is_solvable(radical)",
+    "product_covers(G, H, radical, ctx.budgets)", "H.order() < G.order()",
+    "_same(cert, _neumann_cert(G, H, radical))"]
+
+
+def test_mutants_list_finds_the_six_neumann_conjuncts(capsys):
+    mutants = load("mutants")
+    assert mutants.main(["--list"]) == 0
+    listed = [line.split("  ", 1) for line in
+              capsys.readouterr().out.splitlines()]
+    engine = (SCRIPTS.parent / mutants.ENGINE).read_text(encoding="utf-8")
+    lines = engine.splitlines()
+    neumann = [(place, text) for place, text in listed
+               if text in NEUMANN_CONJUNCTS]
+    assert [text for _, text in neumann] == NEUMANN_CONJUNCTS
+    for place, text in neumann:
+        assert text in lines[int(place.rsplit(":", 1)[1]) - 1]
+    # every mutant is the engine with one operand replaced by True
+    for operand in mutants.mutants(engine):
+        mutated = mutants.mutate(engine, operand)
+        compile(mutated, mutants.ENGINE, "exec")
+        assert len(mutated) == len(engine) - len(
+            ast.get_source_segment(engine, operand)) + len("True")
