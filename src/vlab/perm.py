@@ -8,14 +8,15 @@ Conventions used throughout the library:
 * the canonical ordering of group elements is lexicographic on image tuples
   (so the identity always sorts first).
 
-The stabilizer chain is built by a plain deterministic Schreier-Sims: base
-points are the smallest moved points, orbits are explored breadth-first with
-generators in list order.  Two runs over the same generator list produce the
-same chain, the same transversals and the same element enumeration, which is
-what makes certificates reproducible.  The chain holds image tuples only,
-and its rebuilds skip only what cannot change a sift (see
-``StabilizerChain``); the elements and random draws are composed as tuples
-and wrapped once.
+The stabilizer chain is built by an incremental deterministic
+Schreier-Sims: a level's base point is the smallest point its first
+generator moves, and adjoining a generator extends the level's orbit in
+place, breadth-first with generators in list order (see
+``StabilizerChain``).  Two runs over the same generator list produce the
+same chain, the same transversals and the same element enumeration, which
+is what makes certificates reproducible.  The chain holds image tuples
+only; the elements and random draws are composed as tuples and wrapped
+once.
 
 A subgroup made by ``G.subgroup(gens)`` remembers its root ambient (G's own
 root, or G).  Once the root has listed its elements, the subgroup answers
@@ -26,7 +27,8 @@ is canonical order, so no chain and no sort is needed.  The path lists
 nothing that was not listed already, and its closure is bounded by the
 root's order, which passed the root's ``max_enumerate`` check when it was
 listed.  A normal closure under a listed root is one such walk, extended
-as each generator is accepted.  A group with no member set (a query made
+as each generator is accepted; under any other group it is one chain,
+extended the same way.  A group with no member set (a query made
 before the root is listed, a subgroup with a generator outside its root, a
 group not made by ``subgroup()``) answers ``contains`` from its own index
 once it is listed itself, and from its stabilizer chain before;
@@ -241,9 +243,9 @@ def parse_permutation(text: str, degree: int) -> Permutation:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "inverses")
+    __slots__ = ("point", "gens", "transversal", "inverses", "seen")
 
-    def __init__(self, point: int):
+    def __init__(self, point: int, identity: tuple[int, ...]):
         self.point = point
         # (images, inverse images) of the generators of this level's full
         # stabilizer group (not a partition: every element of the deeper
@@ -251,49 +253,34 @@ class _Level:
         self.gens: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         # image tuple of the transversal value at each orbit point, and of
         # its inverse
-        self.transversal: dict[int, tuple[int, ...]] = {}
-        self.inverses: dict[int, tuple[int, ...]] = {}
+        self.transversal: dict[int, tuple[int, ...]] = {point: identity}
+        self.inverses: dict[int, tuple[int, ...]] = {point: identity}
+        # Schreier tuples known to lie in the group of the next level
+        self.seen: set[tuple[int, ...]] = set()
 
 
 class StabilizerChain:
     """Base and strong generating set for a finite permutation group.
 
-    Textbook deterministic Schreier-Sims: level i holds a generating set of
-    the pointwise stabilizer of the first i base points, its orbit is
-    explored breadth-first with generators in list order, and every Schreier
-    generator that fails to sift is adjoined to the next level.
+    Incremental deterministic Schreier-Sims: level i holds a generating
+    set of the pointwise stabilizer of the first i base points, and every
+    Schreier generator that fails to sift is adjoined to the next level.
+    Adjoining g to a level extends its orbit in place, breadth-first: the
+    old points go through g only, each new point through every level
+    generator in list order.  A new point q found from p by s gets
+    u_q = u_p s and u_q^-1 = s^-1 u_p^-1, made once and never remade, so
+    the chain holds image tuples only and a sift step or a Schreier
+    generator u_p s u_q^-1 is one tuple each.  Only the new Schreier
+    pairs are sifted (old points by g, new points by every generator),
+    in the order the pass met them: an old pair keeps its values, and its
+    Schreier generator already lies in the deeper group, which only grows.
+    The edge that found a new point is skipped, as its Schreier generator
+    is the identity, and so is a tuple in the level's ``seen`` set,
+    already known to lie in the deeper group.  Two builds on one generator
+    list give the same chain.
 
-    The chain holds image tuples only: each level keeps its generators
-    with their inverses, and the transversal with the inverse of every
-    value, built in the same breadth-first pass (u_q = u_p s gives
-    u_q^-1 = s^-1 u_p^-1), so a sift step and a Schreier generator
-    u_p s u_q^-1 are one tuple each.  While the chain is built, each level
-    remembers the Schreier generators already known to lie in the deeper
-    chain's group (they sifted to the identity, or their residue was
-    adjoined) and does not sift them again when it is rebuilt.  That group
-    only grows and a sift has no side effect, so such a sift could only
-    give the identity: the same generators are adjoined in the same order,
-    and the chain is the one the plain algorithm builds.
-
-    A rebuild of a level (a generator was adjoined to it) redoes only what
-    changed since the level's last rebuild.  Each rule is exact:
-
-    (a) a point the breadth-first pass reaches from a kept parent by the
-        same generator index as last time keeps its tuple and its inverse,
-        as u_q = u_p s is then the same product; the base point is kept;
-    (b) the Schreier tuple of (p, s) is skipped when s is older than this
-        rebuild and u_p and u_s(p) are both kept: it is the tuple of the
-        last rebuild, which was the identity or already known to lie in
-        the deeper group (by induction, as every rebuild leaves every
-        tuple of its orbit one or the other);
-    (c) the Schreier tuple of a breadth-first tree edge is skipped: u_p s
-        is u_s(p) by construction, so the tuple is the identity.
-
-    None of them changes a sift or its order, so the same generators are
-    adjoined in the same order and the same transversals are built.
-
-    ``work`` sums orbit size x level generators x degree over the level
-    rebuilds; past ``MAX_CHAIN_WORK`` the build raises BudgetExceeded.
+    ``work`` sums orbit size x level generators x degree over the
+    adjoins; past ``MAX_CHAIN_WORK`` the build raises BudgetExceeded.
     """
 
     def __init__(self, degree: int, generators):
@@ -301,10 +288,9 @@ class StabilizerChain:
         self.levels: list[_Level] = []
         self.work = 0
         self._identity = _identity_images(degree)
-        build: list[tuple[set, dict]] = []
         for g in generators:
             if not g.is_identity():
-                self._add_generator(0, g.images, build)
+                self._add_generator(0, g.images)
 
     @property
     def base(self):
@@ -322,64 +308,43 @@ class StabilizerChain:
                 f"element degree {p.degree} vs group degree {self.degree}")
         return self._sift_from(0, p.images) == self._identity
 
-    def _add_generator(self, i: int, g: tuple[int, ...], build: list):
-        """Adjoin the image tuple g (not the identity) to level i and
-        complete the chain from level i down.  While the chain is built,
-        build[i] holds the Schreier tuples of level i already known to lie
-        in the group of level i + 1 and the last rebuild's generator index
-        into each orbit point (-1 at the base point)."""
+    def _add_generator(self, i: int, g: tuple[int, ...]):
+        """Adjoin the image tuple g (not the identity) to level i, extend
+        the level's orbit and complete the chain from level i down."""
+        identity = self._identity
         if i == len(self.levels):
             self.levels.append(_Level(next(
-                x for x, y in enumerate(g) if x != y)))
-            build.append((set(), {}))
+                x for x, y in enumerate(g) if x != y), identity))
         lvl = self.levels[i]
-        gens = lvl.gens
+        gens, images, inverses = lvl.gens, lvl.transversal, lvl.inverses
         gens.append((g, _inverse_images(g)))
-        new = len(gens) - 1
-        seen, last_via = build[i]
-        last_images, last_inverses = lvl.transversal, lvl.inverses
-        # deterministic breadth-first orbit of the base point
-        identity = self._identity
-        images = {lvl.point: identity}
-        inverses = {lvl.point: identity}
-        via = {lvl.point: -1}
-        kept = {lvl.point}
-        queue = deque([lvl.point])
-        while queue:
-            p = queue.popleft()
+        # a new pair that finds a new point is its tree edge; every other
+        # one is a Schreier pair to sift
+        todo = [(p, gens[-1]) for p in images]
+        pairs = []
+        for p, (s, s_inv) in todo:
+            q = s[p]
+            if q in images:
+                pairs.append((p, s, q))
+                continue
             u, u_inv = images[p], inverses[p]
-            for k, (s, s_inv) in enumerate(gens):
-                q = s[p]
-                if q in images:
-                    continue
-                via[q] = k
-                if p in kept and last_via.get(q) == k:  # rule (a)
-                    kept.add(q)
-                    images[q], inverses[q] = last_images[q], last_inverses[q]
-                else:
-                    images[q] = tuple(map(s.__getitem__, u))
-                    inverses[q] = tuple(map(u_inv.__getitem__, s_inv))
-                queue.append(q)
-        lvl.transversal, lvl.inverses = images, inverses
-        build[i] = (seen, via)
+            images[q] = tuple(map(s.__getitem__, u))
+            inverses[q] = tuple(map(u_inv.__getitem__, s_inv))
+            todo.extend((q, t) for t in gens)
         self.work += len(images) * len(gens) * self.degree
         check_budget("max_chain_work", MAX_CHAIN_WORK, self.work)
         # every Schreier generator lies in the stabilizer; those that do not
         # sift through the deeper chain become generators one level down
-        for p in sorted(images):
-            u = images[p]
-            for k, (s, _) in enumerate(gens):
-                q = s[p]
-                if via[q] == k or (k < new and p in kept and q in kept):
-                    continue  # rules (c) and (b)
-                schreier = tuple(map(inverses[q].__getitem__,
-                                     map(s.__getitem__, u)))
-                if schreier == identity or schreier in seen:
-                    continue
-                residue = self._sift_from(i + 1, schreier)
-                if residue != identity:
-                    self._add_generator(i + 1, residue, build)
-                seen.add(schreier)
+        seen = lvl.seen
+        for p, s, q in pairs:
+            schreier = tuple(map(inverses[q].__getitem__,
+                                 map(s.__getitem__, images[p])))
+            if schreier == identity or schreier in seen:
+                continue
+            residue = self._sift_from(i + 1, schreier)
+            if residue != identity:
+                self._add_generator(i + 1, residue)
+            seen.add(schreier)
 
     def _sift_from(self, start: int, p: tuple[int, ...]) -> tuple[int, ...]:
         """The residue of the image tuple p sifted from level start down."""
@@ -521,7 +486,8 @@ class PermutationGroup:
     only one.  Any other listed group answers ``contains`` from its own
     index.  ``listed_normal_closure`` walks a normal closure on the listed
     root's positions, member set and all, and makes its one group with
-    ``subgroup_at``.
+    ``subgroup_at``; ``chain_normal_closure`` grows one chain instead,
+    which its closure keeps.
 
     A listed group's ``indexed()`` columns are built on first use: the
     generators' from image tuples, with the breadth-first tree from the
@@ -728,6 +694,26 @@ class PermutationGroup:
             queue.extend(conjugates(x))
         return root.subgroup_at([elements[x] for x in accepted or [0]],
                                 frozenset(members))
+
+    def chain_normal_closure(self, seed) -> PermutationGroup:
+        """``structure.normal_closure(self, seed)`` on one stabilizer
+        chain: a candidate is accepted iff the chain does not contain it,
+        and is then adjoined to the chain.  The closure keeps that chain,
+        which is the one its own generators build, as they are adjoined in
+        the same order."""
+        chain = StabilizerChain(self.degree, ())
+        accepted = []
+        queue = deque(seed)
+        while queue:
+            s = queue.popleft()
+            if chain.contains(s):
+                continue
+            accepted.append(s)
+            chain._add_generator(0, s.images)
+            queue.extend(s ** g for g in self.generators)
+        closure = self.subgroup(accepted or [self.identity()])
+        closure._chain = chain
+        return closure
 
     def memo(self, key, compute):
         """The cached value for key, computed by compute() on a miss."""

@@ -7,7 +7,6 @@ where it is cheap to do so.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -32,27 +31,16 @@ def normal_closure(G: PermutationGroup, seed) -> PermutationGroup:
     Standard orbit algorithm: keep a growing generating set, push conjugates
     of every accepted generator by G's generators, filter by membership.
     When G's root is listed, ``G.listed_normal_closure`` runs this loop as
-    one walk on the root's positions, accepting the same generators in the
-    same order; otherwise each accepted generator makes a new subgroup,
-    whose chain answers the next membership tests.
+    one walk on the root's positions; otherwise
+    ``G.chain_normal_closure`` adjoins each accepted generator to one
+    stabilizer chain, which the closure keeps.  Both accept the same
+    generators in the same order.
     """
     for s in seed:
         if not G.contains(s):
             raise GroupError("normal_closure seed element lies outside G")
     closure = G.listed_normal_closure(seed)
-    if closure is not None:
-        return closure
-    gens: list[Permutation] = []
-    closure = G.subgroup([G.identity()])
-    queue = deque(seed)
-    while queue:
-        s = queue.popleft()
-        if s.is_identity() or closure.contains(s):
-            continue
-        gens.append(s)
-        closure = G.subgroup(gens)
-        queue.extend(s ** g for g in G.generators)
-    return closure
+    return G.chain_normal_closure(seed) if closure is None else closure
 
 
 def derived_subgroup(G: PermutationGroup) -> PermutationGroup:

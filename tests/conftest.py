@@ -33,6 +33,13 @@ def mulclose(generators, max_size: int = 2_000_000):
     return sorted(elements.values())
 
 
+def chain_shape(chain):
+    """Each level's base point, generator image tuples and transversal
+    image tuples in point order."""
+    return [(lvl.point, [s for s, _ in lvl.gens],
+             sorted(lvl.transversal.items())) for lvl in chain.levels]
+
+
 def element_order_profile(group, max_enumerate: int = 100_000):
     """Multiset of element orders: a cheap isomorphism fingerprint."""
     counts: dict[int, int] = {}

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests.conftest import mulclose
+from tests.conftest import chain_shape, mulclose
 from vlab import homs, perm
 from vlab.catalog import bundled_catalog
 from vlab.config import DEFAULT_BUDGETS
@@ -206,7 +206,7 @@ class TestStabilizerChain:
                [sorted(l.transversal) for l in g2.chain().levels]
 
     def test_a_build_stops_once_its_work_passes_the_cap(self, monkeypatch):
-        # work sums orbit size x level generators x degree over rebuilds
+        # work sums orbit size x level generators x degree over adjoins
         gens = symmetric_group(8).generators
         work = StabilizerChain(8, gens).work
         monkeypatch.setattr(perm, "MAX_CHAIN_WORK", work)
@@ -234,15 +234,7 @@ def reference_chain(degree, generators):
     def sift_from(start, p):
         nonlocal sifts
         sifts += 1
-        for lvl in levels[start:]:
-            x = p.images[lvl.point]
-            if x == lvl.point:
-                continue
-            u = lvl.transversal.get(x)
-            if u is None:
-                return p
-            p = p * u.inverse()
-        return p
+        return reference_sift(levels[start:], p)
 
     def add_generator(i, g):
         if i == len(levels):
@@ -277,18 +269,18 @@ def reference_chain(degree, generators):
     return levels, sifts
 
 
-def chain_shape(chain):
-    """Each level's base point, generator image tuples and transversal
-    image tuples in point order."""
-    return [(lvl.point, [s for s, _ in lvl.gens],
-             sorted(lvl.transversal.items())) for lvl in chain.levels]
-
-
-def reference_shape(levels):
-    """chain_shape of the reference chain's Permutation levels."""
-    return [(lvl.point, [g.images for g in lvl.gens],
-             sorted((q, u.images) for q, u in lvl.transversal.items()))
-            for lvl in levels]
+def reference_sift(levels, p):
+    """The residue of the Permutation p sifted through the reference
+    levels: the identity iff p lies in their group."""
+    for lvl in levels:
+        x = p.images[lvl.point]
+        if x == lvl.point:
+            continue
+        u = lvl.transversal.get(x)
+        if u is None:
+            return p
+        p = p * u.inverse()
+    return p
 
 
 def reference_random_elements(levels, degree, rng, count):
@@ -323,10 +315,10 @@ def oracle_cases():
     """(id, build) for every catalog group and four seeded random subgroups
     of each, S_n and A_n for n <= 10, ten seeded random 3-generator
     subgroups of S_n for each 4 <= n <= 9, and the regular wreaths of small
-    catalog pairs.  Random generators make the transversals change between
-    rebuilds of a level, which is where a wrong skip rule shows.  Each group
-    is built inside its test, so a faulty chain fails the test rather than
-    the collection."""
+    catalog pairs.  Random generators make a level's orbit grow over
+    several adjoins, which is where a wrong skip of a Schreier pair shows.
+    Each group is built inside its test, so a faulty chain fails the test
+    rather than the collection."""
     catalog = bundled_catalog()
     cases = []
     for G in catalog:
@@ -342,8 +334,8 @@ def oracle_cases():
     small = [G for G in catalog if 1 < G.order() <= 6]
     cases += [(f"{A.name}wr{B.name}", lambda A=A, B=B: regular_wreath(
         A, B).product) for A in small for B in small if B.order() <= 4]
-    # the groups whose rebuilds change the transversals most, on shuffled
-    # points so that the base is not 0, 1, 2, ...
+    # the groups whose levels take the most adjoins, on shuffled points so
+    # that the base is not 0, 1, 2, ...
     named = {G.name: G for G in catalog}
     large = [(f"S{n}", lambda n=n: symmetric_group(n)) for n in (11, 12)]
     large += [(f"A{n}", lambda n=n: alternating_group(n)) for n in (11, 12)]
@@ -368,24 +360,62 @@ def relabelled(G, rng):
 ORACLE_CASES = oracle_cases()
 
 
+def orbit(point, gens):
+    """The orbit of point under the image tuples gens, by a plain
+    breadth-first search over points."""
+    found, queue = {point}, deque([point])
+    while queue:
+        x = queue.popleft()
+        for s in gens:
+            if s[x] not in found:
+                found.add(s[x])
+                queue.append(s[x])
+    return found
+
+
+def then(a, b):
+    """The image tuple of a followed by b."""
+    return tuple(b[x] for x in a)
+
+
 class TestChainMatchesTheReference:
-    # the tuple build must adjoin the same generators in the same order
+    # the chain need not keep the plain algorithm's transversals, so each
+    # level is checked against its definition, and the group it holds
+    # against the plain algorithm's order and membership
 
     @pytest.mark.parametrize("build", [b for _, b in ORACLE_CASES],
                              ids=[name for name, _ in ORACLE_CASES])
-    def test_same_chain_and_random_elements(self, build):
+    def test_a_valid_chain_of_the_same_group(self, build):
         G = build()
-        levels, _ = reference_chain(G.degree, G.generators)
-        chain = StabilizerChain(G.degree, G.generators)
-        assert chain_shape(chain) == reference_shape(levels)
-        for lvl in chain.levels:
-            assert [s_inv for _, s_inv in lvl.gens] == [
-                Permutation(s).inverse().images for s, _ in lvl.gens]
-            assert lvl.inverses == {q: Permutation(u).inverse().images
-                                    for q, u in lvl.transversal.items()}
+        n = G.degree
+        levels, _ = reference_chain(n, G.generators)
+        chain = StabilizerChain(n, G.generators)
+        order = 1
+        for lvl in levels:
+            order *= len(lvl.transversal)
+        assert chain.order() == order
+        identity = tuple(range(n))
+        for i, lvl in enumerate(chain.levels):
+            gens = [s for s, _ in lvl.gens]
+            assert all(s[b] == b for s in gens for b in chain.base[:i])
+            assert all(then(s, s_inv) == identity for s, s_inv in lvl.gens)
+            assert set(lvl.transversal) == orbit(lvl.point, gens)
+            assert set(lvl.inverses) == set(lvl.transversal)
+            for q, u in lvl.transversal.items():
+                assert u[lvl.point] == q
+                assert then(u, lvl.inverses[q]) == identity
         rng = random.Random(7)
-        assert [G.random_element(rng) for _ in range(6)] == \
-            reference_random_elements(levels, G.degree, random.Random(7), 6)
+        draws = [G.random_element(rng) for _ in range(6)]
+        assert all(reference_sift(levels, g).is_identity() for g in draws)
+        members = reference_random_elements(levels, n, rng, 6)
+        strangers = [Permutation(tuple(rng.sample(range(n), n)))
+                     for _ in range(6)]
+        probes = [*members, *(m * t for m in members for t in strangers),
+                  *strangers]
+        assert [chain.contains(p) for p in probes] == [
+            reference_sift(levels, p).is_identity() for p in probes]
+        assert (chain_shape(StabilizerChain(n, G.generators))
+                == chain_shape(chain))
 
     def test_known_members_are_not_sifted_again(self, monkeypatch):
         S8 = symmetric_group(8)
@@ -404,13 +434,13 @@ class TestChainMatchesTheReference:
         assert 0 < calls < reference_sifts
 
     @pytest.mark.parametrize("build,sifts,tuples", [
-        (lambda: symmetric_group(8), 25, 168),
+        (lambda: symmetric_group(8), 28, 147),
         (lambda: regular_wreath(named_group("S3"), named_group("S3")).product,
          66, 342)], ids=["S8", "S3wrS3"])
-    def test_a_rebuild_redoes_only_what_changed(self, monkeypatch, build,
-                                                sifts, tuples):
-        # remaking every tuple of a level on each rebuild makes 347 and
-        # 1,130 image tuples, with the same sifts; the chain holds image
+    def test_an_adjoin_makes_only_the_new_tuples(self, monkeypatch, build,
+                                                 sifts, tuples):
+        # an adjoin makes each new transversal value and its inverse once
+        # and sifts only the new Schreier pairs; the chain holds image
         # tuples only, so its build wraps no Permutation
         G = build()
         counts = {"sift": 0, "tuple": 0, "trusted": 0}

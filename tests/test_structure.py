@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from tests.conftest import mulclose
+from tests.conftest import chain_shape, mulclose
 from vlab import perm, structure
 from vlab.catalog import bundled_catalog, resolve_group_name
-from vlab.constructions import direct_product
+from vlab.constructions import direct_product, regular_wreath
 from vlab.engine import epi_decide
 from vlab.errors import BudgetExceeded, DegreeMismatch, GroupError
 from vlab.perm import (Permutation, PermutationGroup, alternating_group,
@@ -445,6 +445,25 @@ class TestPositionPath:
         assert set(G.memo("conj", dict)) == {g.images for g in G.generators}
         warm = normal_closure(G, seed)
         assert warm.generators == cold.generators and warm.order() == 4
+
+    def test_an_unlisted_normal_closure_builds_one_chain(self, monkeypatch):
+        G = regular_wreath(resolve_group_name("A5"),
+                           resolve_group_name("C2")).product
+        G.chain()  # the seed check reads G's own chain
+        builds = []
+        init = perm.StabilizerChain.__init__
+
+        def counting_init(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(perm.StabilizerChain, "__init__", counting_init)
+        D = derived_subgroup(G)  # A5 x A5
+        assert D.order() == 3600 and len(builds) == 1
+        assert G._elements is None and D._elements is None
+        monkeypatch.undo()
+        assert chain_shape(D.chain()) == chain_shape(
+            perm.StabilizerChain(D.degree, D.generators))
 
     def test_radical_of_a_solvable_group_checks_no_closure(self,
                                                            monkeypatch):
